@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class AshConfig:
     tau_merge: float = 0.3  # per-frame IoU above which segments merge
     epsilon_mask: int = 3  # min foreground pixels for a valid mask
     resample_n: int = 64  # vertex count used when averaging polygons
-    adaptive_smoothing: bool = False  # scale alpha by centroid speed
 
     def __post_init__(self) -> None:
         if self.beta < 1:
@@ -152,13 +151,7 @@ def _align_rotation(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return np.roll(cur, -best_r, axis=0)
 
 
-def _polygon_centroid(p: Polygon) -> tuple[float, float]:
-    return p.centroid()
-
-
-def smooth_polygons(
-    m: Masklet, alpha: float, resample_n: int, adaptive: bool = False
-) -> Masklet:
+def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
     """Recursive weighted averaging of consecutive frames' boundaries.
 
     Polygons are resampled to a common vertex count and rotation-aligned, then
@@ -170,32 +163,24 @@ def smooth_polygons(
     out = Masklet(m.object_id, m.class_label)
     prev: np.ndarray | None = None
     prev_frame: int | None = None
-    prev_raw_centroid: tuple[float, float] | None = None
     for f in m.frames():
         entry = m.entries[f]
         if entry.polygon is None:
             out.entries[f] = entry
             prev = None
             prev_frame = None
-            prev_raw_centroid = None
             continue
         cur = np.asarray(resample_polygon(entry.polygon, resample_n).vertices)
         if prev is None or prev_frame != f - 1:
             smoothed = cur
         else:
-            a = alpha
-            if adaptive and prev_raw_centroid is not None:
-                cx, cy = _polygon_centroid(entry.polygon)
-                speed = math.hypot(cx - prev_raw_centroid[0], cy - prev_raw_centroid[1])
-                a = min(1.0, alpha * (1.0 + speed))
             aligned = _align_rotation(cur, prev)
-            smoothed = a * aligned + (1.0 - a) * prev
+            smoothed = alpha * aligned + (1.0 - alpha) * prev
         polygon = Polygon(tuple((float(x), float(y)) for x, y in smoothed))
         mask = rasterize_polygon(polygon, entry.mask.width, entry.mask.height)
         out.entries[f] = MaskletEntry(mask, polygon, polygon_to_bbox(polygon), entry.confidence)
         prev = smoothed
         prev_frame = f
-        prev_raw_centroid = _polygon_centroid(entry.polygon)
     return out
 
 
@@ -261,41 +246,17 @@ def merge_redundant_frame(
     return [m for m in masklets if m.entries]
 
 
-def run_ash(
-    new_objects_by_frame: Mapping[int, list[NewObject]],
-    frames: Sequence[int],
-    propagator: PropagatorBackend,
-    cfg: AshConfig,
-    postprocess: bool = True,
-) -> list[Masklet]:
-    """Propagate every frame's new objects to the end of the span, then refine.
-
-    Post-processing order: trailing-empty pruning, temporal smoothing, then
-    per-frame redundancy merging.
-    """
-    frames = list(frames)
-    masklets: list[Masklet] = []
-    for t in sorted(new_objects_by_frame):
-        batch_frames = [f for f in frames if f >= t]
-        for batch in partition_batches(new_objects_by_frame[t], cfg.beta):
-            masklets.extend(propagate_batch(batch, batch_frames, propagator))
-    if postprocess:
-        masklets = postprocess_masklets(masklets, frames, cfg)
-    return masklets
-
-
 def postprocess_masklets(
     masklets: list[Masklet], frames: Sequence[int], cfg: AshConfig
 ) -> list[Masklet]:
+    """Refine propagated masklets: trailing-empty pruning, temporal smoothing,
+    then per-frame redundancy merging."""
     pruned = []
     for m in masklets:
         kept = remove_trailing_empty(m, cfg.epsilon_mask)
         if kept is not None:
             pruned.append(kept)
-    smoothed = [
-        smooth_polygons(m, cfg.alpha, cfg.resample_n, cfg.adaptive_smoothing)
-        for m in pruned
-    ]
+    smoothed = [smooth_polygons(m, cfg.alpha, cfg.resample_n) for m in pruned]
     for f in frames:
         smoothed = merge_redundant_frame(smoothed, f, cfg.tau_merge)
     return smoothed

@@ -21,8 +21,6 @@ class AssocConfig:
     margin: float = 0.5  # px, required distance from frame edges
     aspect_range: tuple[float, float] = (0.2, 5.0)
     track_buffer: int = 20  # frames a track survives unmatched
-    track_thresh: float = 0.6  # pass-throughs; do not gate detections here
-    match_thresh: float = 0.7
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau_track_det <= 1.0:

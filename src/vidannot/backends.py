@@ -1,7 +1,7 @@
-"""Backend contracts for the three neural roles, plus a synthetic oracle world.
+"""Backend contracts for the two neural roles, plus a synthetic oracle world.
 
-The mask generator, open-vocabulary detector, and memory-based mask propagator
-are abstract protocols so real models can be attached later. The synthetic
+The open-vocabulary detector and the memory-based mask propagator are
+abstract protocols so real models can be attached later. The synthetic
 world implements the detector and propagator roles as deterministic oracles
 over a scene of moving filled ellipses, with configurable noise. Every output
 is a pure function of (inputs, seeds): repeated calls are bit-identical.
@@ -29,22 +29,6 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
-
-
-@dataclass(frozen=True)
-class MaskGeneratorConfig:
-    """Automatic mask generator tuning knobs, kept for real-backend attachment."""
-
-    stability_threshold: float = 0.90
-    stability_offset: float = 0.7
-    box_nms_threshold: float = 0.7
-
-
-@runtime_checkable
-class MaskGeneratorBackend(Protocol):
-    """Produces class-agnostic instance masks for a whole frame."""
-
-    def generate_masks(self, frame_index: int) -> list[BinaryMask]: ...
 
 
 @runtime_checkable

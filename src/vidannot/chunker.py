@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -25,15 +24,13 @@ from .ash import (
     propagate_batch,
     remove_trailing_empty,
 )
-from .assoc import AssocConfig, Associator, NewObject, rescale_confidence, validate_box
+from .assoc import AssocConfig, Associator, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
 from .geometry import BBox, BinaryMask, Polygon, iou_mask
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_SCHEMA_VERSION = 1
-
-_CKPT_NAME = re.compile(r"^(?P<seq>.+)_ckpt_(?P<tag>initial|final|frame_(?P<num>\d+))\.json$")
 
 
 class ProcessingBudgetExceeded(RuntimeError):
@@ -72,29 +69,6 @@ class ChunkerConfig:
 class ChunkPlan:
     chunks: tuple[tuple[int, int], ...]  # inclusive [start, end] intervals
     overlap: int
-
-
-def plan_chunks(num_frames: int, cfg: ChunkerConfig) -> ChunkPlan:
-    """Sliding-window chunk intervals from the size/overlap recurrence.
-
-    The first chunk starts at 0; each next chunk starts omega frames before
-    the previous end; the last chunk is clipped to the final frame.
-    """
-    if num_frames < 1:
-        raise ValueError(f"num_frames must be >= 1: {num_frames}")
-    if num_frames > cfg.chi and cfg.chi - cfg.omega < 2:
-        raise ValueError(
-            f"chunking cannot advance with chi={cfg.chi}, omega={cfg.omega}"
-        )
-    chunks = []
-    start = 0
-    while True:
-        end = min(start + cfg.chi - 1, num_frames - 1)
-        chunks.append((start, end))
-        if end >= num_frames - 1:
-            break
-        start = end - cfg.omega
-    return ChunkPlan(tuple(chunks), cfg.omega)
 
 
 def find_optimal_frame(
@@ -175,7 +149,6 @@ class Checkpoint:
     last_completed_frame: int
     masklets: list[Masklet]
     assoc_state: dict
-    rng_state: dict
     mode: str  # "full" | "chunk"
     chunk_index: int = -1
 
@@ -187,7 +160,6 @@ class Checkpoint:
             "mode": self.mode,
             "chunk_index": self.chunk_index,
             "assoc_state": self.assoc_state,
-            "rng_state": self.rng_state,
             "masklets": [_masklet_to_payload(m) for m in self.masklets],
         }
 
@@ -198,13 +170,13 @@ class Checkpoint:
             raise CheckpointError(
                 f"checkpoint schema version {version!r} != {CHECKPOINT_SCHEMA_VERSION}"
             )
+        # Files from older versions also carry an "rng_state" key; it is ignored.
         return cls(
             schema_version=version,
             sequence_id=payload["sequence_id"],
             last_completed_frame=payload["last_completed_frame"],
             masklets=[_masklet_from_payload(p) for p in payload["masklets"]],
             assoc_state=payload["assoc_state"],
-            rng_state=payload["rng_state"],
             mode=payload["mode"],
             chunk_index=payload["chunk_index"],
         )
@@ -260,57 +232,31 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint | None:
     """Load a checkpoint, falling back to its backup; None means start fresh.
 
-    A corrupt or version-mismatched main file raises a CheckpointError naming
-    the recovery file when one exists.
+    A corrupt or version-mismatched file raises a CheckpointError, which names
+    the recovery file when one exists. Corrupt covers invalid JSON and valid
+    JSON whose payload fails validation (mask runs, boxes, polygons).
     """
     path = Path(path)
     backup = path.with_name(path.name + ".bak")
 
     def read(p: Path) -> Checkpoint:
-        with open(p, encoding="utf-8") as fh:
-            return Checkpoint.from_payload(json.load(fh))
+        try:
+            with open(p, encoding="utf-8") as fh:
+                return Checkpoint.from_payload(json.load(fh))
+        except (ValueError, TypeError, KeyError, CheckpointError) as exc:
+            raise CheckpointError(f"checkpoint {p} unreadable ({exc})") from exc
 
     if path.exists():
         try:
             return read(path)
-        except (json.JSONDecodeError, KeyError, CheckpointError) as exc:
+        except CheckpointError as exc:
             if backup.exists():
-                raise CheckpointError(
-                    f"checkpoint {path} unreadable ({exc}); recovery file: {backup}"
-                ) from exc
-            raise CheckpointError(f"checkpoint {path} unreadable ({exc})") from exc
+                raise CheckpointError(f"{exc}; recovery file: {backup}") from exc
+            raise
     if backup.exists():
         logger.warning("checkpoint %s missing, recovering from %s", path, backup)
         return read(backup)
     return None
-
-
-def resume_frame(name: str, max_processed_frame: int | None = None) -> int:
-    """Start frame encoded in a checkpoint filename or bare tag.
-
-    "initial" means process from scratch (-1); "final" resolves to the highest
-    processed frame; a frame tag resolves to that frame number.
-    """
-    base = Path(name).name
-    m = _CKPT_NAME.match(base)
-    if m:
-        tag = m.group("tag")
-        num = m.group("num")
-    else:
-        tag = base
-        fm = re.match(r"^(?:ckpt_)?frame_(\d+)$", base)
-        num = fm.group(1) if fm else None
-        if num:
-            tag = f"frame_{num}"
-    if tag == "initial":
-        return -1
-    if tag == "final":
-        if max_processed_frame is None:
-            raise ValueError("'final' checkpoint needs the max processed frame")
-        return max_processed_frame
-    if num is not None:
-        return int(num)
-    raise ValueError(f"unparseable checkpoint tag: {name!r}")
 
 
 class CheckpointStore:
@@ -392,10 +338,55 @@ def _prepare_detections(
     return valid
 
 
-def _clone_masklets(masklets: list[Masklet]) -> list[Masklet]:
-    return [
-        Masklet(m.object_id, m.class_label, dict(m.entries)) for m in masklets
-    ]
+@dataclass(frozen=True)
+class _Run:
+    """What one run_sequence call fixes for every pass over the sequence."""
+
+    detections: Sequence[list[Detection]]
+    propagator: PropagatorBackend
+    frame_size: tuple[int, int]
+    assoc_cfg: AssocConfig
+    ash_cfg: AshConfig
+    chunk_cfg: ChunkerConfig
+    store: CheckpointStore | None
+    sequence_id: str
+    rescale: bool
+    on_frame: Callable[[int], None] | None
+
+
+def _track(
+    run: _Run,
+    frames: list[int],
+    associator: Associator,
+    masklets: list[Masklet],
+    budget: int | None = None,
+    after_frame: Callable[[int], None] | None = None,
+) -> list[Masklet]:
+    """Associate each frame's verified detections, then propagate every new
+    object through the rest of `frames`; the masklets are appended in place.
+
+    A budget caps the propagated (frame x object) entries, those already in
+    `masklets` included.
+    """
+    used = sum(len(m.entries) for m in masklets)
+    for i, t in enumerate(frames):
+        dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg, run.rescale)
+        result = associator.associate(dets, t)
+        if result.new_objects and budget is not None:
+            projected = used + len(result.new_objects) * (len(frames) - i)
+            if projected > budget:
+                raise ProcessingBudgetExceeded(
+                    f"frame {t}: projected {projected} propagated entries > budget {budget}"
+                )
+        for batch in partition_batches(result.new_objects, run.ash_cfg.beta):
+            produced = propagate_batch(batch, frames[i:], run.propagator)
+            masklets.extend(produced)
+            used += sum(len(m.entries) for m in produced)
+        if run.on_frame is not None:
+            run.on_frame(t)
+        if after_frame is not None:
+            after_frame(t)
+    return masklets
 
 
 def run_sequence(
@@ -410,7 +401,6 @@ def run_sequence(
     sequence_id: str = "seq",
     rescale: bool = True,
     resume: bool = False,
-    rng_state: dict | None = None,
     on_frame: Callable[[int], None] | None = None,
 ) -> list[Masklet]:
     """Process a whole sequence into finalized masklets.
@@ -428,109 +418,69 @@ def run_sequence(
         if checkpoint_dir is not None
         else None
     )
-    rng_state = rng_state or {}
+    run = _Run(
+        detections_per_frame,
+        propagator,
+        frame_size,
+        assoc_cfg,
+        ash_cfg,
+        chunk_cfg,
+        store,
+        sequence_id,
+        rescale,
+        on_frame,
+    )
     if mode in ("full", "auto"):
         try:
-            return _run_full(
-                detections_per_frame,
-                propagator,
-                frame_size,
-                assoc_cfg,
-                ash_cfg,
-                chunk_cfg,
-                store,
-                sequence_id,
-                rescale,
-                resume,
-                rng_state,
-                on_frame,
-            )
+            return _run_full(run, resume)
         except (PropagationError, ProcessingBudgetExceeded) as exc:
             if mode == "full":
                 raise
             logger.warning("full-sequence processing failed (%s); falling back to chunk mode", exc)
     try:
-        return _run_chunked(
-            detections_per_frame,
-            propagator,
-            frame_size,
-            assoc_cfg,
-            ash_cfg,
-            chunk_cfg,
-            store,
-            sequence_id,
-            rescale,
-            resume,
-            rng_state,
-            on_frame,
-        )
+        return _run_chunked(run, resume)
     except (PropagationError, ProcessingBudgetExceeded) as exc:
         last = store.candidates() if store else []
         ref = f"; last checkpoint: {last[0]}" if last else "; no checkpoint written"
         raise RuntimeError(f"both processing modes failed: {exc}{ref}") from exc
 
 
-def _run_full(
-    detections_per_frame: Sequence[list[Detection]],
-    propagator: PropagatorBackend,
-    frame_size: tuple[int, int],
-    assoc_cfg: AssocConfig,
-    ash_cfg: AshConfig,
-    chunk_cfg: ChunkerConfig,
-    store: CheckpointStore | None,
-    sequence_id: str,
-    rescale: bool,
-    resume: bool,
-    rng_state: dict,
-    on_frame: Callable[[int], None] | None,
-) -> list[Masklet]:
-    num_frames = len(detections_per_frame)
-    all_frames = list(range(num_frames))
-    associator = Associator(assoc_cfg)
+def _run_full(run: _Run, resume: bool) -> list[Masklet]:
+    num_frames = len(run.detections)
+    associator = Associator(run.assoc_cfg)
     masklets: list[Masklet] = []
     start = 0
-    if resume and store is not None:
-        ckpt = store.load_latest()
+    if resume and run.store is not None:
+        ckpt = run.store.load_latest()
         if ckpt is not None and ckpt.mode == "full":
             associator.set_state(ckpt.assoc_state)
             masklets = ckpt.masklets
             start = ckpt.last_completed_frame + 1
-            logger.info("resuming %s (full mode) at frame %d", sequence_id, start)
+            logger.info("resuming %s (full mode) at frame %d", run.sequence_id, start)
 
-    budget = chunk_cfg.full_budget
-    used = sum(len(m.entries) for m in masklets)
-    for t in range(start, num_frames):
-        dets = _prepare_detections(detections_per_frame[t], frame_size, assoc_cfg, rescale)
-        result = associator.associate(dets, t)
-        span = num_frames - t
-        if result.new_objects and budget is not None:
-            projected = used + len(result.new_objects) * span
-            if projected > budget:
-                raise ProcessingBudgetExceeded(
-                    f"frame {t}: projected {projected} propagated entries > budget {budget}"
-                )
-        for batch in partition_batches(result.new_objects, ash_cfg.beta):
-            produced = propagate_batch(batch, all_frames[t:], propagator)
-            masklets.extend(produced)
-            used += sum(len(m.entries) for m in produced)
-        if on_frame is not None:
-            on_frame(t)
-        if store is not None and (
-            (t + 1) % chunk_cfg.checkpoint_interval == 0 or t == num_frames - 1
-        ):
-            store.save(
+    def save(t: int) -> None:
+        if (t + 1) % run.chunk_cfg.checkpoint_interval == 0 or t == num_frames - 1:
+            run.store.save(
                 Checkpoint(
                     CHECKPOINT_SCHEMA_VERSION,
-                    sequence_id,
+                    run.sequence_id,
                     t,
                     masklets,
                     associator.get_state(),
-                    rng_state,
                     mode="full",
                 ),
                 final=(t == num_frames - 1),
             )
-    return postprocess_masklets(masklets, all_frames, ash_cfg)
+
+    _track(
+        run,
+        list(range(start, num_frames)),
+        associator,
+        masklets,
+        budget=run.chunk_cfg.full_budget,
+        after_frame=save if run.store is not None else None,
+    )
+    return postprocess_masklets(masklets, range(num_frames), run.ash_cfg)
 
 
 def derive_chunk_plan(
@@ -541,6 +491,8 @@ def derive_chunk_plan(
     previous chunk's end.
     """
     num_frames = len(object_counts)
+    if num_frames > cfg.chi and cfg.chi - cfg.omega < 2:
+        raise ValueError(f"chunking cannot advance with chi={cfg.chi}, omega={cfg.omega}")
     if num_frames <= cfg.chi:
         return ChunkPlan(((0, num_frames - 1),), cfg.omega)
     chunks: list[tuple[int, int]] = []
@@ -562,41 +514,6 @@ def derive_chunk_plan(
             break
         current = end + 1
     return ChunkPlan(tuple(chunks), cfg.omega)
-
-
-def _process_chunk(
-    detections_per_frame: Sequence[list[Detection]],
-    propagator: PropagatorBackend,
-    frame_size: tuple[int, int],
-    assoc_cfg: AssocConfig,
-    ash_cfg: AshConfig,
-    span: tuple[int, int],
-    next_id: int,
-    rescale: bool,
-    on_frame: Callable[[int], None] | None,
-) -> tuple[list[Masklet], int]:
-    start, end = span
-    frames = list(range(start, end + 1))
-    associator = Associator(assoc_cfg, next_id=next_id)
-    new_by_frame: dict[int, list[NewObject]] = {}
-    for t in frames:
-        dets = _prepare_detections(detections_per_frame[t], frame_size, assoc_cfg, rescale)
-        result = associator.associate(dets, t)
-        if result.new_objects:
-            new_by_frame[t] = result.new_objects
-        if on_frame is not None:
-            on_frame(t)
-    masklets: list[Masklet] = []
-    for t in sorted(new_by_frame):
-        tail = [f for f in frames if f >= t]
-        for batch in partition_batches(new_by_frame[t], ash_cfg.beta):
-            masklets.extend(propagate_batch(batch, tail, propagator))
-    pruned = []
-    for m in masklets:
-        kept = remove_trailing_empty(m, ash_cfg.epsilon_mask)
-        if kept is not None:
-            pruned.append(kept)
-    return pruned, associator.next_id
 
 
 def _stitch(
@@ -624,69 +541,51 @@ def _stitch(
     return stitched
 
 
-def _run_chunked(
-    detections_per_frame: Sequence[list[Detection]],
-    propagator: PropagatorBackend,
-    frame_size: tuple[int, int],
-    assoc_cfg: AssocConfig,
-    ash_cfg: AshConfig,
-    chunk_cfg: ChunkerConfig,
-    store: CheckpointStore | None,
-    sequence_id: str,
-    rescale: bool,
-    resume: bool,
-    rng_state: dict,
-    on_frame: Callable[[int], None] | None,
-) -> list[Masklet]:
-    num_frames = len(detections_per_frame)
-    counts = [len(d) for d in detections_per_frame]
-    plan = derive_chunk_plan(counts, chunk_cfg)
+def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
+    counts = [len(d) for d in run.detections]
+    plan = derive_chunk_plan(counts, run.chunk_cfg)
     stitched: list[Masklet] = []
     next_id = 0
     first_chunk = 0
-    if resume and store is not None:
-        ckpt = store.load_latest()
+    if resume and run.store is not None:
+        ckpt = run.store.load_latest()
         if ckpt is not None and ckpt.mode == "chunk":
             stitched = ckpt.masklets
             next_id = ckpt.assoc_state.get("next_id", 0)
             first_chunk = ckpt.chunk_index + 1
-            logger.info("resuming %s (chunk mode) at chunk %d", sequence_id, first_chunk)
+            logger.info("resuming %s (chunk mode) at chunk %d", run.sequence_id, first_chunk)
 
     for i in range(first_chunk, len(plan.chunks)):
-        span = plan.chunks[i]
-        chunk_masklets, next_id = _process_chunk(
-            detections_per_frame,
-            propagator,
-            frame_size,
-            assoc_cfg,
-            ash_cfg,
-            span,
-            next_id,
-            rescale,
-            on_frame,
-        )
+        start, end = plan.chunks[i]
+        associator = Associator(run.assoc_cfg, next_id=next_id)
+        chunk_masklets = []
+        # No name holds the unpruned list: its trailing empty masks are freed
+        # before the next chunk is tracked.
+        for m in _track(run, list(range(start, end + 1)), associator, []):
+            kept = remove_trailing_empty(m, run.ash_cfg.epsilon_mask)
+            if kept is not None:
+                chunk_masklets.append(kept)
+        next_id = associator.next_id
         if i == 0:
             stitched = chunk_masklets
         else:
             prev_end = plan.chunks[i - 1][1]
-            overlap = list(range(span[0], min(prev_end, span[1]) + 1))
+            overlap = list(range(start, min(prev_end, end) + 1))
             if overlap:
-                stitched = _stitch(stitched, chunk_masklets, overlap, chunk_cfg.tau_overlap)
+                stitched = _stitch(stitched, chunk_masklets, overlap, run.chunk_cfg.tau_overlap)
             else:
-                for b in chunk_masklets:
-                    stitched.append(b)
-        if store is not None:
-            store.save(
+                stitched.extend(chunk_masklets)
+        if run.store is not None:
+            run.store.save(
                 Checkpoint(
                     CHECKPOINT_SCHEMA_VERSION,
-                    sequence_id,
-                    span[1],
+                    run.sequence_id,
+                    end,
                     stitched,
                     {"next_id": next_id},
-                    rng_state,
                     mode="chunk",
                     chunk_index=i,
                 ),
                 final=(i == len(plan.chunks) - 1),
             )
-    return postprocess_masklets(stitched, range(num_frames), ash_cfg)
+    return postprocess_masklets(stitched, range(len(run.detections)), run.ash_cfg)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .ash import AshConfig
 from .assoc import AssocConfig
-from .backends import DetectionNoise, MaskGeneratorConfig, PropagationDegradation, SyntheticWorldConfig
+from .backends import DetectionNoise, PropagationDegradation, SyntheticWorldConfig
 from .chunker import ChunkerConfig
 from .smart_od import SmartOdConfig
 
@@ -41,7 +41,6 @@ class PipelineConfig:
     ash: AshConfig = field(default_factory=AshConfig)
     chunker: ChunkerConfig = field(default_factory=ChunkerConfig)
     deploy: DeploymentConfig = field(default_factory=DeploymentConfig)
-    mask_generator: MaskGeneratorConfig = field(default_factory=MaskGeneratorConfig)
     world: SyntheticWorldConfig | None = None
     noise: DetectionNoise = field(default_factory=DetectionNoise)
     degradation: PropagationDegradation = field(default_factory=PropagationDegradation)

@@ -149,11 +149,6 @@ class Polygon:
             total += math.hypot(nx - x, ny - y)
         return total
 
-    def centroid(self) -> tuple[float, float]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return (sum(xs) / len(xs), sum(ys) / len(ys))
-
 
 def iou_box(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0 when the union has zero area."""
@@ -332,11 +327,6 @@ def rasterize_polygon(p: Polygon, width: int, height: int) -> BinaryMask:
     grid = _fill_scanline(verts, width, height)
     _draw_edges(verts, grid)
     return BinaryMask(grid)
-
-
-def iou_polygon(a: Polygon, b: Polygon, width: int, height: int) -> float:
-    """Canonical polygon IoU: rasterize both onto the frame grid, then mask IoU."""
-    return iou_mask(rasterize_polygon(a, width, height), rasterize_polygon(b, width, height))
 
 
 def resample_polygon(p: Polygon, n: int) -> Polygon:

@@ -17,7 +17,6 @@ from .ash import AshConfig, Masklet
 from .assoc import AssocConfig
 from .backends import (
     DetectionNoise,
-    MaskGeneratorConfig,
     PropagationDegradation,
     SyntheticWorldConfig,
 )
@@ -230,7 +229,6 @@ _SECTION_TYPES = {
     "ash": AshConfig,
     "chunker": ChunkerConfig,
     "deploy": DeploymentConfig,
-    "mask_generator": MaskGeneratorConfig,
     "world": SyntheticWorldConfig,
     "noise": DetectionNoise,
     "degradation": PropagationDegradation,

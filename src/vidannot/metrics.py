@@ -13,8 +13,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox, iou_box
 
-_EXHAUSTIVE_ID_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class LabeledBox:
@@ -128,36 +126,9 @@ def match_frame(
     return matches, fps, fns
 
 
-def _max_idtp_exhaustive(idtp: np.ndarray) -> int:
-    """Exact one-to-one assignment by enumerating column subsets.
-
-    DP over rows with a bitmask of used columns; rows may stay unassigned.
-    Exponential in the column count, so only used for small identity sets.
-    """
-    rows, cols = idtp.shape
-    if cols > rows:
-        idtp = idtp.T
-        rows, cols = cols, rows
-    best = {0: 0}
-    for r in range(rows):
-        nxt = dict(best)
-        for mask, value in best.items():
-            for c in range(cols):
-                if mask & (1 << c) or idtp[r, c] == 0:
-                    continue
-                m2 = mask | (1 << c)
-                v2 = value + int(idtp[r, c])
-                if v2 > nxt.get(m2, -1):
-                    nxt[m2] = v2
-        best = nxt
-    return max(best.values())
-
-
 def _max_idtp(idtp: np.ndarray) -> int:
     if idtp.size == 0:
         return 0
-    if max(idtp.shape) <= _EXHAUSTIVE_ID_LIMIT:
-        return _max_idtp_exhaustive(idtp)
     rows, cols = linear_sum_assignment(-idtp)
     return int(idtp[rows, cols].sum())
 

@@ -253,7 +253,6 @@ def _process_sequence(
         sequence_id=source.sequence_id,
         rescale=pipe_cfg.rescale_confidences,
         resume=resume,
-        rng_state={"seed": pipe_cfg.seed},
     )
     w, h = source.frame_size
     doc = masklets_to_document(masklets, source.sequence_id, w, h)

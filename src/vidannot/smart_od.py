@@ -18,8 +18,6 @@ THRESHOLD_METHODS = ("mean_std", "kmeans", "kmeans_mean_std", "double_kmeans")
 
 @dataclass(frozen=True)
 class SmartOdConfig:
-    theta_c: float = 0.001  # detector confidence floor (backend pass-through)
-    theta_i: float = 0.1  # detector IoU (backend pass-through)
     theta_n: float = 0.1  # NMS threshold for merged slice predictions
     theta_v: float = 0.03  # verification IoU threshold
     theta_min_area: float = 0.0008

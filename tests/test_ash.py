@@ -12,9 +12,9 @@ from vidannot.ash import (
     PropagationError,
     merge_redundant_frame,
     partition_batches,
+    postprocess_masklets,
     propagate_batch,
     remove_trailing_empty,
-    run_ash,
     smooth_polygons,
 )
 from vidannot.assoc import NewObject
@@ -217,6 +217,19 @@ class TestMergeRedundant:
                     assert v <= 0.3
 
 
+def run_ash(new_objects_by_frame, frames, propagator, cfg, postprocess=True):
+    """Propagate each frame's new objects to the end of the span, then refine:
+    the production sequence without association."""
+    frames = list(frames)
+    masklets = []
+    for t in sorted(new_objects_by_frame):
+        for batch in partition_batches(new_objects_by_frame[t], cfg.beta):
+            masklets.extend(propagate_batch(batch, [f for f in frames if f >= t], propagator))
+    if postprocess:
+        masklets = postprocess_masklets(masklets, frames, cfg)
+    return masklets
+
+
 class TestRunAsh:
     def test_oracle_equivalence(self):
         gt = world(n=3, frames=12, vel=((0.4, 0.1), (-0.3, 0.2), (0.2, -0.3)), seed=4)
@@ -303,8 +316,6 @@ class TestPostprocessProperties:
     @given(random_masklets(), st.floats(0.1, 1.0), st.floats(0.05, 0.95))
     @settings(max_examples=1000, deadline=None)
     def test_never_increases_entry_count(self, masklets, alpha, tau):
-        from vidannot.ash import postprocess_masklets
-
         before = sum(len(m.entries) for m in masklets)
         cfg = AshConfig(alpha=alpha, tau_merge=tau, resample_n=16)
         out = postprocess_masklets(masklets, range(6), cfg)

@@ -13,7 +13,6 @@ from vidannot.geometry import (
     Polygon,
     iou_box,
     iou_mask,
-    iou_polygon,
     mask_to_polygon,
     polygon_to_bbox,
     rasterize_polygon,
@@ -191,7 +190,7 @@ class TestRasterize:
     def test_polygon_iou_is_mask_iou(self):
         a = Polygon(((0, 0), (4, 0), (4, 4), (0, 4)))
         b = Polygon(((2, 0), (6, 0), (6, 4), (2, 4)))
-        v = iou_polygon(a, b, 8, 8)
+        v = iou_mask(rasterize_polygon(a, 8, 8), rasterize_polygon(b, 8, 8))
         # 5x5 squares overlapping in 3 columns: 15 / 35
         assert v == pytest.approx(15 / 35)
 
@@ -279,7 +278,8 @@ class TestProperties:
         if a is None:
             return
         b = resample_polygon(a, max(3, n))
-        assert iou_polygon(a, b, 24, 24) == iou_polygon(b, a, 24, 24)
+        ma, mb = rasterize_polygon(a, 24, 24), rasterize_polygon(b, 24, 24)
+        assert iou_mask(ma, mb) == iou_mask(mb, ma)
 
 
 class TestShiftMask:

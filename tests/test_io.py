@@ -149,7 +149,6 @@ class TestConfig:
         p.write_text("{}")
         cfg = read_config(p)
         assert cfg.smart_od.theta_v == 0.03
-        assert cfg.smart_od.theta_c == 0.001
         assert cfg.smart_od.theta_min_area == 0.0008
         assert cfg.smart_od.theta_max_area == 0.20
         assert cfg.smart_od.epsilon_dbscan == 100.0
@@ -175,15 +174,26 @@ class TestConfig:
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"smartod": {}}))
-        with pytest.raises(FormatError, match="smartod"):
-            read_config(p)
+        # mask_generator was removed; old files naming it are rejected too.
+        for name in ("smartod", "mask_generator"):
+            p.write_text(json.dumps({name: {}}))
+            with pytest.raises(FormatError, match=name):
+                read_config(p)
 
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"ash": {"betta": 5}}))
-        with pytest.raises(FormatError, match="betta"):
-            read_config(p)
+        # Includes the fields removed as never read: there is no deprecation path.
+        for section, name in [
+            ("ash", "betta"),
+            ("ash", "adaptive_smoothing"),
+            ("smart_od", "theta_c"),
+            ("smart_od", "theta_i"),
+            ("assoc", "track_thresh"),
+            ("assoc", "match_thresh"),
+        ]:
+            p.write_text(json.dumps({section: {name: 5}}))
+            with pytest.raises(FormatError, match=name):
+                read_config(p)
 
     def test_serialize_parse_normalizes(self):
         cfg = PipelineConfig()
@@ -230,7 +240,8 @@ class TestLargeRoundTrip:
         ]
         p = tmp_path / "big.txt"
         write_mot(recs, p)
-        back = [r for f in sorted(read_mot(p)) for r in read_mot(p)[f]]
+        by_frame = read_mot(p)
+        back = [r for f in sorted(by_frame) for r in by_frame[f]]
         assert len(back) == 10_000
         got = sorted((r.frame, r.track_id, r.x, r.y, r.w, r.h, r.conf) for r in back)
         want = sorted((r.frame, r.track_id, r.x, r.y, r.w, r.h, r.conf) for r in recs)

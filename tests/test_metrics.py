@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidannot.geometry import BBox, iou_box
-from vidannot.metrics import LabeledBox, evaluate, evaluate_dataset, match_frame
+from vidannot.metrics import LabeledBox, _max_idtp, evaluate, evaluate_dataset, match_frame
 
 
 def box(x, y=0, w=10, h=10):
@@ -41,6 +41,25 @@ def brute_idf1(predictions, ground_truth, iou_threshold=0.5):
         best = max(best, total)
     denom = total_gt + total_pred
     return 2 * best / denom if denom else 1.0
+
+
+def brute_max_idtp(idtp):
+    """Best one-to-one assignment total, by trying every injection of the
+    shorter side into the longer one."""
+    if idtp.shape[0] > idtp.shape[1]:
+        idtp = idtp.T
+    rows, cols = idtp.shape
+    best = 0
+    for perm in itertools.permutations(range(cols), rows):
+        best = max(best, sum(int(idtp[r, c]) for r, c in enumerate(perm)))
+    return best
+
+
+idtp_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.integers(0, 20), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda values: np.array(values, dtype=np.int64).reshape(shape))
+)
 
 
 class TestMatchFrame:
@@ -138,6 +157,11 @@ class TestInvariants:
         b = evaluate(relabeled, gt)
         assert a.mota == b.mota
         assert a.idf1 == pytest.approx(b.idf1)
+
+    @given(idtp_matrices)
+    @settings(max_examples=1000, deadline=None)
+    def test_max_idtp_matches_permutation_oracle(self, idtp):
+        assert _max_idtp(idtp) == brute_max_idtp(idtp)
 
     @given(tracking_scenario())
     @settings(max_examples=1000, deadline=None)

@@ -329,9 +329,9 @@ class TestOptimizeExhaustiveness:
             tables[0.001 + k * 0.001] = dets
 
         original = pl.run_smart_od
-        pl.run_smart_od = lambda f, det, cfg: tables[cfg.theta_c]
+        pl.run_smart_od = lambda f, det, cfg: tables[cfg.theta_v]
         try:
-            grid = {"theta_c": sorted(tables)}
+            grid = {"theta_v": sorted(tables)}
             best, best_j = optimize_parameters(0, gt, StubDetector(tables), grid, SmartOdConfig(), alpha)
             from vidannot.pipeline import detection_precision_recall
 
