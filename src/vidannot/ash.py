@@ -5,7 +5,6 @@ smoothing, and per-frame redundancy merging.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .geometry import (
     polygon_to_bbox,
     rasterize_polygon,
     resample_polygon,
+    union_masks,
 )
 
 
@@ -140,15 +140,12 @@ def remove_trailing_empty(m: Masklet, epsilon_mask: int) -> Masklet | None:
 def _align_rotation(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Rotate cur's vertex order to minimize total squared distance to prev."""
     n = len(cur)
-    best_r = 0
-    best_cost = math.inf
-    for r in range(n):
-        rolled = np.roll(cur, -r, axis=0)
-        cost = float(((rolled - prev) ** 2).sum())
-        if cost < best_cost:
-            best_cost = cost
-            best_r = r
-    return np.roll(cur, -best_r, axis=0)
+    # rolled[r] is np.roll(cur, -r, axis=0); each row's cost sums the same
+    # 2n squares in the same order as that rotation's own sum, and argmin
+    # keeps the first of equal costs.
+    rolled = cur[(np.arange(n)[:, None] + np.arange(n)) % n]
+    cost = ((rolled - prev) ** 2).reshape(n, -1).sum(axis=1)
+    return rolled[int(np.argmin(cost))]
 
 
 def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
@@ -211,15 +208,11 @@ def _merge_pass(present: list[Masklet], frame: int, tau_merge: float) -> bool:
             continue
         merged_any = True
         keeper = present[root]
-        union = keeper.entries[frame].mask.data.copy()
+        union = union_masks([present[i].entries[frame].mask for i in members])
         for i in members:
-            if i == root:
-                continue
-            union |= present[i].entries[frame].mask.data
-            del present[i].entries[frame]
-        keeper.entries[frame] = _entry_from_mask(
-            BinaryMask(union), keeper.entries[frame].confidence
-        )
+            if i != root:
+                del present[i].entries[frame]
+        keeper.entries[frame] = _entry_from_mask(union, keeper.entries[frame].confidence)
     return merged_any
 
 

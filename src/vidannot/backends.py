@@ -129,26 +129,15 @@ class GroundTruthFrame:
         return [o for o in self.objects if o.visibility > 0.0]
 
 
-def _ellipse_grid(
-    cx: float, cy: float, ax: float, ay: float, width: int, height: int
-) -> np.ndarray:
-    yy, xx = np.mgrid[0:height, 0:width]
-    return ((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2 <= 1.0
-
-
-def _ellipse_full_area(cx: float, cy: float, ax: float, ay: float) -> int:
-    # Pixel count of the ellipse on an unbounded grid, for visibility ratios.
+def _ellipse_crop(cx: float, cy: float, ax: float, ay: float) -> tuple[np.ndarray, int, int]:
+    """The ellipse's pixels on an unbounded grid, inside its box plus one pixel
+    of slack, and that box's top-left (x, y)."""
     x0 = int(math.floor(cx - ax)) - 1
     x1 = int(math.ceil(cx + ax)) + 1
     y0 = int(math.floor(cy - ay)) - 1
     y1 = int(math.ceil(cy + ay)) + 1
     yy, xx = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-    return int((((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2 <= 1.0).sum())
-
-
-def _tight_box(data: np.ndarray) -> BBox:
-    ys, xs = np.nonzero(data)
-    return BBox(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+    return ((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2 <= 1.0, x0, y0
 
 
 def generate_synthetic_sequence(cfg: SyntheticWorldConfig) -> list[GroundTruthFrame]:
@@ -157,7 +146,8 @@ def generate_synthetic_sequence(cfg: SyntheticWorldConfig) -> list[GroundTruthFr
     Objects move by their per-object velocity; masks are clipped at the frame
     borders so an object can partially or fully leave the scene. When
     occlusion is enabled, later-identity objects occlude earlier ones and
-    visibility is the remaining fraction of the full ellipse.
+    visibility is the remaining fraction of the full ellipse. Each ellipse is
+    rendered only inside its own box.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     ax, ay = cfg.ellipse_axes
@@ -175,21 +165,39 @@ def generate_synthetic_sequence(cfg: SyntheticWorldConfig) -> list[GroundTruthFr
     frames: list[GroundTruthFrame] = []
     for t in range(cfg.num_frames):
         pos = centers + vel * t
-        full = [
-            _ellipse_grid(pos[i, 0], pos[i, 1], ax, ay, w, h)
-            for i in range(cfg.num_objects)
-        ]
+        # Each ellipse clipped to the frame, as (crop, x0, y0, x1, y1), plus
+        # its unclipped pixel count.
+        full = []
+        totals = []
+        for i in range(cfg.num_objects):
+            crop, ex0, ey0 = _ellipse_crop(pos[i, 0], pos[i, 1], ax, ay)
+            totals.append(int(crop.sum()))
+            x0, y0 = max(0, ex0), max(0, ey0)
+            x1, y1 = min(w, ex0 + crop.shape[1]), min(h, ey0 + crop.shape[0])
+            if x0 < x1 and y0 < y1:
+                full.append((crop[y0 - ey0 : y1 - ey0, x0 - ex0 : x1 - ex0], x0, y0, x1, y1))
+            else:
+                full.append((crop[:0, :0], 0, 0, 0, 0))
         objects: list[GroundTruthObject] = []
         for i in range(cfg.num_objects):
-            visible = full[i]
+            crop, x0, y0, x1, y1 = full[i]
+            visible = crop.copy()
             if cfg.occlusion_enabled:
-                for j in range(i + 1, cfg.num_objects):
-                    visible = visible & ~full[j]
-            total = _ellipse_full_area(pos[i, 0], pos[i, 1], ax, ay)
-            vis_count = int(visible.sum())
-            visibility = vis_count / total if total else 0.0
-            mask = BinaryMask(visible)
-            box = _tight_box(visible) if vis_count else BBox(0.0, 0.0, 0.0, 0.0)
+                for other, ox0, oy0, ox1, oy1 in full[i + 1 :]:
+                    ix0, iy0, ix1, iy1 = max(x0, ox0), max(y0, oy0), min(x1, ox1), min(y1, oy1)
+                    if ix0 < ix1 and iy0 < iy1:
+                        visible[iy0 - y0 : iy1 - y0, ix0 - x0 : ix1 - x0] &= ~other[
+                            iy0 - oy0 : iy1 - oy0, ix0 - ox0 : ix1 - ox0
+                        ]
+            total = totals[i]
+            mask = BinaryMask.from_crop(visible, x0, y0, w, h)
+            visibility = mask.count / total if total else 0.0
+            if mask.is_empty():
+                box = BBox(0.0, 0.0, 0.0, 0.0)
+            else:
+                ch, cw = mask.crop.shape
+                bx, by = float(mask.x0), float(mask.y0)
+                box = BBox(bx, by, bx + cw - 1, by + ch - 1)
             objects.append(
                 GroundTruthObject(
                     identity=i,

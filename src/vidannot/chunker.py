@@ -220,8 +220,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     backup = path.with_name(path.name + ".bak")
+    # One json.dumps call encodes in C; json.dump writes the same bytes from
+    # the pure-Python encoder.
+    text = json.dumps(ckpt.to_payload(), separators=(",", ":"), sort_keys=True)
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(ckpt.to_payload(), fh, separators=(",", ":"), sort_keys=True)
+        fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
     if path.exists():
@@ -361,12 +364,14 @@ def _track(
     masklets: list[Masklet],
     budget: int | None = None,
     after_frame: Callable[[int], None] | None = None,
+    reported: int = -1,
 ) -> list[Masklet]:
     """Associate each frame's verified detections, then propagate every new
     object through the rest of `frames`; the masklets are appended in place.
 
     A budget caps the propagated (frame x object) entries, those already in
-    `masklets` included.
+    `masklets` included. Frames up to `reported` were already passed to the
+    run's `on_frame` hook and are not passed again.
     """
     used = sum(len(m.entries) for m in masklets)
     for i, t in enumerate(frames):
@@ -382,7 +387,7 @@ def _track(
             produced = propagate_batch(batch, frames[i:], run.propagator)
             masklets.extend(produced)
             used += sum(len(m.entries) for m in produced)
-        if run.on_frame is not None:
+        if run.on_frame is not None and t > reported:
             run.on_frame(t)
         if after_frame is not None:
             after_frame(t)
@@ -487,8 +492,8 @@ def derive_chunk_plan(
     object_counts: Sequence[int], cfg: ChunkerConfig
 ) -> ChunkPlan:
     """Chunk intervals with the start of each chunk pulled toward object-dense
-    frames; coverage is preserved because an adjusted start never passes the
-    previous chunk's end.
+    frames; every later chunk starts at or before the previous chunk's end, so
+    consecutive chunks share at least one frame to stitch identities over.
     """
     num_frames = len(object_counts)
     if num_frames > cfg.chi and cfg.chi - cfg.omega < 2:
@@ -501,7 +506,7 @@ def derive_chunk_plan(
         if chunks:
             optimal = find_optimal_frame(object_counts, current, cfg.search_window)
             start = max(0, optimal - cfg.omega)
-            start = min(start, current)  # never skip frames
+            start = min(start, current - 1)  # share a frame with the previous chunk
         else:
             start = 0
         end = min(num_frames - 1, start + cfg.chi - 1)
@@ -559,9 +564,10 @@ def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
         start, end = plan.chunks[i]
         associator = Associator(run.assoc_cfg, next_id=next_id)
         chunk_masklets = []
+        prev_end = plan.chunks[i - 1][1] if i else -1
         # No name holds the unpruned list: its trailing empty masks are freed
         # before the next chunk is tracked.
-        for m in _track(run, list(range(start, end + 1)), associator, []):
+        for m in _track(run, list(range(start, end + 1)), associator, [], reported=prev_end):
             kept = remove_trailing_empty(m, run.ash_cfg.epsilon_mask)
             if kept is not None:
                 chunk_masklets.append(kept)
@@ -569,12 +575,8 @@ def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
         if i == 0:
             stitched = chunk_masklets
         else:
-            prev_end = plan.chunks[i - 1][1]
-            overlap = list(range(start, min(prev_end, end) + 1))
-            if overlap:
-                stitched = _stitch(stitched, chunk_masklets, overlap, run.chunk_cfg.tau_overlap)
-            else:
-                stitched.extend(chunk_masklets)
+            overlap = list(range(start, prev_end + 1))
+            stitched = _stitch(stitched, chunk_masklets, overlap, run.chunk_cfg.tau_overlap)
         if run.store is not None:
             run.store.save(
                 Checkpoint(

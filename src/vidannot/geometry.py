@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -52,47 +53,112 @@ class BBox:
 
 
 class BinaryMask:
-    """Row-major boolean pixel grid of size width x height."""
+    """Boolean pixel grid of size width x height, stored as the tight crop of
+    its foreground.
 
-    __slots__ = ("_data",)
+    The crop is a read-only local grid whose top-left pixel sits at frame
+    position (x0, y0); an empty mask has a 0x0 crop at (0, 0). Every operation
+    on masks costs O(crop area), not O(frame area).
+    """
+
+    __slots__ = ("_crop", "_x0", "_y0", "_width", "_height", "_count")
 
     def __init__(self, data: np.ndarray) -> None:
         arr = np.asarray(data, dtype=bool)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"mask must be a 2-D grid, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._data = arr
+        self._place(arr, 0, 0, arr.shape[1], arr.shape[0])
+
+    @classmethod
+    def from_crop(
+        cls, crop: np.ndarray, x0: int, y0: int, width: int, height: int
+    ) -> BinaryMask:
+        """Mask of a width x height frame whose foreground lies in `crop`, a
+        local grid with its top-left pixel at (x0, y0); trimmed to its
+        foreground."""
+        arr = np.asarray(crop, dtype=bool)
+        if width < 1 or height < 1:
+            raise ValueError(f"frame must be at least 1x1, got {width}x{height}")
+        if arr.ndim != 2:
+            raise ValueError(f"crop must be a 2-D grid, got shape {arr.shape}")
+        if arr.size and not (
+            0 <= x0 and x0 + arr.shape[1] <= width and 0 <= y0 and y0 + arr.shape[0] <= height
+        ):
+            raise ValueError(
+                f"crop {arr.shape[1]}x{arr.shape[0]} at ({x0}, {y0}) leaves the "
+                f"{width}x{height} frame"
+            )
+        m = cls.__new__(cls)
+        m._place(arr, x0, y0, width, height)
+        return m
+
+    def _place(self, arr: np.ndarray, x0: int, y0: int, width: int, height: int) -> None:
+        rows = np.flatnonzero(arr.any(axis=1))
+        if rows.size == 0:
+            crop = np.zeros((0, 0), dtype=bool)
+            x0 = y0 = 0
+        else:
+            cols = np.flatnonzero(arr.any(axis=0))
+            crop = arr[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
+            x0 += int(cols[0])
+            y0 += int(rows[0])
+        crop.flags.writeable = False
+        self._crop = crop
+        self._x0 = int(x0)
+        self._y0 = int(y0)
+        self._width = int(width)
+        self._height = int(height)
+        self._count = int(np.count_nonzero(crop))
 
     @classmethod
     def zeros(cls, width: int, height: int) -> BinaryMask:
-        return cls(np.zeros((height, width), dtype=bool))
+        return cls.from_crop(np.zeros((0, 0), dtype=bool), 0, 0, width, height)
 
     @property
     def data(self) -> np.ndarray:
-        return self._data
+        """The whole width x height grid. It builds a frame-sized array, so it
+        is for tests and debugging only; the program works on `crop`."""
+        grid = np.zeros((self._height, self._width), dtype=bool)
+        h, w = self._crop.shape
+        grid[self._y0 : self._y0 + h, self._x0 : self._x0 + w] = self._crop
+        grid.flags.writeable = False
+        return grid
+
+    @property
+    def crop(self) -> np.ndarray:
+        return self._crop
+
+    @property
+    def x0(self) -> int:
+        return self._x0
+
+    @property
+    def y0(self) -> int:
+        return self._y0
 
     @property
     def width(self) -> int:
-        return self._data.shape[1]
+        return self._width
 
     @property
     def height(self) -> int:
-        return self._data.shape[0]
+        return self._height
 
     @property
     def count(self) -> int:
         """Number of foreground pixels."""
-        return int(self._data.sum())
+        return self._count
 
     def is_empty(self) -> bool:
-        return not self._data.any()
+        return self._count == 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryMask):
             return NotImplemented
-        return self._data.shape == other._data.shape and bool(
-            np.array_equal(self._data, other._data)
+        return (
+            (self._width, self._height, self._x0, self._y0)
+            == (other._width, other._height, other._x0, other._y0)
+            and bool(np.array_equal(self._crop, other._crop))
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -101,31 +167,42 @@ class BinaryMask:
         return f"BinaryMask({self.width}x{self.height}, count={self.count})"
 
     def to_runs(self) -> list[int]:
-        """Run-length encode the flattened grid, starting with a run of zeros."""
-        flat = self._data.ravel()
-        if flat.size == 0:
-            return []
-        change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-        bounds = np.concatenate(([0], change, [flat.size]))
-        runs = np.diff(bounds).tolist()
-        if flat[0]:
-            runs.insert(0, 0)
-        return [int(r) for r in runs]
+        """Run-length encode the flattened full grid, starting with a run of zeros."""
+        total = self._width * self._height
+        h, w = self._crop.shape
+        # Only the full-width rows the crop spans are encoded; every change of
+        # value is then offset to its flat index in the full grid.
+        band = np.zeros((h, self._width), dtype=bool)
+        band[:, self._x0 : self._x0 + w] = self._crop
+        flat = np.concatenate(([False], band.ravel(), [False]))
+        bounds = np.flatnonzero(flat[1:] != flat[:-1]) + self._y0 * self._width
+        if not bounds.size or bounds[-1] != total:
+            bounds = np.append(bounds, total)
+        return np.diff(bounds, prepend=0).tolist()
 
     @classmethod
     def from_runs(cls, width: int, height: int, runs: list[int]) -> BinaryMask:
-        total = sum(runs)
+        if any(not isinstance(r, (int, np.integer)) for r in runs):
+            raise TypeError("run lengths must be integers")
+        lengths = np.asarray(runs, dtype=np.int64)
+        total = int(lengths.sum())
         if total != width * height:
             raise ValueError(f"run lengths sum to {total}, expected {width * height}")
-        flat = np.zeros(width * height, dtype=bool)
-        pos = 0
-        value = False
-        for run in runs:
-            if value:
-                flat[pos : pos + run] = True
-            pos += run
-            value = not value
-        return cls(flat.reshape(height, width))
+        if (lengths < 0).any():
+            raise ValueError("negative run length")
+        bounds = np.cumsum(lengths)
+        starts, ends = bounds[0:-1:2], bounds[1::2]  # foreground runs [start, end)
+        keep = ends > starts
+        if not keep.any():
+            return cls.zeros(width, height)
+        # Fill only the full-width rows the foreground runs span.
+        starts, ends = starts[keep].tolist(), ends[keep].tolist()
+        y0 = starts[0] // width
+        rows = (ends[-1] - 1) // width + 1 - y0
+        band = np.zeros(rows * width, dtype=bool)
+        for start, end in zip(starts, ends):
+            band[start - y0 * width : end - y0 * width] = True
+        return cls.from_crop(band.reshape(rows, width), 0, y0, width, height)
 
 
 @dataclass(frozen=True)
@@ -140,14 +217,6 @@ class Polygon:
         for x, y in self.vertices:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"non-finite vertex: ({x!r}, {y!r})")
-
-    def perimeter(self) -> float:
-        total = 0.0
-        pts = self.vertices
-        for i, (x, y) in enumerate(pts):
-            nx, ny = pts[(i + 1) % len(pts)]
-            total += math.hypot(nx - x, ny - y)
-        return total
 
 
 def iou_box(a: BBox, b: BBox) -> float:
@@ -171,11 +240,48 @@ def iou_mask(a: BinaryMask, b: BinaryMask) -> float:
         raise ValueError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    inter = int(np.logical_and(a.data, b.data).sum())
-    union = int(np.logical_or(a.data, b.data).sum())
+    window = _overlap(a, b)
+    inter = int(np.count_nonzero(_window(a, window) & _window(b, window))) if window else 0
+    union = a.count + b.count - inter
     if union == 0:
         return 0.0
     return inter / union
+
+
+def _box(m: BinaryMask) -> tuple[int, int, int, int]:
+    """The crop's frame box as (x0, y0, x1, y1), end-exclusive."""
+    h, w = m.crop.shape
+    return m.x0, m.y0, m.x0 + w, m.y0 + h
+
+
+def _overlap(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int, int] | None:
+    ax0, ay0, ax1, ay1 = _box(a)
+    bx0, by0, bx1, by1 = _box(b)
+    x0, y0, x1, y1 = max(ax0, bx0), max(ay0, by0), min(ax1, bx1), min(ay1, by1)
+    return (x0, y0, x1, y1) if x0 < x1 and y0 < y1 else None
+
+
+def _window(m: BinaryMask, box: tuple[int, int, int, int]) -> np.ndarray:
+    """The part of m's crop inside a frame box that lies within the crop."""
+    x0, y0, x1, y1 = box
+    return m.crop[y0 - m.y0 : y1 - m.y0, x0 - m.x0 : x1 - m.x0]
+
+
+def union_masks(masks: Sequence[BinaryMask]) -> BinaryMask:
+    """Pixelwise union of same-size masks, built in the joint box of their crops."""
+    width, height = masks[0].width, masks[0].height
+    if any((m.width, m.height) != (width, height) for m in masks):
+        raise ValueError("mask dimensions differ")
+    present = [m for m in masks if not m.is_empty()]
+    if not present:
+        return BinaryMask.zeros(width, height)
+    boxes = [_box(m) for m in present]
+    x0, y0 = min(b[0] for b in boxes), min(b[1] for b in boxes)
+    x1, y1 = max(b[2] for b in boxes), max(b[3] for b in boxes)
+    grid = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    for m, (bx0, by0, bx1, by1) in zip(present, boxes):
+        grid[by0 - y0 : by1 - y0, bx0 - x0 : bx1 - x0] |= m.crop
+    return BinaryMask.from_crop(grid, x0, y0, width, height)
 
 
 def polygon_to_bbox(p: Polygon) -> BBox:
@@ -184,16 +290,20 @@ def polygon_to_bbox(p: Polygon) -> BBox:
     return BBox(min(xs), min(ys), max(xs), max(ys))
 
 
-def _largest_component(data: np.ndarray) -> np.ndarray | None:
-    labels, n = ndimage.label(data, structure=_FOUR_CONNECTED)
-    if n == 0:
-        return None
+def _largest_component(data: np.ndarray) -> np.ndarray:
+    labels, _ = ndimage.label(data, structure=_FOUR_CONNECTED)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     return labels == int(sizes.argmax())
 
 
 _MOORE_INDEX = {off: i for i, off in enumerate(_MOORE)}
+# After stepping in direction d, the backtrack cell (the last background cell
+# checked, the Moore neighbor before d) seen from the new pixel.
+_BACK_DIR = tuple(
+    _MOORE_INDEX[(_MOORE[d - 1][0] - _MOORE[d][0], _MOORE[d - 1][1] - _MOORE[d][1])]
+    for d in range(8)
+)
 
 
 def _trace_moore_boundary(component: np.ndarray) -> list[tuple[int, int]]:
@@ -205,38 +315,31 @@ def _trace_moore_boundary(component: np.ndarray) -> list[tuple[int, int]]:
     The state-repeat rule is total for any finite component, including single
     pixels and one-pixel-wide lines.
     """
-    ys, xs = np.nonzero(component)
-    start = (int(ys[0]), int(xs[0]))
-    h, w = component.shape
-
-    def fg(cell: tuple[int, int]) -> bool:
-        y, x = cell
-        return 0 <= y < h and 0 <= x < w and bool(component[y, x])
-
-    boundary: list[tuple[int, int]] = [start]
-    cur = start
-    back = (start[0], start[1] - 1)  # West neighbor, background by scan order
-    seen = {(cur, back)}
+    stride = component.shape[1] + 2
+    # A background border makes every neighbor of a foreground pixel a valid
+    # index into the flat grid.
+    cells = np.pad(component, 1).ravel().tolist()
+    step = [dy * stride + dx for dy, dx in _MOORE]
+    # Per backtrack direction: the clockwise scan as (flat offset, next backtrack).
+    scans = [[(step[(b + i) % 8], _BACK_DIR[(b + i) % 8]) for i in range(1, 9)] for b in range(8)]
+    cur = cells.index(True)
+    back = _MOORE_INDEX[(0, -1)]  # West neighbor, background by scan order
+    boundary = [cur]
+    seen = {cur * 8 + back}
     while True:
-        start_dir = _MOORE_INDEX[(back[0] - cur[0], back[1] - cur[1])]
-        nxt = None
-        prev_checked = back
-        for step in range(1, 9):
-            dy, dx = _MOORE[(start_dir + step) % 8]
-            cell = (cur[0] + dy, cur[1] + dx)
-            if fg(cell):
-                nxt = cell
+        for offset, next_back in scans[back]:
+            if cells[cur + offset]:
                 break
-            prev_checked = cell
-        if nxt is None:
+        else:
             break  # isolated pixel
-        cur, back = nxt, prev_checked
-        state = (cur, back)
+        cur += offset
+        back = next_back
+        state = cur * 8 + back
         if state in seen:
             break
         seen.add(state)
         boundary.append(cur)
-    return boundary
+    return [(i // stride - 1, i % stride - 1) for i in boundary]
 
 
 def _collapse_collinear(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -271,62 +374,87 @@ def mask_to_polygon(m: BinaryMask, min_pixels: int = 3) -> Polygon | None:
     component is too small to form a polygon. Holes and smaller components are
     ignored. Vertices are (x, y) pixel centers; collinear runs are collapsed.
     """
-    if m.count < min_pixels:
+    if m.count < min_pixels or m.is_empty():
         return None
-    component = _largest_component(m.data)
-    if component is None:
-        return None
+    # Labels and the trace run on the crop; raster order, and so every
+    # tie-break, is the same as on the whole frame.
+    component = _largest_component(m.crop)
     boundary = _trace_moore_boundary(component)
-    pts = _collapse_collinear([(y, x) for y, x in boundary])
+    pts = _collapse_collinear([(y + m.y0, x + m.x0) for y, x in boundary])
     if len(pts) < 3:
         return None
     return Polygon(tuple((float(x), float(y)) for y, x in pts))
 
 
-def _fill_scanline(vertices: np.ndarray, width: int, height: int) -> np.ndarray:
-    grid = np.zeros((height, width), dtype=bool)
-    n = len(vertices)
-    y_lo = max(0, int(math.ceil(vertices[:, 1].min())))
-    y_hi = min(height - 1, int(math.floor(vertices[:, 1].max())))
-    for y in range(y_lo, y_hi + 1):
-        xs: list[float] = []
-        for i in range(n):
-            x0, y0 = vertices[i]
-            x1, y1 = vertices[(i + 1) % n]
-            if y0 == y1:
-                continue  # horizontal edges contribute via endpoints
-            # Half-open rule [min(y), max(y)) so shared vertices count once.
-            if min(y0, y1) <= y < max(y0, y1):
-                xs.append(x0 + (y - y0) * (x1 - x0) / (y1 - y0))
-        xs.sort()
-        for j in range(0, len(xs) - 1, 2):
-            left = int(math.ceil(xs[j]))
-            right = int(math.floor(xs[j + 1]))
-            if right >= 0 and left < width:
-                grid[y, max(0, left) : min(width - 1, right) + 1] = True
-    return grid
-
-
-def _draw_edges(vertices: np.ndarray, grid: np.ndarray) -> None:
+def _fill_scanline(vertices: np.ndarray, grid: np.ndarray, x0: int, y0: int) -> None:
+    """Even-odd fill of the pixel centers inside the polygon, into a grid whose
+    top-left pixel sits at frame position (x0, y0)."""
     height, width = grid.shape
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        steps = max(int(round(max(abs(x1 - x0), abs(y1 - y0)))), 1)
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        px = np.rint(x0 + ts * (x1 - x0)).astype(int)
-        py = np.rint(y0 + ts * (y1 - y0)).astype(int)
-        ok = (px >= 0) & (px < width) & (py >= 0) & (py < height)
-        grid[py[ok], px[ok]] = True
+    y_lo = max(y0, int(math.ceil(vertices[:, 1].min())))
+    y_hi = min(y0 + height - 1, int(math.floor(vertices[:, 1].max())))
+    if y_lo > y_hi:
+        return
+    xa, ya = vertices[:, 0], vertices[:, 1]
+    xb, yb = np.roll(xa, -1), np.roll(ya, -1)
+    y = np.arange(y_lo, y_hi + 1)[:, None]
+    # Half-open rule [min(y), max(y)) so shared vertices count once;
+    # horizontal edges contribute via endpoints.
+    hit = (ya != yb) & (np.minimum(ya, yb) <= y) & (y < np.maximum(ya, yb))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xs = np.where(hit, xa + (y - ya) * (xb - xa) / (yb - ya), np.inf)
+    xs.sort(axis=1)
+    # Crossings 2j and 2j+1 bound the j-th span of a row.
+    pairs = len(vertices) // 2
+    spans = np.arange(pairs) * 2 + 2 <= hit.sum(axis=1)[:, None]
+    left = np.ceil(np.where(spans, xs[:, 0 : 2 * pairs : 2], 0.0)).astype(np.int64)
+    right = np.floor(np.where(spans, xs[:, 1 : 2 * pairs : 2], -1.0)).astype(np.int64)
+    left = np.maximum(left, x0) - x0
+    right = np.minimum(right, x0 + width - 1) - x0 + 1
+    spans &= left < right
+    line = np.broadcast_to((y - y0) * (width + 1), spans.shape)[spans]
+    size = height * (width + 1)
+    edges = np.bincount(line + left[spans], minlength=size)
+    edges -= np.bincount(line + right[spans], minlength=size)
+    grid |= np.cumsum(edges.reshape(height, width + 1), axis=1)[:, :width] > 0
+
+
+def _draw_edges(vertices: np.ndarray, grid: np.ndarray, x0: int, y0: int) -> None:
+    """Boundary pixels of every edge, into a grid placed at (x0, y0)."""
+    height, width = grid.shape
+    xa, ya = vertices[:, 0], vertices[:, 1]
+    dx, dy = np.roll(xa, -1) - xa, np.roll(ya, -1) - ya
+    steps = np.maximum(np.rint(np.maximum(np.abs(dx), np.abs(dy))).astype(np.int64), 1)
+    # Every edge's np.linspace(0, 1, steps + 1), bit for bit: k * (1 / steps),
+    # with the last point set to exactly 1.
+    counts = steps + 1
+    edge = np.repeat(np.arange(len(vertices)), counts)
+    last = np.cumsum(counts) - 1
+    k = np.arange(int(counts.sum())) - np.repeat(last + 1 - counts, counts)
+    ts = k * (1.0 / steps)[edge]
+    ts[last] = 1.0
+    px = np.rint(xa[edge] + ts * dx[edge]).astype(np.int64) - x0
+    py = np.rint(ya[edge] + ts * dy[edge]).astype(np.int64) - y0
+    ok = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+    grid[py[ok], px[ok]] = True
 
 
 def rasterize_polygon(p: Polygon, width: int, height: int) -> BinaryMask:
-    """Pixel-center rasterization: even-odd interior fill plus boundary pixels."""
+    """Pixel-center rasterization: even-odd interior fill plus boundary pixels.
+
+    Only the polygon's box, widened by a pixel of rounding slack and clipped
+    to the frame, is rasterized.
+    """
     verts = np.asarray(p.vertices, dtype=float)
-    grid = _fill_scanline(verts, width, height)
-    _draw_edges(verts, grid)
-    return BinaryMask(grid)
+    x0 = max(0, int(math.floor(verts[:, 0].min())) - 1)
+    y0 = max(0, int(math.floor(verts[:, 1].min())) - 1)
+    x1 = min(width, int(math.ceil(verts[:, 0].max())) + 2)
+    y1 = min(height, int(math.ceil(verts[:, 1].max())) + 2)
+    if x0 >= x1 or y0 >= y1:
+        return BinaryMask.zeros(width, height)
+    grid = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+    _fill_scanline(verts, grid, x0, y0)
+    _draw_edges(verts, grid, x0, y0)
+    return BinaryMask.from_crop(grid, x0, y0, width, height)
 
 
 def resample_polygon(p: Polygon, n: int) -> Polygon:
@@ -362,12 +490,12 @@ def shift_mask(m: BinaryMask, dx: int, dy: int) -> BinaryMask:
     """Translate a mask by whole pixels, clipping at the borders."""
     if dx == 0 and dy == 0:
         return m
-    out = np.zeros_like(m.data)
-    h, w = m.data.shape
-    src_x = slice(max(0, -dx), min(w, w - dx))
-    src_y = slice(max(0, -dy), min(h, h - dy))
-    dst_x = slice(max(0, dx), min(w, w + dx))
-    dst_y = slice(max(0, dy), min(h, h + dy))
-    if src_x.start < src_x.stop and src_y.start < src_y.stop:
-        out[dst_y, dst_x] = m.data[src_y, src_x]
-    return BinaryMask(out)
+    h, w = m.crop.shape
+    x0, y0 = m.x0 + dx, m.y0 + dy
+    cx0, cy0 = max(0, -x0), max(0, -y0)
+    cx1, cy1 = min(w, m.width - x0), min(h, m.height - y0)
+    if cx0 >= cx1 or cy0 >= cy1:
+        return BinaryMask.zeros(m.width, m.height)
+    return BinaryMask.from_crop(
+        m.crop[cy0:cy1, cx0:cx1], x0 + cx0, y0 + cy0, m.width, m.height
+    )

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import ndimage
 
 from vidannot.backends import SyntheticWorldConfig, generate_synthetic_sequence
-from vidannot.geometry import BBox, BinaryMask
+from vidannot.geometry import BBox, BinaryMask, Polygon
 
 
 def ellipse_mask(cx: float, cy: float, ax: float, ay: float, w: int, h: int) -> BinaryMask:
@@ -43,3 +46,152 @@ def boxes_equal(a: BBox, b: BBox, tol: float = 1e-9) -> bool:
         and abs(a.x2 - b.x2) <= tol
         and abs(a.y2 - b.y2) <= tol
     )
+
+
+def perimeter(p: Polygon) -> float:
+    pts = p.vertices
+    return sum(
+        math.hypot(pts[(i + 1) % len(pts)][0] - x, pts[(i + 1) % len(pts)][1] - y)
+        for i, (x, y) in enumerate(pts)
+    )
+
+
+# Dense oracles: straightforward full-frame versions of the crop-based mask
+# kernels in vidannot.geometry and vidannot.ash. The equivalence tests hold
+# the kernels to these results exactly.
+
+
+def dense_iou(a: np.ndarray, b: np.ndarray) -> float:
+    inter = int(np.logical_and(a, b).sum())
+    union = int(np.logical_or(a, b).sum())
+    if union == 0:
+        return 0.0
+    return inter / union
+
+
+def dense_runs(grid: np.ndarray) -> list[int]:
+    flat = grid.ravel()
+    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    bounds = np.concatenate(([0], change, [flat.size]))
+    runs = np.diff(bounds).tolist()
+    if flat[0]:
+        runs.insert(0, 0)
+    return [int(r) for r in runs]
+
+
+_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+_MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+_MOORE_INDEX = {off: i for i, off in enumerate(_MOORE)}
+
+
+def _dense_trace(component: np.ndarray) -> list[tuple[int, int]]:
+    ys, xs = np.nonzero(component)
+    start = (int(ys[0]), int(xs[0]))
+    h, w = component.shape
+
+    def fg(cell):
+        y, x = cell
+        return 0 <= y < h and 0 <= x < w and bool(component[y, x])
+
+    boundary = [start]
+    cur, back = start, (start[0], start[1] - 1)
+    seen = {(cur, back)}
+    while True:
+        start_dir = _MOORE_INDEX[(back[0] - cur[0], back[1] - cur[1])]
+        nxt = None
+        prev_checked = back
+        for step in range(1, 9):
+            dy, dx = _MOORE[(start_dir + step) % 8]
+            cell = (cur[0] + dy, cur[1] + dx)
+            if fg(cell):
+                nxt = cell
+                break
+            prev_checked = cell
+        if nxt is None:
+            break
+        cur, back = nxt, prev_checked
+        if (cur, back) in seen:
+            break
+        seen.add((cur, back))
+        boundary.append(cur)
+    return boundary
+
+
+def _dense_collapse(points):
+    deduped = []
+    for p in points:
+        if not deduped or p != deduped[-1]:
+            deduped.append(p)
+    if len(deduped) > 1 and deduped[0] == deduped[-1]:
+        deduped.pop()
+    if len(deduped) < 3:
+        return deduped
+    out = []
+    n = len(deduped)
+    for i in range(n):
+        prev, cur, nxt = deduped[(i - 1) % n], deduped[i], deduped[(i + 1) % n]
+        ax, ay = cur[0] - prev[0], cur[1] - prev[1]
+        bx, by = nxt[0] - cur[0], nxt[1] - cur[1]
+        if ax * by - ay * bx != 0 or ax * bx + ay * by <= 0:
+            out.append(cur)
+    return out if len(out) >= 3 else deduped
+
+
+def dense_polygon(grid: np.ndarray, min_pixels: int = 3) -> Polygon | None:
+    if int(grid.sum()) < min_pixels:
+        return None
+    labels, n = ndimage.label(grid, structure=_FOUR)
+    if n == 0:
+        return None
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    pts = _dense_collapse(_dense_trace(labels == int(sizes.argmax())))
+    if len(pts) < 3:
+        return None
+    return Polygon(tuple((float(x), float(y)) for y, x in pts))
+
+
+def dense_rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
+    vertices = np.asarray(p.vertices, dtype=float)
+    grid = np.zeros((height, width), dtype=bool)
+    n = len(vertices)
+    y_lo = max(0, int(math.ceil(vertices[:, 1].min())))
+    y_hi = min(height - 1, int(math.floor(vertices[:, 1].max())))
+    for y in range(y_lo, y_hi + 1):
+        xs = []
+        for i in range(n):
+            x0, y0 = vertices[i]
+            x1, y1 = vertices[(i + 1) % n]
+            if y0 == y1:
+                continue
+            if min(y0, y1) <= y < max(y0, y1):
+                xs.append(x0 + (y - y0) * (x1 - x0) / (y1 - y0))
+        xs.sort()
+        for j in range(0, len(xs) - 1, 2):
+            left = int(math.ceil(xs[j]))
+            right = int(math.floor(xs[j + 1]))
+            if right >= 0 and left < width:
+                grid[y, max(0, left) : min(width - 1, right) + 1] = True
+    for i in range(n):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % n]
+        steps = max(int(round(max(abs(x1 - x0), abs(y1 - y0)))), 1)
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        px = np.rint(x0 + ts * (x1 - x0)).astype(int)
+        py = np.rint(y0 + ts * (y1 - y0)).astype(int)
+        ok = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+        grid[py[ok], px[ok]] = True
+    return grid
+
+
+def loop_align_rotation(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    n = len(cur)
+    best_r = 0
+    best_cost = math.inf
+    for r in range(n):
+        rolled = np.roll(cur, -r, axis=0)
+        cost = float(((rolled - prev) ** 2).sum())
+        if cost < best_cost:
+            best_cost = cost
+            best_r = r
+    return np.roll(cur, -best_r, axis=0)

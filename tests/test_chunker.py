@@ -76,11 +76,12 @@ class TestPlanChunks:
         assert chunks[-1][1] == num_frames - 1
         for s, e in chunks:
             assert 0 <= e - s < chi
-        # Every chunk moves forward and starts at most one frame past the
-        # previous end, so the plan covers each frame; a start pulled back
-        # toward dense frames stays within the search window plus the overlap.
+        # Every chunk moves forward and starts at or before the previous end,
+        # so the plan covers each frame and consecutive chunks share a frame;
+        # a start pulled back toward dense frames stays within the search
+        # window plus the overlap.
         for (s1, e1), (s2, e2) in zip(chunks, chunks[1:]):
-            assert s1 < s2 <= e1 + 1
+            assert s1 < s2 <= e1
             assert e1 < e2
             assert e1 - s2 + 1 <= 2 * omega + 1
 
@@ -426,6 +427,16 @@ class TestRunSequence:
         )
         assert masklets_signature(resumed) == masklets_signature(ref)
 
+    @pytest.mark.parametrize("mode", ["full", "chunk"])
+    def test_on_frame_once_per_frame(self, mode):
+        gt, det, prop, dets = build_sequence(num_frames=120)
+        seen = []
+        run_sequence(
+            dets, prop, det.frame_size, chunk_cfg=ChunkerConfig(chi=50, omega=10),
+            mode=mode, on_frame=seen.append, **RUN_KW
+        )
+        assert seen == list(range(120))
+
     def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path):
         gt, det, prop, dets = build_sequence(num_frames=60)
         cfg = ChunkerConfig(chi=30, omega=5, checkpoint_interval=10)
@@ -525,6 +536,15 @@ class TestDeriveAdjustedPlan:
         for s, e in plan.chunks:
             covered.update(range(s, e + 1))
         assert covered == set(range(120))
+
+    def test_peak_at_window_edge_keeps_overlap(self):
+        # The densest frame is the right edge of the search window around
+        # frame 50; its start, peak minus omega, would be frame 50 itself and
+        # share no frame with chunk (0, 49).
+        counts = [2] * 120
+        counts[60] = 9
+        plan = derive_chunk_plan(counts, ChunkerConfig(chi=50, omega=10))
+        assert plan.chunks == ((0, 49), (49, 98), (79, 119))
 
     def test_short_sequence_one_chunk(self):
         from vidannot.chunker import derive_chunk_plan

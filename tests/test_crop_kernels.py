@@ -1,0 +1,227 @@
+"""The crop-based mask kernels give exactly what full-frame computation gives
+(the dense oracles in helpers.py), and production code never builds a
+frame-sized grid."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vidannot.ash import AshConfig, Masklet, MaskletEntry, _align_rotation, merge_redundant_frame
+from vidannot.backends import (
+    DetectionNoise,
+    PropagationDegradation,
+    SyntheticDetector,
+    SyntheticPropagator,
+    SyntheticWorldConfig,
+    generate_synthetic_sequence,
+)
+from vidannot.chunker import ChunkerConfig
+from vidannot.config import PipelineConfig
+from vidannot.geometry import (
+    BinaryMask,
+    Polygon,
+    iou_mask,
+    mask_to_polygon,
+    rasterize_polygon,
+    shift_mask,
+    union_masks,
+)
+from vidannot.pipeline import SequenceSource, run_dataset
+
+from helpers import (
+    dense_iou,
+    dense_polygon,
+    dense_rasterize,
+    dense_runs,
+    loop_align_rotation,
+)
+
+
+@st.composite
+def grids(draw, w=None, h=None):
+    """Small full-frame grids: random fill, empty, one pixel, or a rectangle
+    that may touch the frame border."""
+    w = draw(st.integers(1, 14)) if w is None else w
+    h = draw(st.integers(1, 14)) if h is None else h
+    kind = draw(st.sampled_from(["random", "empty", "pixel", "rect"]))
+    g = np.zeros((h, w), dtype=bool)
+    if kind == "random":
+        bits = draw(st.lists(st.booleans(), min_size=w * h, max_size=w * h))
+        g[:] = np.array(bits, dtype=bool).reshape(h, w)
+    elif kind == "pixel":
+        g[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    elif kind == "rect":
+        y0, y1 = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2)))
+        x0, x1 = sorted(draw(st.lists(st.integers(0, w - 1), min_size=2, max_size=2)))
+        g[y0 : y1 + 1, x0 : x1 + 1] = True
+    return g
+
+
+@st.composite
+def grid_pairs(draw):
+    w, h = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    return draw(grids(w, h)), draw(grids(w, h))
+
+
+@st.composite
+def polygons(draw):
+    """Random polygons on a small frame, partly or wholly outside it; half the
+    time on a half-pixel lattice, where ceil, floor and rint tie."""
+    w, h = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    n = draw(st.integers(3, 24))
+    if draw(st.booleans()):
+        xs = [v / 2 for v in draw(st.lists(st.integers(-20, 2 * w + 20), min_size=n, max_size=n))]
+        ys = [v / 2 for v in draw(st.lists(st.integers(-20, 2 * h + 20), min_size=n, max_size=n))]
+    else:
+        coord = st.floats(-15.0, 45.0, allow_nan=False)
+        xs = draw(st.lists(coord, min_size=n, max_size=n))
+        ys = draw(st.lists(coord, min_size=n, max_size=n))
+    return Polygon(tuple(zip(xs, ys))), w, h
+
+
+class TestMaskStorage:
+    @given(grids())
+    @settings(max_examples=1000, deadline=None)
+    def test_crop_is_tight_and_round_trips(self, g):
+        m = BinaryMask(g)
+        assert np.array_equal(m.data, g)
+        assert m.count == int(g.sum())
+        if m.is_empty():
+            assert m.crop.shape == (0, 0)
+        else:
+            crop = m.crop
+            assert crop[0].any() and crop[-1].any() and crop[:, 0].any() and crop[:, -1].any()
+
+    @given(grids())
+    @settings(max_examples=1000, deadline=None)
+    def test_runs_match_dense_encoding(self, g):
+        m = BinaryMask(g)
+        runs = m.to_runs()
+        assert runs == dense_runs(g)
+        assert all(type(r) is int for r in runs)
+        back = BinaryMask.from_runs(m.width, m.height, runs)
+        assert back == m and np.array_equal(back.data, g)
+
+    @given(grids(), st.integers(-16, 16), st.integers(-16, 16))
+    @settings(max_examples=1000, deadline=None)
+    def test_shift_matches_dense_shift(self, g, dx, dy):
+        h, w = g.shape
+        expected = np.zeros_like(g)
+        ys, xs = np.nonzero(g)
+        ok = (xs + dx >= 0) & (xs + dx < w) & (ys + dy >= 0) & (ys + dy < h)
+        expected[ys[ok] + dy, xs[ok] + dx] = True
+        assert np.array_equal(shift_mask(BinaryMask(g), dx, dy).data, expected)
+
+    def test_from_crop_rejects_a_crop_outside_the_frame(self):
+        with pytest.raises(ValueError):
+            BinaryMask.from_crop(np.ones((2, 2), dtype=bool), 3, 0, 4, 4)
+
+    def test_zeros_holds_no_frame(self):
+        m = BinaryMask.zeros(1280, 720)
+        arrays = [getattr(m, s) for s in BinaryMask.__slots__]
+        assert all(a.size == 0 for a in arrays if isinstance(a, np.ndarray))
+        assert (m.width, m.height, m.count) == (1280, 720, 0)
+
+
+class TestKernelsMatchDenseOracles:
+    @given(grid_pairs())
+    @settings(max_examples=1000, deadline=None)
+    def test_iou(self, pair):
+        a, b = pair
+        assert iou_mask(BinaryMask(a), BinaryMask(b)) == dense_iou(a, b)
+
+    @given(grid_pairs())
+    @settings(max_examples=1000, deadline=None)
+    def test_union(self, pair):
+        a, b = pair
+        assert np.array_equal(union_masks([BinaryMask(a), BinaryMask(b)]).data, a | b)
+
+    @given(grids(), st.integers(0, 4))
+    @settings(max_examples=1000, deadline=None)
+    def test_contour(self, g, min_pixels):
+        assert mask_to_polygon(BinaryMask(g), min_pixels) == dense_polygon(g, min_pixels)
+
+    @given(polygons())
+    @settings(max_examples=1000, deadline=None)
+    def test_rasterize(self, case):
+        p, w, h = case
+        assert np.array_equal(rasterize_polygon(p, w, h).data, dense_rasterize(p, w, h))
+
+    def test_rasterize_far_outside_the_frame(self):
+        p = Polygon(((-50.0, -50.0), (-40.0, -50.0), (-45.0, -40.0)))
+        assert rasterize_polygon(p, 8, 8).is_empty()
+        assert not dense_rasterize(p, 8, 8).any()
+
+    @given(
+        st.integers(3, 40),
+        st.integers(0, 39),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_align_rotation_near_ties(self, n, shift, eps, seed):
+        # A regular polygon matches itself under every rotation up to rounding,
+        # so the costs tie or nearly tie; the first minimum must win.
+        k = np.arange(n)
+        angle = 2 * math.pi * k / n
+        prev = np.stack([10 + 5 * np.cos(angle), 7 + 5 * np.sin(angle)], 1)
+        noise = np.random.default_rng(seed).normal(0.0, eps, size=prev.shape)
+        cur = np.roll(prev, shift % n, axis=0) + noise
+        assert np.array_equal(_align_rotation(cur, prev), loop_align_rotation(cur, prev))
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=12))
+    @settings(max_examples=1000, deadline=None)
+    def test_align_rotation_exact_ties(self, pts):
+        # Lattice points repeat, so whole rotations cost exactly the same.
+        cur = np.asarray(pts, dtype=float)
+        prev = np.roll(cur[::-1], 1, axis=0)
+        assert np.array_equal(_align_rotation(cur, prev), loop_align_rotation(cur, prev))
+
+
+@pytest.fixture
+def no_frame_grids(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("a frame-sized mask grid was built")
+
+    monkeypatch.setattr(BinaryMask, "data", property(forbidden))
+
+
+def test_pipeline_never_builds_a_frame(no_frame_grids, tmp_path):
+    """World generation, drifting propagation, tracking in both modes,
+    smoothing, merging, checkpoint save and resume, the writers and QA all
+    stay on crops."""
+    gt = generate_synthetic_sequence(
+        SyntheticWorldConfig(
+            frame_width=1280,
+            frame_height=720,
+            num_objects=4,
+            num_frames=14,
+            ellipse_axes=(40.0, 28.0),
+            velocities=((6.0, 0.0), (-6.0, 0.0), (0.0, 5.0), (4.0, -4.0)),
+            rng_seed=3,
+        )
+    )
+    propagator = SyntheticPropagator(gt, PropagationDegradation(drift_px_per_frame=(0.5, 0.0)))
+    source = SequenceSource("hd", gt, SyntheticDetector(gt, DetectionNoise()), propagator)
+    cfg = PipelineConfig(
+        ash=AshConfig(alpha=0.2), chunker=ChunkerConfig(chi=6, omega=2, checkpoint_interval=4)
+    )
+    for mode in ("full", "chunk"):
+        for resume in (False, True):
+            report = run_dataset(
+                {"hd": source}, cfg.smart_od, cfg, tmp_path / mode,
+                checkpoint_dir=tmp_path / f"ckpt-{mode}", mode=mode, resume=resume,
+            )
+            outcome = report.outcomes["hd"]
+            assert outcome.error is None
+            assert outcome.qa > 0.5
+    # The oracle scene has no duplicate segments, so merge one explicitly.
+    mask = gt[0].objects[0].mask
+    twins = [Masklet(i, "object", {0: MaskletEntry(mask, None, None, 0.9)}) for i in (0, 1)]
+    (merged,) = merge_redundant_frame(twins, 0, 0.3)
+    assert merged.entries[0].mask == mask
