@@ -54,12 +54,47 @@ class AshConfig:
             raise ValueError(f"resample_n must be >= 3: {self.resample_n}")
 
 
-@dataclass
+_UNTRACED = object()  # the polygon of an entry whose outline is not traced yet
+
+
 class MaskletEntry:
-    mask: BinaryMask
-    polygon: Polygon | None
-    bbox: BBox | None
-    confidence: float
+    """One frame of a masklet: its mask, outline polygon, box and confidence.
+
+    An entry built from a mask alone (`from_mask`) traces its outline the
+    first time `.polygon` or `.bbox` is read and keeps both, so entries that
+    merging, stitching or pruning discard never pay for a contour. One built
+    with an explicit polygon and box keeps them, None included.
+    """
+
+    __slots__ = ("mask", "confidence", "_polygon", "_bbox")
+
+    def __init__(
+        self, mask: BinaryMask, polygon: Polygon | None, bbox: BBox | None, confidence: float
+    ) -> None:
+        self.mask = mask
+        self._polygon = polygon
+        self._bbox = bbox
+        self.confidence = confidence
+
+    @classmethod
+    def from_mask(cls, mask: BinaryMask, confidence: float) -> MaskletEntry:
+        return cls(mask, _UNTRACED, None, confidence)
+
+    def _trace(self) -> None:
+        if self._polygon is _UNTRACED:
+            polygon = mask_to_polygon(self.mask, min_pixels=1)
+            self._polygon = polygon
+            self._bbox = polygon_to_bbox(polygon) if polygon is not None else None
+
+    @property
+    def polygon(self) -> Polygon | None:
+        self._trace()
+        return self._polygon
+
+    @property
+    def bbox(self) -> BBox | None:
+        self._trace()
+        return self._bbox
 
 
 @dataclass
@@ -86,12 +121,6 @@ def partition_batches(items: Sequence, beta: int) -> list[list]:
     return [list(items[i : i + beta]) for i in range(0, len(items), beta)]
 
 
-def _entry_from_mask(mask: BinaryMask, confidence: float) -> MaskletEntry:
-    polygon = mask_to_polygon(mask, min_pixels=1)
-    bbox = polygon_to_bbox(polygon) if polygon is not None else None
-    return MaskletEntry(mask, polygon, bbox, confidence)
-
-
 def propagate_batch(
     batch: list[NewObject],
     frames: Sequence[int],
@@ -99,10 +128,10 @@ def propagate_batch(
 ) -> list[Masklet]:
     """Propagate one batch of new objects over the remaining frames.
 
-    Each object becomes one masklet covering the given frames, with polygons
-    and boxes derived from every nonempty mask. Propagator failures are
-    re-raised tagged with the batch's object ids so chunk-mode fallback can
-    react.
+    Each object becomes one masklet covering the given frames; each entry's
+    polygon and box are traced from its mask when first read. Propagator
+    failures are re-raised tagged with the batch's object ids so chunk-mode
+    fallback can react.
     """
     masklets = []
     for obj in batch:
@@ -117,7 +146,7 @@ def propagate_batch(
             ) from exc
         m = Masklet(obj.object_id, obj.detection.class_label)
         for f, mask in zip(frames, masks):
-            m.add_entry(f, _entry_from_mask(mask, obj.detection.confidence))
+            m.add_entry(f, MaskletEntry.from_mask(mask, obj.detection.confidence))
         masklets.append(m)
     return masklets
 
@@ -157,25 +186,29 @@ def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
     """
     if alpha >= 1.0:
         return m
+    frames = m.frames()
+    # Outlines are traced back to back, which runs faster than tracing each
+    # between the previous frame's resampling and rasterizing.
+    polygons = [m.entries[f].polygon for f in frames]
     out = Masklet(m.object_id, m.class_label)
     prev: np.ndarray | None = None
     prev_frame: int | None = None
-    for f in m.frames():
+    for f, polygon in zip(frames, polygons):
         entry = m.entries[f]
-        if entry.polygon is None:
+        if polygon is None:
             out.entries[f] = entry
             prev = None
             prev_frame = None
             continue
-        cur = np.asarray(resample_polygon(entry.polygon, resample_n).vertices)
+        cur = np.asarray(resample_polygon(polygon, resample_n).vertices)
         if prev is None or prev_frame != f - 1:
             smoothed = cur
         else:
             aligned = _align_rotation(cur, prev)
             smoothed = alpha * aligned + (1.0 - alpha) * prev
-        polygon = Polygon(tuple((float(x), float(y)) for x, y in smoothed))
-        mask = rasterize_polygon(polygon, entry.mask.width, entry.mask.height)
-        out.entries[f] = MaskletEntry(mask, polygon, polygon_to_bbox(polygon), entry.confidence)
+        blended = Polygon(tuple((float(x), float(y)) for x, y in smoothed))
+        mask = rasterize_polygon(blended, entry.mask.width, entry.mask.height)
+        out.entries[f] = MaskletEntry(mask, blended, polygon_to_bbox(blended), entry.confidence)
         prev = smoothed
         prev_frame = f
     return out
@@ -212,7 +245,7 @@ def _merge_pass(present: list[Masklet], frame: int, tau_merge: float) -> bool:
         for i in members:
             if i != root:
                 del present[i].entries[frame]
-        keeper.entries[frame] = _entry_from_mask(union, keeper.entries[frame].confidence)
+        keeper.entries[frame] = MaskletEntry.from_mask(union, keeper.entries[frame].confidence)
     return merged_any
 
 
@@ -243,7 +276,8 @@ def postprocess_masklets(
     masklets: list[Masklet], frames: Sequence[int], cfg: AshConfig
 ) -> list[Masklet]:
     """Refine propagated masklets: trailing-empty pruning, temporal smoothing,
-    then per-frame redundancy merging."""
+    then per-frame redundancy merging. Every returned entry has its outline
+    traced."""
     pruned = []
     for m in masklets:
         kept = remove_trailing_empty(m, cfg.epsilon_mask)
@@ -252,4 +286,9 @@ def postprocess_masklets(
     smoothed = [smooth_polygons(m, cfg.alpha, cfg.resample_n) for m in pruned]
     for f in frames:
         smoothed = merge_redundant_frame(smoothed, f, cfg.tau_merge)
+    # Trace the outlines of every entry kept, and of no other, before the
+    # masklets leave the handler.
+    for m in smoothed:
+        for entry in m.entries.values():
+            entry._trace()
     return smoothed

@@ -7,6 +7,7 @@ Chunks are processed strictly in order; checkpoint writes are single-writer.
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
 import os
@@ -183,12 +184,16 @@ class Checkpoint:
 
 
 def _masklet_to_payload(m: Masklet) -> dict:
+    frames = m.frames()
+    # Outlines are traced before the payload is built, which runs faster than
+    # tracing each between run-length encodings.
+    polygons = [m.entries[f].polygon for f in frames]
     entries = {}
-    for f in m.frames():
+    for f, polygon in zip(frames, polygons):
         e = m.entries[f]
         entries[str(f)] = {
             "mask": {"w": e.mask.width, "h": e.mask.height, "runs": e.mask.to_runs()},
-            "polygon": [[x, y] for x, y in e.polygon.vertices] if e.polygon else None,
+            "polygon": [[x, y] for x, y in polygon.vertices] if polygon else None,
             "bbox": [e.bbox.x1, e.bbox.y1, e.bbox.x2, e.bbox.y2] if e.bbox else None,
             "confidence": e.confidence,
         }
@@ -230,6 +235,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     if path.exists():
         os.replace(path, backup)
     os.replace(tmp, path)
+    # The renames are durable only once the directory entry is on disk.
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint | None:
@@ -272,6 +283,10 @@ class CheckpointStore:
     def _path_for(self, tag: str) -> Path:
         return self.directory / f"{self.sequence_id}_ckpt_{tag}.json"
 
+    def _files(self, pattern: str) -> list[Path]:
+        # The sequence id is matched literally, glob metacharacters included.
+        return list(self.directory.glob(glob.escape(f"{self.sequence_id}_ckpt_") + pattern))
+
     def save(self, ckpt: Checkpoint, final: bool = False) -> Path:
         if final:
             tag = "final"
@@ -284,10 +299,15 @@ class CheckpointStore:
         self._prune(keep=path)
         return path
 
+    def clear(self) -> None:
+        """Delete every checkpoint of this sequence, backups and temps included."""
+        for p in self._files("*"):
+            p.unlink(missing_ok=True)
+
     def _prune(self, keep: Path) -> None:
         # Keep the newest file plus its immediate predecessor for recovery.
         frames = []
-        for p in self.directory.glob(f"{self.sequence_id}_ckpt_frame_*.json"):
+        for p in self._files("frame_*.json"):
             if p != keep:
                 frames.append(p)
         frames.sort()
@@ -296,7 +316,7 @@ class CheckpointStore:
             p.with_name(p.name + ".bak").unlink(missing_ok=True)
 
     def candidates(self) -> list[Path]:
-        found = list(self.directory.glob(f"{self.sequence_id}_ckpt_*.json"))
+        found = self._files("*.json")
         ordered: list[Path] = []
         final = self._path_for("final")
         if final in found:
@@ -414,7 +434,8 @@ def run_sequence(
     "chunk" uses overlapping chunks with identity reconciliation; "auto"
     attempts full processing and falls back to chunk mode on a propagation
     failure or a blown processing budget. Full-mode checkpoints do not carry
-    over into chunk mode, so the fallback restarts from frame 0.
+    over into chunk mode, so the fallback restarts from frame 0. A run that
+    does not resume first deletes the sequence's old checkpoints.
     """
     if mode not in ("full", "chunk", "auto"):
         raise ValueError(f"mode must be full|chunk|auto, got {mode!r}")
@@ -423,6 +444,9 @@ def run_sequence(
         if checkpoint_dir is not None
         else None
     )
+    if store is not None and not resume:
+        # A fresh run's checkpoints must not compete with an older run's.
+        store.clear()
     run = _Run(
         detections_per_frame,
         propagator,

@@ -473,17 +473,14 @@ def resample_polygon(p: Polygon, n: int) -> Polygon:
         raise ValueError("cannot resample a zero-perimeter polygon")
     cumulative = np.concatenate(([0.0], np.cumsum(seg)))
     targets = np.arange(n) * (total / n)
-    out: list[tuple[float, float]] = []
-    j = 0
-    for t in targets:
-        while j < len(seg) - 1 and cumulative[j + 1] <= t:
-            j += 1
-        span = seg[j]
-        frac = 0.0 if span == 0.0 else (t - cumulative[j]) / span
-        x = closed[j, 0] + frac * (closed[j + 1, 0] - closed[j, 0])
-        y = closed[j, 1] + frac * (closed[j + 1, 1] - closed[j, 1])
-        out.append((float(x), float(y)))
-    return Polygon(tuple(out))
+    # Each target lies on the last segment that starts at or before it.
+    j = np.searchsorted(cumulative[1 : len(seg)], targets, side="right")
+    span = seg[j]
+    zero = span == 0.0
+    frac = np.where(zero, 0.0, (targets - cumulative[j]) / np.where(zero, 1.0, span))
+    x = closed[j, 0] + frac * (closed[j + 1, 0] - closed[j, 0])
+    y = closed[j, 1] + frac * (closed[j + 1, 1] - closed[j, 1])
+    return Polygon(tuple(zip(x.tolist(), y.tolist())))
 
 
 def shift_mask(m: BinaryMask, dx: int, dy: int) -> BinaryMask:

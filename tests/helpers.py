@@ -195,3 +195,26 @@ def loop_align_rotation(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
             best_cost = cost
             best_r = r
     return np.roll(cur, -best_r, axis=0)
+
+
+def loop_resample_polygon(p: Polygon, n: int) -> Polygon:
+    """resample_polygon as a walk over the targets, one segment step at a time."""
+    pts = np.asarray(p.vertices, dtype=float)
+    closed = np.vstack([pts, pts[:1]])
+    seg = np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))
+    total = float(seg.sum())
+    if total <= 0.0:
+        raise ValueError("cannot resample a zero-perimeter polygon")
+    cumulative = np.concatenate(([0.0], np.cumsum(seg)))
+    targets = np.arange(n) * (total / n)
+    out: list[tuple[float, float]] = []
+    j = 0
+    for t in targets:
+        while j < len(seg) - 1 and cumulative[j + 1] <= t:
+            j += 1
+        span = seg[j]
+        frac = 0.0 if span == 0.0 else (t - cumulative[j]) / span
+        x = closed[j, 0] + frac * (closed[j + 1, 0] - closed[j, 0])
+        y = closed[j, 1] + frac * (closed[j + 1, 1] - closed[j, 1])
+        out.append((float(x), float(y)))
+    return Polygon(tuple(out))

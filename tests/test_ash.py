@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vidannot.ash
 from vidannot.ash import (
     AshConfig,
     Masklet,
@@ -25,7 +26,7 @@ from vidannot.backends import (
     SyntheticWorldConfig,
     generate_synthetic_sequence,
 )
-from vidannot.geometry import BBox, BinaryMask, iou_mask, mask_to_polygon
+from vidannot.geometry import BBox, BinaryMask, iou_mask, mask_to_polygon, polygon_to_bbox
 
 from helpers import rect_mask
 
@@ -110,6 +111,55 @@ class TestPropagateBatch:
         with pytest.raises(PropagationError) as err:
             propagate_batch(batch, range(3), Broken())
         assert err.value.object_ids == (0, 1)
+
+
+@st.composite
+def sparse_masks(draw):
+    """Masks on frames up to 12x12 whose pixels are set with a drawn
+    probability, so empty, one- and two-pixel masks are common."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 0.9]))
+    seed = draw(st.integers(0, 2**16))
+    return BinaryMask(np.random.default_rng(seed).random((h, w)) < density)
+
+
+class TestLazyOutline:
+    @given(sparse_masks())
+    @settings(max_examples=1000, deadline=None)
+    def test_mask_built_entry_reports_its_traced_outline(self, mask):
+        entry = MaskletEntry.from_mask(mask, 0.7)
+        polygon = mask_to_polygon(mask, 1)
+        assert entry.polygon == polygon
+        assert entry.bbox == (polygon_to_bbox(polygon) if polygon is not None else None)
+        assert entry.polygon is entry.polygon
+
+    def test_traced_once_on_first_read(self, monkeypatch):
+        calls = []
+        real = vidannot.ash.mask_to_polygon
+
+        def counted(m, **kw):
+            calls.append(m)
+            return real(m, **kw)
+
+        monkeypatch.setattr(vidannot.ash, "mask_to_polygon", counted)
+        mask = rect_mask(2, 3, 9, 7, 20, 20)
+        entry = MaskletEntry.from_mask(mask, 0.9)
+        assert calls == []
+        assert entry.bbox == BBox(2, 3, 9, 7)
+        assert entry.polygon == mask_to_polygon(mask, 1)
+        assert calls == [mask]
+
+    def test_explicit_outline_is_kept(self, monkeypatch):
+        def forbidden(*_, **__):
+            raise AssertionError("an explicit outline was traced again")
+
+        monkeypatch.setattr(vidannot.ash, "mask_to_polygon", forbidden)
+        mask = rect_mask(2, 3, 9, 7, 20, 20)
+        none = MaskletEntry(mask, None, None, 0.9)
+        assert none.polygon is None and none.bbox is None
+        square = mask_to_polygon(rect_mask(0, 0, 4, 4, 20, 20), 1)
+        kept = MaskletEntry(mask, square, BBox(0, 0, 4, 4), 0.9)
+        assert kept.polygon is square and kept.bbox == BBox(0, 0, 4, 4)
 
 
 class TestRemoveTrailingEmpty:

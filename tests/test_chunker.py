@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vidannot.ash
+import vidannot.chunker
 from vidannot.ash import AshConfig, Masklet, MaskletEntry
 from vidannot.assoc import AssocConfig
 from vidannot.backends import (
     DetectionNoise,
+    PropagationDegradation,
     SyntheticDetector,
     SyntheticPropagator,
     SyntheticWorldConfig,
@@ -184,6 +188,28 @@ class TestCheckpointProtocol:
         save_checkpoint(ck, path)
         back = load_checkpoint(path)
         assert back.to_payload() == ck.to_payload()
+
+    def test_directory_synced_after_promote(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "d.json"
+        for frame in (1, 2):
+            events.clear()
+            save_checkpoint(small_checkpoint(frame=frame), path)
+            promote = events.index(("replace", "d.json"))
+            assert ("fsync", True, tmp_path.stat().st_ino) in events[promote + 1 :]
 
     def test_missing_returns_sentinel(self, tmp_path):
         assert load_checkpoint(tmp_path / "none.json") is None
@@ -426,6 +452,88 @@ class TestRunSequence:
             checkpoint_dir=ckdir, sequence_id="s", resume=True, **RUN_KW
         )
         assert masklets_signature(resumed) == masklets_signature(ref)
+
+    def test_fresh_run_ignores_an_older_runs_checkpoints(self, tmp_path):
+        # Run A completes; run B starts fresh in the same directory under the
+        # same sequence id and is killed after its frame-29 checkpoint. The
+        # resume must continue B, not load A's final checkpoint.
+        cfg = ChunkerConfig(checkpoint_interval=10)
+        _, det_a, prop_a, dets_a = build_sequence(num_frames=50, seed=14)
+        run_sequence(
+            dets_a, prop_a, det_a.frame_size, chunk_cfg=cfg, mode="full",
+            checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
+        )
+        _, det, prop, dets = build_sequence(num_frames=50, n=2, seed=21)
+        ref = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode="full", **RUN_KW)
+
+        class Killed(Exception):
+            pass
+
+        def bomb(t):
+            if t == 30:
+                raise Killed()
+
+        with pytest.raises(Killed):
+            run_sequence(
+                dets, prop, det.frame_size, chunk_cfg=cfg, mode="full",
+                checkpoint_dir=tmp_path, sequence_id="s", on_frame=bomb, **RUN_KW
+            )
+        resumed = run_sequence(
+            dets, prop, det.frame_size, chunk_cfg=cfg, mode="full",
+            checkpoint_dir=tmp_path, sequence_id="s", resume=True, **RUN_KW
+        )
+        assert masklets_signature(resumed) == masklets_signature(ref)
+
+    @pytest.mark.parametrize("seq", ["s", "s[1]"])
+    def test_fresh_run_deletes_only_its_own_sequence_files(self, tmp_path, seq):
+        # Glob metacharacters in a sequence id match literally: "s[1]" must
+        # not reach "s1"'s files.
+        own = [f"{seq}_ckpt_final.json", f"{seq}_ckpt_final.json.bak"]
+        own.append(f"{seq}_ckpt_frame_0049.json.tmp")
+        others = ["notes.txt", "s1_ckpt_final.json", "s2_ckpt_final.json"]
+        for name in own + others:
+            (tmp_path / name).write_text("{}")
+        _, det, prop, dets = build_sequence(num_frames=12)
+        run_sequence(
+            dets, prop, det.frame_size, chunk_cfg=ChunkerConfig(checkpoint_interval=100),
+            mode="full", checkpoint_dir=tmp_path, sequence_id=seq, **RUN_KW
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(others + [own[0]])
+        assert CheckpointStore(tmp_path, seq).load_latest().last_completed_frame == 11
+
+    def test_outlines_traced_at_most_once_per_output_entry(self, monkeypatch):
+        # A W2-style world: occlusion, missed, spurious and jittered
+        # detections, and propagation dropout, so merging, stitching and
+        # pruning discard many propagated entries.
+        gt = generate_synthetic_sequence(
+            SyntheticWorldConfig(num_objects=5, num_frames=80, rng_seed=2, occlusion_enabled=True)
+        )
+        det = SyntheticDetector(
+            gt, DetectionNoise(miss_rate=0.3, fp_rate=2.0, jitter_sigma=1.0, rng_seed=7)
+        )
+        prop = SyntheticPropagator(gt, PropagationDegradation(dropout_rate=0.05, rng_seed=8))
+        dets = [det.detect(t) for t in range(80)]
+        traced, propagated = [], []
+        real_trace, real_propagate = vidannot.ash.mask_to_polygon, vidannot.chunker.propagate_batch
+
+        def counted_trace(mask, *args, **kwargs):
+            traced.append(mask)
+            return real_trace(mask, *args, **kwargs)
+
+        def counted_propagate(*args):
+            made = real_propagate(*args)
+            propagated.extend(e for m in made for e in m.entries.values())
+            return made
+
+        monkeypatch.setattr(vidannot.ash, "mask_to_polygon", counted_trace)
+        monkeypatch.setattr(vidannot.chunker, "propagate_batch", counted_propagate)
+        out = run_sequence(
+            dets, prop, det.frame_size, chunk_cfg=ChunkerConfig(chi=30, omega=5),
+            mode="chunk", **RUN_KW
+        )
+        kept = sum(len(m.entries) for m in out)
+        assert len(propagated) > 2 * kept  # the scene does discard entries
+        assert 0 < len(traced) <= kept
 
     @pytest.mark.parametrize("mode", ["full", "chunk"])
     def test_on_frame_once_per_frame(self, mode):

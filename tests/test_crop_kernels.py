@@ -1,6 +1,6 @@
-"""The crop-based mask kernels give exactly what full-frame computation gives
-(the dense oracles in helpers.py), and production code never builds a
-frame-sized grid."""
+"""The crop-based mask kernels and the vectorized polygon kernels give exactly
+what full-frame, loop-based computation gives (the oracles in helpers.py),
+and production code never builds a frame-sized grid."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from vidannot.geometry import (
     iou_mask,
     mask_to_polygon,
     rasterize_polygon,
+    resample_polygon,
     shift_mask,
     union_masks,
 )
@@ -39,6 +40,7 @@ from helpers import (
     dense_rasterize,
     dense_runs,
     loop_align_rotation,
+    loop_resample_polygon,
 )
 
 
@@ -151,6 +153,24 @@ class TestKernelsMatchDenseOracles:
     def test_rasterize(self, case):
         p, w, h = case
         assert np.array_equal(rasterize_polygon(p, w, h).data, dense_rasterize(p, w, h))
+
+    @given(polygons(), st.lists(st.integers(0, 23), max_size=6), st.integers(3, 80))
+    @settings(max_examples=1000, deadline=None)
+    def test_resample(self, case, repeats, n):
+        # Repeated vertices give zero-length edges.
+        p = case[0]
+        vertices = list(p.vertices)
+        for i in repeats:
+            k = i % len(vertices)
+            vertices.insert(k, vertices[k])
+        p = Polygon(tuple(vertices))
+        try:
+            expected = loop_resample_polygon(p, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                resample_polygon(p, n)
+            return
+        assert resample_polygon(p, n).vertices == expected.vertices
 
     def test_rasterize_far_outside_the_frame(self):
         p = Polygon(((-50.0, -50.0), (-40.0, -50.0), (-45.0, -40.0)))
