@@ -8,6 +8,7 @@ Chunks are processed strictly in order; checkpoint writes are single-writer.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import logging
 import os
@@ -27,11 +28,11 @@ from .ash import (
 )
 from .assoc import AssocConfig, Associator, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
-from .geometry import BBox, BinaryMask, Polygon, iou_mask
+from .geometry import BBox, BinaryMask, Polygon, iou_mask, polygon_to_bbox
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class ProcessingBudgetExceeded(RuntimeError):
@@ -145,21 +146,39 @@ def merge_chunk_overlap(
 
 @dataclass
 class Checkpoint:
-    schema_version: int
+    """A sequence's tracking state after `last_completed_frame`.
+
+    On disk a checkpoint is a chain of schema-v2 segments, one file each. A
+    segment holds the associator state, a header with the sequence's frame
+    size and frame count, the file name of the segment before it (`base`,
+    None for the chain's root) and only the entries that no earlier segment
+    of its chain holds. `load_checkpoint` reads one segment; `CheckpointStore`
+    writes and assembles whole chains. A schema-v1 file holds a whole state
+    and loads as the root of a chain, with no frame count and the frame size
+    of its masks (None when it has none).
+    """
+
     sequence_id: str
     last_completed_frame: int
     masklets: list[Masklet]
     assoc_state: dict
     mode: str  # "full" | "chunk"
+    frame_size: tuple[int, int] | None  # (width, height)
+    num_frames: int | None
     chunk_index: int = -1
+    base: str | None = None
 
     def to_payload(self) -> dict:
+        """This checkpoint as one schema-v2 segment."""
+        width, height = self.frame_size
         return {
-            "schema_version": self.schema_version,
+            "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "sequence_id": self.sequence_id,
             "last_completed_frame": self.last_completed_frame,
             "mode": self.mode,
             "chunk_index": self.chunk_index,
+            "header": {"width": width, "height": height, "num_frames": self.num_frames},
+            "base": self.base,
             "assoc_state": self.assoc_state,
             "masklets": [_masklet_to_payload(m) for m in self.masklets],
         }
@@ -167,19 +186,30 @@ class Checkpoint:
     @classmethod
     def from_payload(cls, payload: dict) -> Checkpoint:
         version = payload.get("schema_version")
+        if version == 1:
+            return _from_v1_payload(payload)
         if version != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(
-                f"checkpoint schema version {version!r} != {CHECKPOINT_SCHEMA_VERSION}"
+                f"checkpoint schema version {version!r} is neither 1 nor "
+                f"{CHECKPOINT_SCHEMA_VERSION}"
             )
-        # Files from older versions also carry an "rng_state" key; it is ignored.
+        header = payload["header"]
+        width, height, num_frames = header["width"], header["height"], header["num_frames"]
+        last = payload["last_completed_frame"]
+        if any(type(v) is not int for v in (width, height, num_frames, last)) or not (
+            width >= 1 and height >= 1 and 0 <= last < num_frames
+        ):
+            raise ValueError(f"header {header} does not fit last completed frame {last!r}")
         return cls(
-            schema_version=version,
-            sequence_id=payload["sequence_id"],
-            last_completed_frame=payload["last_completed_frame"],
-            masklets=[_masklet_from_payload(p) for p in payload["masklets"]],
-            assoc_state=payload["assoc_state"],
-            mode=payload["mode"],
-            chunk_index=payload["chunk_index"],
+            payload["sequence_id"],
+            last,
+            [_masklet_from_payload(p, width, height) for p in payload["masklets"]],
+            payload["assoc_state"],
+            payload["mode"],
+            (width, height),
+            num_frames,
+            payload["chunk_index"],
+            payload["base"],
         )
 
 
@@ -191,31 +221,85 @@ def _masklet_to_payload(m: Masklet) -> dict:
     entries = {}
     for f, polygon in zip(frames, polygons):
         e = m.entries[f]
+        # The loader derives the box from the outline.
+        if e.bbox != (polygon_to_bbox(polygon) if polygon is not None else None):
+            raise ValueError(f"object {m.object_id}, frame {f}: box is not its outline's box")
+        h, w = e.mask.crop.shape
         entries[str(f)] = {
-            "mask": {"w": e.mask.width, "h": e.mask.height, "runs": e.mask.to_runs()},
-            "polygon": [[x, y] for x, y in polygon.vertices] if polygon else None,
-            "bbox": [e.bbox.x1, e.bbox.y1, e.bbox.x2, e.bbox.y2] if e.bbox else None,
+            "box": [e.mask.x0, e.mask.y0, w, h],
+            "runs": e.mask.crop_runs(),
+            "polygon": _whole_pixels(polygon) if polygon is not None else None,
             "confidence": e.confidence,
         }
     return {"object_id": m.object_id, "class_label": m.class_label, "entries": entries}
 
 
-def _masklet_from_payload(payload: dict) -> Masklet:
+def _whole_pixels(polygon: Polygon) -> list[int]:
+    """The vertices as a flat list of integers. Checkpointed outlines are
+    traced from masks, before any smoothing, so every vertex is a pixel
+    centre; any other vertex raises rather than being rounded."""
+    flat = list(itertools.chain.from_iterable(polygon.vertices))
+    ints = list(map(int, flat))
+    if ints != flat:
+        raise ValueError(f"outline {polygon.vertices} has a vertex off the pixel centres")
+    return ints
+
+
+def _masklet_from_payload(payload: dict, width: int, height: int) -> Masklet:
     entries = {}
-    for key, e in payload["entries"].items():
-        mask = BinaryMask.from_runs(e["mask"]["w"], e["mask"]["h"], e["mask"]["runs"])
-        polygon = (
-            Polygon(tuple((float(x), float(y)) for x, y in e["polygon"]))
-            if e["polygon"]
-            else None
+    for key in sorted(payload["entries"], key=int):
+        e = payload["entries"][key]
+        polygon = _polygon_from_ints(e["polygon"])
+        entries[int(key)] = MaskletEntry(
+            BinaryMask.from_crop_runs(*e["box"], e["runs"], width, height),
+            polygon,
+            polygon_to_bbox(polygon) if polygon is not None else None,
+            e["confidence"],
         )
-        bbox = BBox(*e["bbox"]) if e["bbox"] else None
-        entries[int(key)] = MaskletEntry(mask, polygon, bbox, e["confidence"])
     return Masklet(payload["object_id"], payload["class_label"], entries)
 
 
+def _polygon_from_ints(flat: list | None) -> Polygon | None:
+    if flat is None:
+        return None
+    if len(flat) % 2 or not set(map(type, flat)) <= {int}:
+        raise ValueError(f"outline {flat} is not a flat list of integer vertices")
+    coords = list(map(float, flat))
+    return Polygon(tuple(zip(coords[0::2], coords[1::2])))
+
+
+def _from_v1_payload(payload: dict) -> Checkpoint:
+    # Schema v1 stores each mask as the run lengths of its whole frame, and
+    # each outline and box as coordinate lists. Files from older versions also
+    # carry an "rng_state" key; it is ignored.
+    masklets = []
+    for p in payload["masklets"]:
+        entries = {}
+        for key, e in p["entries"].items():
+            mask = BinaryMask.from_runs(e["mask"]["w"], e["mask"]["h"], e["mask"]["runs"])
+            vertices = e["polygon"]
+            polygon = Polygon(tuple((float(x), float(y)) for x, y in vertices)) if vertices else None
+            bbox = BBox(*e["bbox"]) if e["bbox"] else None
+            entries[int(key)] = MaskletEntry(mask, polygon, bbox, e["confidence"])
+        masklets.append(Masklet(p["object_id"], p["class_label"], entries))
+    sizes = {(e.mask.width, e.mask.height) for m in masklets for e in m.entries.values()}
+    if len(sizes) > 1:
+        raise ValueError(f"masks of different frame sizes: {sorted(sizes)}")
+    return Checkpoint(
+        payload["sequence_id"],
+        payload["last_completed_frame"],
+        masklets,
+        payload["assoc_state"],
+        payload["mode"],
+        sizes.pop() if sizes else None,
+        None,
+        payload["chunk_index"],
+    )
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Three-phase atomic save: write temp, back up the existing file, promote.
+    """Three-phase atomic save of one segment: write temp, back up the
+    existing file, promote.
 
     A crash at any point leaves at least one valid checkpoint: either the
     untouched original, or the backup (plus a complete temp awaiting
@@ -244,11 +328,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint | None:
-    """Load a checkpoint, falling back to its backup; None means start fresh.
+    """Load one segment (or v1 file), falling back to its backup; None means
+    there is neither.
 
     A corrupt or version-mismatched file raises a CheckpointError, which names
-    the recovery file when one exists. Corrupt covers invalid JSON and valid
-    JSON whose payload fails validation (mask runs, boxes, polygons).
+    the recovery file when one exists. Corrupt covers unreadable files,
+    invalid JSON and valid JSON whose payload fails validation (header, mask
+    runs, boxes, polygons).
     """
     path = Path(path)
     backup = path.with_name(path.name + ".bak")
@@ -257,7 +343,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint | None:
         try:
             with open(p, encoding="utf-8") as fh:
                 return Checkpoint.from_payload(json.load(fh))
-        except (ValueError, TypeError, KeyError, CheckpointError) as exc:
+        except (OSError, ValueError, TypeError, KeyError, CheckpointError) as exc:
             raise CheckpointError(f"checkpoint {p} unreadable ({exc})") from exc
 
     if path.exists():
@@ -274,11 +360,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint | None:
 
 
 class CheckpointStore:
-    """Frame-tagged checkpoint files for one sequence in one directory."""
+    """One sequence's checkpoint chain, as tagged files in one directory.
+
+    Each save appends a segment to the chain the store is on: the one
+    `load_latest` read, or a new one after `restart` or `clear`. After each
+    save, every file of the sequence that the new head does not reach is
+    deleted.
+    """
 
     def __init__(self, directory: str | Path, sequence_id: str) -> None:
         self.directory = Path(directory)
         self.sequence_id = sequence_id
+        self._chain: list[str] = []  # file names of the chain's links, root first
+        self._saved: dict[int, int] = {}  # object id -> last frame the chain holds
 
     def _path_for(self, tag: str) -> Path:
         return self.directory / f"{self.sequence_id}_ckpt_{tag}.json"
@@ -288,63 +382,137 @@ class CheckpointStore:
         return list(self.directory.glob(glob.escape(f"{self.sequence_id}_ckpt_") + pattern))
 
     def save(self, ckpt: Checkpoint, final: bool = False) -> Path:
-        if final:
-            tag = "final"
-        elif ckpt.last_completed_frame < 0:
-            tag = "initial"
-        else:
-            tag = f"frame_{ckpt.last_completed_frame:04d}"
-        path = self._path_for(tag)
-        save_checkpoint(ckpt, path)
-        self._prune(keep=path)
+        """Append `ckpt`, a run's whole state, to the chain as one segment
+        that holds only the entries no earlier link holds: for each object,
+        the frames after the last one saved. Both modes grow a masklet only
+        at its tail, so the chain then holds all of `ckpt`."""
+        path = self._path_for("final" if final else f"frame_{ckpt.last_completed_frame:04d}")
+        if path.name in self._chain:
+            raise ValueError(f"{path.name} is already a link of the chain")
+        segment = replace(
+            ckpt,
+            masklets=self._unsaved(ckpt.masklets),
+            base=self._chain[-1] if self._chain else None,
+        )
+        save_checkpoint(segment, path)
+        self._chain.append(path.name)
+        self._note_saved(segment.masklets)
+        self._prune()
         return path
+
+    def _note_saved(self, masklets: list[Masklet]) -> None:
+        for m in masklets:
+            self._saved[m.object_id] = max(m.entries, default=self._saved.get(m.object_id, -1))
+
+    def _unsaved(self, masklets: list[Masklet]) -> list[Masklet]:
+        out = []
+        for m in masklets:
+            last = self._saved.get(m.object_id)
+            if last is None:
+                out.append(m)
+                continue
+            tail = {f: e for f, e in m.entries.items() if f > last}
+            if tail:
+                out.append(Masklet(m.object_id, m.class_label, tail))
+        return out
+
+    def restart(self) -> None:
+        """Start a new chain at the next save; that save prunes the old files."""
+        self._chain = []
+        self._saved = {}
 
     def clear(self) -> None:
         """Delete every checkpoint of this sequence, backups and temps included."""
         for p in self._files("*"):
             p.unlink(missing_ok=True)
+        self.restart()
 
-    def _prune(self, keep: Path) -> None:
-        # Keep the newest file plus its immediate predecessor for recovery.
-        frames = []
-        for p in self._files("frame_*.json"):
-            if p != keep:
-                frames.append(p)
-        frames.sort()
-        for p in frames[:-1]:
-            p.unlink(missing_ok=True)
-            p.with_name(p.name + ".bak").unlink(missing_ok=True)
+    def _prune(self) -> None:
+        keep = set(self._chain)
+        for p in self._files("*"):
+            if p.name not in keep and p.name.removesuffix(".bak") not in keep:
+                p.unlink(missing_ok=True)
 
     def candidates(self) -> list[Path]:
+        """Chain heads, newest first: the final checkpoint, then by frame."""
         found = self._files("*.json")
-        ordered: list[Path] = []
         final = self._path_for("final")
-        if final in found:
-            ordered.append(final)
-        frames = sorted(
-            (p for p in found if "_ckpt_frame_" in p.name), reverse=True
-        )
-        ordered.extend(frames)
-        initial = self._path_for("initial")
-        if initial in found:
-            ordered.append(initial)
-        return ordered
+        frames = sorted((p for p in found if "_ckpt_frame_" in p.name), reverse=True)
+        return ([final] if final in found else []) + frames
 
     def load_latest(self) -> Checkpoint | None:
-        last_error: Exception | None = None
-        tried = False
-        for path in self.candidates():
-            tried = True
+        """The state of the newest chain that loads whole, which the next save
+        extends; None when the sequence has no checkpoint.
+
+        A chain with a missing, unreadable or mismatched link is passed over
+        for the next older head; when no chain loads, the last error raises.
+        """
+        last_error: CheckpointError | None = None
+        for head in self.candidates():
             try:
-                ckpt = load_checkpoint(path)
+                state, names = self._load_chain(head.name)
             except CheckpointError as exc:
                 last_error = exc
                 continue
-            if ckpt is not None:
-                return ckpt
-        if tried and last_error is not None:
+            self.restart()
+            self._chain = names
+            self._note_saved(state.masklets)
+            return state
+        if last_error is not None:
             raise last_error
         return None
+
+    def _load_chain(self, head: str) -> tuple[Checkpoint, list[str]]:
+        """The state the chain ending in file `head` holds, and its links'
+        file names, root first."""
+        links: list[Checkpoint] = []
+        names: list[str] = []
+        name: str | None = head
+        while name is not None:
+            if name in names:
+                raise CheckpointError(f"the chain of {head} loops back to {name}")
+            if not (
+                isinstance(name, str)
+                and name.startswith(f"{self.sequence_id}_ckpt_")
+                and name.endswith(".json")
+                and Path(name).name == name
+            ):
+                raise CheckpointError(
+                    f"the chain of {head} names {name!r}, not a checkpoint of {self.sequence_id}"
+                )
+            link = load_checkpoint(self.directory / name)
+            if link is None:
+                raise CheckpointError(f"{name}, a link of the chain of {head}, is missing")
+            links.insert(0, link)
+            names.insert(0, name)
+            name = link.base
+        last = links[-1]
+        by_id: dict[int, Masklet] = {}
+        masklets: list[Masklet] = []
+        for i, link in enumerate(links):
+            if (
+                (link.sequence_id, link.mode) != (self.sequence_id, last.mode)
+                or link.frame_size not in (None, last.frame_size)
+                or link.num_frames not in (None, last.num_frames)
+                or (i and link.last_completed_frame <= links[i - 1].last_completed_frame)
+            ):
+                raise CheckpointError(
+                    f"{names[i]} ({link.mode} mode, sequence {link.sequence_id}, frame "
+                    f"{link.last_completed_frame}) does not fit the chain of {head}"
+                )
+            for m in link.masklets:
+                have = by_id.setdefault(m.object_id, m)
+                if have is m:
+                    masklets.append(m)
+                elif m.class_label != have.class_label or (
+                    m.entries and have.entries and min(m.entries) <= max(have.entries)
+                ):
+                    raise CheckpointError(
+                        f"object {m.object_id} of {names[i]} does not continue its base"
+                    )
+                else:
+                    have.entries.update(m.entries)
+        return replace(last, masklets=masklets, base=None), names
 
 
 def _prepare_detections(
@@ -474,32 +642,67 @@ def run_sequence(
         raise RuntimeError(f"both processing modes failed: {exc}{ref}") from exc
 
 
+def _resume(run: _Run, resume: bool, mode: str) -> Checkpoint | None:
+    """The checkpointed state a run in `mode` continues from, if any.
+
+    The store's next save extends that state's chain; without one, it starts
+    a new chain. A state saved for frames of another size or count raises.
+    """
+    if run.store is None:
+        return None
+    ckpt = run.store.load_latest() if resume else None
+    if ckpt is None or ckpt.mode != mode:
+        run.store.restart()
+        return None
+    num_frames = len(run.detections)
+    if ckpt.frame_size not in (None, run.frame_size):
+        raise CheckpointError(
+            f"checkpoint of {run.sequence_id} has {ckpt.frame_size[0]}x{ckpt.frame_size[1]} "
+            f"frames, the sequence {run.frame_size[0]}x{run.frame_size[1]}"
+        )
+    if ckpt.num_frames not in (None, num_frames):
+        raise CheckpointError(
+            f"checkpoint of {run.sequence_id} has {ckpt.num_frames} frames, "
+            f"the sequence {num_frames}"
+        )
+    if ckpt.last_completed_frame >= num_frames:
+        raise CheckpointError(
+            f"checkpoint of {run.sequence_id} completed frame {ckpt.last_completed_frame}, "
+            f"the sequence has {num_frames} frames"
+        )
+    logger.info(
+        "resuming %s (%s mode) after frame %d", run.sequence_id, mode, ckpt.last_completed_frame
+    )
+    return ckpt
+
+
+def _save(
+    run: _Run, t: int, masklets: list[Masklet], assoc_state: dict, mode: str, chunk_index: int = -1
+) -> None:
+    """Append the state after frame `t` to the run's checkpoint chain."""
+    num_frames = len(run.detections)
+    run.store.save(
+        Checkpoint(
+            run.sequence_id, t, masklets, assoc_state, mode, run.frame_size, num_frames, chunk_index
+        ),
+        final=(t == num_frames - 1),
+    )
+
+
 def _run_full(run: _Run, resume: bool) -> list[Masklet]:
     num_frames = len(run.detections)
     associator = Associator(run.assoc_cfg)
     masklets: list[Masklet] = []
     start = 0
-    if resume and run.store is not None:
-        ckpt = run.store.load_latest()
-        if ckpt is not None and ckpt.mode == "full":
-            associator.set_state(ckpt.assoc_state)
-            masklets = ckpt.masklets
-            start = ckpt.last_completed_frame + 1
-            logger.info("resuming %s (full mode) at frame %d", run.sequence_id, start)
+    ckpt = _resume(run, resume, "full")
+    if ckpt is not None:
+        associator.set_state(ckpt.assoc_state)
+        masklets = ckpt.masklets
+        start = ckpt.last_completed_frame + 1
 
     def save(t: int) -> None:
         if (t + 1) % run.chunk_cfg.checkpoint_interval == 0 or t == num_frames - 1:
-            run.store.save(
-                Checkpoint(
-                    CHECKPOINT_SCHEMA_VERSION,
-                    run.sequence_id,
-                    t,
-                    masklets,
-                    associator.get_state(),
-                    mode="full",
-                ),
-                final=(t == num_frames - 1),
-            )
+            _save(run, t, masklets, associator.get_state(), "full")
 
     _track(
         run,
@@ -576,13 +779,11 @@ def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
     stitched: list[Masklet] = []
     next_id = 0
     first_chunk = 0
-    if resume and run.store is not None:
-        ckpt = run.store.load_latest()
-        if ckpt is not None and ckpt.mode == "chunk":
-            stitched = ckpt.masklets
-            next_id = ckpt.assoc_state.get("next_id", 0)
-            first_chunk = ckpt.chunk_index + 1
-            logger.info("resuming %s (chunk mode) at chunk %d", run.sequence_id, first_chunk)
+    ckpt = _resume(run, resume, "chunk")
+    if ckpt is not None:
+        stitched = ckpt.masklets
+        next_id = ckpt.assoc_state.get("next_id", 0)
+        first_chunk = ckpt.chunk_index + 1
 
     for i in range(first_chunk, len(plan.chunks)):
         start, end = plan.chunks[i]
@@ -602,16 +803,5 @@ def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
             overlap = list(range(start, prev_end + 1))
             stitched = _stitch(stitched, chunk_masklets, overlap, run.chunk_cfg.tau_overlap)
         if run.store is not None:
-            run.store.save(
-                Checkpoint(
-                    CHECKPOINT_SCHEMA_VERSION,
-                    run.sequence_id,
-                    end,
-                    stitched,
-                    {"next_id": next_id},
-                    mode="chunk",
-                    chunk_index=i,
-                ),
-                final=(i == len(plan.chunks) - 1),
-            )
+            _save(run, end, stitched, {"next_id": next_id}, "chunk", chunk_index=i)
     return postprocess_masklets(stitched, range(len(run.detections)), run.ash_cfg)

@@ -6,6 +6,7 @@ function and safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -166,19 +167,37 @@ class BinaryMask:
     def __repr__(self) -> str:
         return f"BinaryMask({self.width}x{self.height}, count={self.count})"
 
-    def to_runs(self) -> list[int]:
-        """Run-length encode the flattened full grid, starting with a run of zeros."""
-        total = self._width * self._height
-        h, w = self._crop.shape
-        # Only the full-width rows the crop spans are encoded; every change of
-        # value is then offset to its flat index in the full grid.
-        band = np.zeros((h, self._width), dtype=bool)
-        band[:, self._x0 : self._x0 + w] = self._crop
-        flat = np.concatenate(([False], band.ravel(), [False]))
-        bounds = np.flatnonzero(flat[1:] != flat[:-1]) + self._y0 * self._width
-        if not bounds.size or bounds[-1] != total:
-            bounds = np.append(bounds, total)
+    def crop_runs(self) -> list[int]:
+        """Run-length encode the flattened crop, starting with a run of zeros;
+        empty for an empty mask. With the crop's position and shape it stores
+        the mask in O(crop area)."""
+        if not self._count:
+            return []
+        flat = np.concatenate(([False], self._crop.ravel(), [False]))
+        bounds = np.flatnonzero(flat[1:] != flat[:-1])
+        if bounds[-1] != self._crop.size:
+            bounds = np.append(bounds, self._crop.size)
         return np.diff(bounds, prepend=0).tolist()
+
+    @classmethod
+    def from_crop_runs(
+        cls, x0: int, y0: int, crop_width: int, crop_height: int, runs: list[int],
+        width: int, height: int,
+    ) -> BinaryMask:
+        """Mask of a width x height frame from `crop_runs` of its crop, a
+        crop_width x crop_height grid with its top-left pixel at (x0, y0)."""
+        if not set(map(type, (x0, y0, crop_width, crop_height, *runs))) <= {int}:
+            raise TypeError("crop position, shape and run lengths must be integers")
+        if not (0 <= x0 <= x0 + crop_width <= width and 0 <= y0 <= y0 + crop_height <= height):
+            raise ValueError(
+                f"crop {crop_width}x{crop_height} at ({x0}, {y0}) leaves the {width}x{height} frame"
+            )
+        lengths = np.asarray(runs, dtype=np.int64)
+        if (lengths < 0).any() or int(lengths.sum()) != crop_width * crop_height:
+            raise ValueError(f"run lengths {runs} do not fill a {crop_width}x{crop_height} crop")
+        values = np.arange(lengths.size) % 2 == 1
+        crop = np.repeat(values, lengths).reshape(crop_height, crop_width)
+        return cls.from_crop(crop, x0, y0, width, height)
 
     @classmethod
     def from_runs(cls, width: int, height: int, runs: list[int]) -> BinaryMask:
@@ -214,6 +233,12 @@ class Polygon:
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(self.vertices)}")
+        # Checked in C-level passes over the vertices; the loop below only
+        # finds the vertex to report.
+        if set(map(len, self.vertices)) == {2} and all(
+            map(math.isfinite, itertools.chain.from_iterable(self.vertices))
+        ):
+            return
         for x, y in self.vertices:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"non-finite vertex: ({x!r}, {y!r})")

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .backends import (
+    Detection,
     DetectorBackend,
     GroundTruthFrame,
     PropagatorBackend,
@@ -150,13 +151,41 @@ def cross_validate(
     return min(validation) >= gamma * min(representative)
 
 
+class _Verified(Sequence):
+    """A sequence's verified detections per frame, each verified on its first
+    read and kept. A memo belongs to one deploy or run_dataset call; nothing
+    is kept on the source, which callers may reuse."""
+
+    def __init__(self, source: SequenceSource, cfg: SmartOdConfig) -> None:
+        self._source = source
+        self._cfg = cfg
+        self._frames: list[list[Detection] | None] = [None] * source.num_frames
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __getitem__(self, t: int) -> list[Detection]:
+        t = range(len(self._frames))[t]
+        dets = self._frames[t]
+        if dets is None:
+            dets = self._frames[t] = run_smart_od(t, self._source.detector, self._cfg)
+        return dets
+
+
 def sequence_precision_recall(
     source: SequenceSource, cfg: SmartOdConfig, iou_threshold: float = 0.5
 ) -> tuple[float, float]:
     """Detection precision/recall of the verification stage over a sequence."""
+    return _precision_recall(_Verified(source, cfg), source.ground_truth, iou_threshold)
+
+
+def _precision_recall(
+    verified: Sequence[list[Detection]],
+    ground_truth: list[GroundTruthFrame],
+    iou_threshold: float = 0.5,
+) -> tuple[float, float]:
     tp = fp = fn = 0
-    for t, gt_frame in enumerate(source.ground_truth):
-        dets = run_smart_od(t, source.detector, cfg)
+    for dets, gt_frame in zip(verified, ground_truth):
         gt_boxes = [o.box for o in gt_frame.visible_objects()]
         matches, fps, fns = match_frame([d.box for d in dets], gt_boxes, iou_threshold)
         tp += len(matches)
@@ -231,16 +260,15 @@ class DeployReport:
 
 def _process_sequence(
     source: SequenceSource,
-    smart_cfg: SmartOdConfig,
+    detections: _Verified,
     pipe_cfg: PipelineConfig,
     out_dir: Path,
     checkpoint_dir: Path | None,
     mode: str,
     resume: bool,
 ) -> SequenceOutcome:
-    detections = [
-        run_smart_od(t, source.detector, smart_cfg) for t in range(source.num_frames)
-    ]
+    # The chunker reads only the frames it tracks, so a full-mode resume
+    # verifies only the frames after its checkpoint.
     masklets = run_sequence(
         detections,
         source.propagator,
@@ -282,6 +310,24 @@ def run_dataset(
     Per-sequence failures are recorded and do not stop the remaining
     sequences.
     """
+    return _run_dataset(
+        sources, {}, smart_cfg, pipe_cfg, out_dir, checkpoint_dir, mode, workers, resume
+    )
+
+
+def _run_dataset(
+    sources: Mapping[str, SequenceSource],
+    verified: Mapping[str, _Verified],
+    smart_cfg: SmartOdConfig,
+    pipe_cfg: PipelineConfig,
+    out_dir: str | Path,
+    checkpoint_dir: str | Path | None,
+    mode: str,
+    workers: int,
+    resume: bool,
+) -> DeployReport:
+    """run_dataset, reusing the detections in `verified` that were verified
+    with `smart_cfg` before."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     ckpt_path = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -289,8 +335,10 @@ def run_dataset(
 
     def worker(seq_id: str) -> SequenceOutcome:
         try:
+            source = sources[seq_id]
+            detections = verified[seq_id] if seq_id in verified else _Verified(source, smart_cfg)
             return _process_sequence(
-                sources[seq_id], smart_cfg, pipe_cfg, out_path, ckpt_path, mode, resume
+                source, detections, pipe_cfg, out_path, ckpt_path, mode, resume
             )
         except Exception as exc:  # per-sequence isolation
             logger.exception("sequence %s failed", seq_id)
@@ -335,21 +383,25 @@ def deploy(
         pipe_cfg.smart_od,
         pipe_cfg.deploy.alpha_weight,
     )
-    rep_pr = sequence_precision_recall(rep_source, best_cfg)
+    # The sequences scored here are verified once: the dataset run reuses
+    # their detections.
+    verified = {rep_seq: _Verified(rep_source, best_cfg)}
+    rep_pr = _precision_recall(verified[rep_seq], rep_source.ground_truth)
     others = [s for s in sorted(sources) if s != rep_seq]
     validated = True
     if others:
         rng = np.random.default_rng(pipe_cfg.seed)
         val_seq = others[int(rng.integers(0, len(others)))]
-        val_pr = sequence_precision_recall(sources[val_seq], best_cfg)
+        verified[val_seq] = _Verified(sources[val_seq], best_cfg)
+        val_pr = _precision_recall(verified[val_seq], sources[val_seq].ground_truth)
         validated = cross_validate(rep_pr, val_pr, pipe_cfg.deploy.gamma)
         if not validated:
             logger.warning(
                 "cross-validation failed: val %s=%.3f/%.3f vs rep %s=%.3f/%.3f",
                 val_seq, *val_pr, rep_seq, *rep_pr,
             )
-    report = run_dataset(
-        sources, best_cfg, pipe_cfg, out_dir, checkpoint_dir, mode, workers
+    report = _run_dataset(
+        sources, verified, best_cfg, pipe_cfg, out_dir, checkpoint_dir, mode, workers, resume=False
     )
     report.representative = rep_seq
     report.optimized_j = best_j

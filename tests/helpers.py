@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -218,3 +219,38 @@ def loop_resample_polygon(p: Polygon, n: int) -> Polygon:
         y = closed[j, 1] + frac * (closed[j + 1, 1] - closed[j, 1])
         out.append((float(x), float(y)))
     return Polygon(tuple(out))
+
+
+# Schema-v1 checkpoint files. The program only reads them now; this is the
+# writer it used to have, kept to make v1 fixtures.
+
+
+def v1_payload(ckpt) -> dict:
+    """A vidannot.chunker.Checkpoint as a schema-v1 payload: the whole state,
+    each mask as the run lengths of its full frame."""
+    masklets = []
+    for m in ckpt.masklets:
+        entries = {}
+        for f in m.frames():
+            e = m.entries[f]
+            entries[str(f)] = {
+                "mask": {"w": e.mask.width, "h": e.mask.height, "runs": dense_runs(e.mask.data)},
+                "polygon": [[x, y] for x, y in e.polygon.vertices] if e.polygon else None,
+                "bbox": [e.bbox.x1, e.bbox.y1, e.bbox.x2, e.bbox.y2] if e.bbox else None,
+                "confidence": e.confidence,
+            }
+        masklets.append({"object_id": m.object_id, "class_label": m.class_label, "entries": entries})
+    return {
+        "schema_version": 1,
+        "sequence_id": ckpt.sequence_id,
+        "last_completed_frame": ckpt.last_completed_frame,
+        "mode": ckpt.mode,
+        "chunk_index": ckpt.chunk_index,
+        "assoc_state": ckpt.assoc_state,
+        "masklets": masklets,
+    }
+
+
+def write_v1_checkpoint(ckpt, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(v1_payload(ckpt), separators=(",", ":"), sort_keys=True))

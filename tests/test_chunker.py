@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,9 @@ from vidannot.chunker import (
     run_sequence,
     save_checkpoint,
 )
-from vidannot.geometry import BBox, iou_mask, mask_to_polygon
+from vidannot.geometry import BBox, Polygon, iou_mask, mask_to_polygon, polygon_to_bbox
 
-from helpers import rect_mask
+from helpers import rect_mask, v1_payload, write_v1_checkpoint
 
 
 class TestPlanChunks:
@@ -178,7 +179,51 @@ class TestMergeChunkOverlap:
 
 def small_checkpoint(seq="s", frame=5) -> Checkpoint:
     m = masklet_with(0, {0: (1, 1, 9, 9), 1: (2, 1, 10, 9)})
-    return Checkpoint(1, seq, frame, [m], {"next_id": 1, "last_frame": frame, "tracks": []}, "full")
+    state = {"next_id": 1, "last_frame": frame, "tracks": []}
+    return Checkpoint(seq, frame, [m], state, "full", (24, 24), 200)
+
+
+_GROWN_ENTRIES = []
+
+
+def grown_checkpoint(frame: int, seq="s", mode="full", size=(24, 24)) -> Checkpoint:
+    """The state after `frame` of a run whose masklets grow only at their
+    tail: object 0 is seen from frame 0 on, object 1 from frame 15 on."""
+    if not _GROWN_ENTRIES:
+        _GROWN_ENTRIES.extend(masklet_with(0, {x: (x, 1, x + 8, 9) for x in range(10)}).entries.values())
+    masklets = [
+        Masklet(oid, "object", {f: _GROWN_ENTRIES[(f + oid) % 10] for f in range(first, frame + 1)})
+        for oid, first in ((0, 0), (1, 15))
+        if first <= frame
+    ]
+    state = {"next_id": len(masklets), "last_frame": frame, "tracks": []}
+    return Checkpoint(seq, frame, masklets, state, mode, size, 200)
+
+
+def state_signature(ckpt: Checkpoint):
+    return (
+        ckpt.sequence_id,
+        ckpt.last_completed_frame,
+        ckpt.mode,
+        ckpt.assoc_state,
+        [
+            (
+                m.object_id,
+                m.class_label,
+                [
+                    (f, e.mask, e.polygon, e.bbox, e.confidence)
+                    for f, e in sorted(m.entries.items())
+                ],
+            )
+            for m in ckpt.masklets
+        ],
+    )
+
+
+def edit_payload(path: Path, **changes) -> None:
+    payload = json.loads(path.read_text())
+    payload.update(changes)
+    path.write_text(json.dumps(payload))
 
 
 class TestCheckpointProtocol:
@@ -188,6 +233,35 @@ class TestCheckpointProtocol:
         save_checkpoint(ck, path)
         back = load_checkpoint(path)
         assert back.to_payload() == ck.to_payload()
+
+    def test_v1_roundtrip_bit_exact(self, tmp_path):
+        ck = small_checkpoint()
+        path = tmp_path / "a.json"
+        write_v1_checkpoint(ck, path)
+        back = load_checkpoint(path)
+        assert v1_payload(back) == v1_payload(ck)
+        # A v1 file has no header: its frame size is its masks'.
+        assert (back.frame_size, back.num_frames, back.base) == ((24, 24), None, None)
+
+    def test_v2_stores_crop_local_masks_and_integer_outlines(self, tmp_path):
+        path = tmp_path / "a.json"
+        save_checkpoint(small_checkpoint(), path)
+        payload = json.loads(path.read_text())
+        assert payload["header"] == {"width": 24, "height": 24, "num_frames": 200}
+        entry = payload["masklets"][0]["entries"]["0"]
+        # rect (1, 1)-(9, 9): a 9x9 crop at (1, 1), all foreground.
+        assert entry["box"] == [1, 1, 9, 9]
+        assert entry["runs"] == [0, 81]
+        assert entry["polygon"] == [1, 1, 9, 1, 9, 9, 1, 9]
+        assert "bbox" not in entry
+
+    def test_non_integer_outline_raises_on_save(self, tmp_path):
+        ck = small_checkpoint()
+        e = ck.masklets[0].entries[0]
+        polygon = Polygon(((1.0, 1.0), (9.5, 1.0), (9.0, 9.0)))
+        ck.masklets[0].entries[0] = MaskletEntry(e.mask, polygon, polygon_to_bbox(polygon), e.confidence)
+        with pytest.raises(ValueError, match="9.5"):
+            save_checkpoint(ck, tmp_path / "a.json")
 
     def test_directory_synced_after_promote(self, tmp_path, monkeypatch):
         events = []
@@ -276,7 +350,7 @@ class TestCheckpointProtocol:
     def test_invalid_payload_is_corruption(self, tmp_path, field, value):
         # Valid JSON whose mask runs, box or polygon fail validation.
         path = tmp_path / "p.json"
-        payload = small_checkpoint().to_payload()
+        payload = v1_payload(small_checkpoint())
         entry = payload["masklets"][0]["entries"]["0"]
         if field == "runs":
             entry["mask"]["runs"] = value
@@ -286,12 +360,48 @@ class TestCheckpointProtocol:
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("runs", [1, 2]),
+            ("runs", [0, 80.0, 1]),
+            ("box", [1, 2, 3]),
+            ("box", [20, 20, 9, 9]),  # the crop leaves the 24x24 frame
+            ("polygon", [0, 0, 1, 1]),
+            ("polygon", [1, 1, 9, 1, 9.5, 9]),
+        ],
+    )
+    def test_invalid_v2_payload_is_corruption(self, tmp_path, field, value):
+        path = tmp_path / "p.json"
+        payload = small_checkpoint().to_payload()
+        payload["masklets"][0]["entries"]["0"][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"width": 0, "height": 24, "num_frames": 200},
+            {"width": 24, "height": 24, "num_frames": 5},  # last completed frame 5
+            {"width": 24.0, "height": 24, "num_frames": 200},
+            {"width": 24, "height": 24},
+        ],
+    )
+    def test_invalid_v2_header_is_corruption(self, tmp_path, header):
+        path = tmp_path / "h.json"
+        payload = small_checkpoint().to_payload()
+        payload["header"] = header
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint(path)
+
     def test_old_payload_with_rng_state_loads(self, tmp_path):
         path = tmp_path / "old.json"
-        payload = small_checkpoint().to_payload()
+        payload = v1_payload(small_checkpoint())
         payload["rng_state"] = {"seed": 0}
         path.write_text(json.dumps(payload))
-        assert load_checkpoint(path).to_payload() == small_checkpoint().to_payload()
+        assert v1_payload(load_checkpoint(path)) == v1_payload(small_checkpoint())
 
 
 class TestCheckpointStore:
@@ -308,13 +418,162 @@ class TestCheckpointStore:
         assert CheckpointStore(tmp_path, "s").load_latest() is None
 
     def test_bad_mask_runs_fall_back_to_older(self, tmp_path):
+        # Two v1 files, each a whole state.
         store = CheckpointStore(tmp_path, "s")
-        store.save(small_checkpoint(frame=10))
-        newest = store.save(small_checkpoint(frame=20))
+        write_v1_checkpoint(small_checkpoint(frame=10), tmp_path / "s_ckpt_frame_0010.json")
+        newest = tmp_path / "s_ckpt_frame_0020.json"
+        write_v1_checkpoint(small_checkpoint(frame=20), newest)
         payload = json.loads(newest.read_text())
         payload["masklets"][0]["entries"]["0"]["mask"]["runs"] = [1, 2]
         newest.write_text(json.dumps(payload))
         assert store.load_latest().last_completed_frame == 10
+
+    def test_bad_v2_mask_runs_fall_back_to_older(self, tmp_path):
+        store = CheckpointStore(tmp_path, "s")
+        store.save(grown_checkpoint(10))
+        newest = store.save(grown_checkpoint(20))
+        payload = json.loads(newest.read_text())
+        payload["masklets"][0]["entries"]["11"]["runs"] = [1, 2]
+        newest.write_text(json.dumps(payload))
+        assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(10))
+
+    def test_save_appends_only_entries_no_earlier_link_holds(self, tmp_path):
+        store = CheckpointStore(tmp_path, "s")
+        paths = [store.save(grown_checkpoint(f)) for f in (10, 20)]
+        paths.append(store.save(grown_checkpoint(30), final=True))
+        payloads = [json.loads(p.read_text()) for p in paths]
+        assert [p["base"] for p in payloads] == [None, paths[0].name, paths[1].name]
+        frames = [
+            {m["object_id"]: sorted(map(int, m["entries"])) for m in p["masklets"]}
+            for p in payloads
+        ]
+        assert frames == [
+            {0: list(range(11))},
+            {0: list(range(11, 21)), 1: list(range(15, 21))},
+            {0: list(range(21, 31)), 1: list(range(21, 31))},
+        ]
+        loaded = CheckpointStore(tmp_path, "s").load_latest()
+        assert state_signature(loaded) == state_signature(grown_checkpoint(30))
+        assert (loaded.frame_size, loaded.num_frames, loaded.base) == ((24, 24), 200, None)
+
+    def test_prune_keeps_only_what_the_head_reaches(self, tmp_path):
+        store = CheckpointStore(tmp_path, "s")
+        for f in (10, 20, 30):
+            store.save(grown_checkpoint(f))
+        (tmp_path / "s_ckpt_frame_0030.json").unlink()
+        (tmp_path / "s_ckpt_frame_0025.json.tmp").write_text("{}")
+        (tmp_path / "t_ckpt_frame_0010.json").write_text("{}")
+        # The resumed chain ends at frame 20; its next save drops every other file.
+        resumed = CheckpointStore(tmp_path, "s")
+        resumed.load_latest()
+        resumed.save(grown_checkpoint(40))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "s_ckpt_frame_0010.json",
+            "s_ckpt_frame_0020.json",
+            "s_ckpt_frame_0040.json",
+            "t_ckpt_frame_0010.json",
+        ]
+        assert state_signature(resumed.load_latest()) == state_signature(grown_checkpoint(40))
+
+    def test_restart_starts_a_new_chain(self, tmp_path):
+        store = CheckpointStore(tmp_path, "s")
+        store.save(grown_checkpoint(10, mode="full"))
+        store.restart()
+        path = store.save(grown_checkpoint(20, mode="chunk"))
+        assert json.loads(path.read_text())["base"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(20, mode="chunk"))
+
+    def test_saving_a_link_twice_raises(self, tmp_path):
+        store = CheckpointStore(tmp_path, "s")
+        store.save(grown_checkpoint(10))
+        with pytest.raises(ValueError, match="already a link"):
+            store.save(grown_checkpoint(10))
+
+
+class TestDamagedChain:
+    """Each damaged chain loads the newest valid prefix or raises
+    CheckpointError, never another exception."""
+
+    @staticmethod
+    def chain(tmp_path) -> list[Path]:
+        store = CheckpointStore(tmp_path, "s")
+        return [store.save(grown_checkpoint(f)) for f in (10, 20, 30)]
+
+    @staticmethod
+    def loads(tmp_path, frame: int) -> bool:
+        loaded = CheckpointStore(tmp_path, "s").load_latest()
+        return state_signature(loaded) == state_signature(grown_checkpoint(frame))
+
+    def test_head_missing(self, tmp_path):
+        self.chain(tmp_path)[2].unlink()
+        assert self.loads(tmp_path, 20)
+
+    def test_head_corrupt(self, tmp_path):
+        self.chain(tmp_path)[2].write_text("{ not json")
+        assert self.loads(tmp_path, 20)
+
+    def test_middle_link_missing(self, tmp_path):
+        self.chain(tmp_path)[1].unlink()
+        assert self.loads(tmp_path, 10)
+
+    def test_middle_link_corrupt(self, tmp_path):
+        self.chain(tmp_path)[1].write_text('{"schema_version": 2}')
+        assert self.loads(tmp_path, 10)
+
+    def test_middle_link_of_another_sequence(self, tmp_path):
+        edit_payload(self.chain(tmp_path)[1], sequence_id="t")
+        assert self.loads(tmp_path, 10)
+
+    def test_middle_link_of_another_mode(self, tmp_path):
+        edit_payload(self.chain(tmp_path)[1], mode="chunk")
+        assert self.loads(tmp_path, 10)
+
+    def test_base_names_another_sequences_file(self, tmp_path):
+        paths = self.chain(tmp_path)
+        other = tmp_path / "t_ckpt_frame_0020.json"
+        other.write_text(paths[1].read_text())
+        edit_payload(paths[2], base=other.name)
+        assert self.loads(tmp_path, 20)
+
+    def test_base_outside_the_directory(self, tmp_path):
+        edit_payload(self.chain(tmp_path)[2], base="../s_ckpt_frame_0020.json")
+        assert self.loads(tmp_path, 20)
+
+    def test_link_repeating_its_base_frames(self, tmp_path):
+        paths = self.chain(tmp_path)
+        payload = json.loads(paths[2].read_text())
+        payload["masklets"][0]["entries"]["20"] = payload["masklets"][0]["entries"]["21"]
+        paths[2].write_text(json.dumps(payload))
+        assert self.loads(tmp_path, 20)
+
+    def test_base_cycle_raises(self, tmp_path):
+        paths = self.chain(tmp_path)
+        edit_payload(paths[0], base=paths[2].name)
+        with pytest.raises(CheckpointError, match="loops back"):
+            CheckpointStore(tmp_path, "s").load_latest()
+
+    def test_v1_root_under_v2_segments(self, tmp_path):
+        root = tmp_path / "s_ckpt_frame_0010.json"
+        write_v1_checkpoint(grown_checkpoint(10), root)
+        store = CheckpointStore(tmp_path, "s")
+        assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(10))
+        store.save(grown_checkpoint(20))
+        head = store.save(grown_checkpoint(30))
+        assert json.loads(root.read_text())["schema_version"] == 1
+        assert self.loads(tmp_path, 30)
+        head.unlink()
+        assert self.loads(tmp_path, 20)
+        root.write_text("{ not json")
+        with pytest.raises(CheckpointError):
+            CheckpointStore(tmp_path, "s").load_latest()
+
+    def test_v1_root_of_another_frame_size(self, tmp_path):
+        write_v1_checkpoint(grown_checkpoint(10), tmp_path / "s_ckpt_frame_0010.json")
+        store = CheckpointStore(tmp_path, "s")
+        store.load_latest()
+        store.save(grown_checkpoint(20, size=(32, 32)))
+        assert self.loads(tmp_path, 10)
 
 
 def build_sequence(num_frames=60, n=3, seed=14, size=(320, 240)):
@@ -338,7 +597,7 @@ def build_sequence(num_frames=60, n=3, seed=14, size=(320, 240)):
 def masklets_signature(masklets):
     return {
         m.object_id: [
-            (f, m.entries[f].mask.to_runs(), m.entries[f].confidence)
+            (f, m.entries[f].mask, m.entries[f].confidence)
             for f in m.frames()
         ]
         for m in masklets
@@ -346,6 +605,10 @@ def masklets_signature(masklets):
 
 
 RUN_KW = dict(assoc_cfg=AssocConfig(), ash_cfg=AshConfig(alpha=1.0))
+
+
+def postprocess(masklets, num_frames):
+    return vidannot.ash.postprocess_masklets(masklets, range(num_frames), RUN_KW["ash_cfg"])
 
 
 class TestRunSequence:
@@ -545,6 +808,96 @@ class TestRunSequence:
         )
         assert seen == list(range(120))
 
+    @pytest.mark.parametrize("mode", ["full", "chunk"])
+    def test_every_save_holds_the_whole_state_once(self, tmp_path, mode, monkeypatch):
+        # The writer appends only each masklet's frames after its last saved
+        # one; that holds the whole state only because both modes grow a
+        # masklet at its tail alone.
+        gt, det, prop, dets = build_sequence(num_frames=90)
+        cfg = ChunkerConfig(chi=30, omega=5, checkpoint_interval=10)
+        real_save = CheckpointStore.save
+        checked = []
+
+        def save(store, ckpt, final=False):
+            path = real_save(store, ckpt, final)
+            loaded = CheckpointStore(store.directory, store.sequence_id).load_latest()
+            assert state_signature(loaded) == state_signature(ckpt)
+            checked.append(path)
+            return path
+
+        monkeypatch.setattr(CheckpointStore, "save", save)
+        out = run_sequence(
+            dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
+            checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
+        )
+        chunks = derive_chunk_plan([len(d) for d in dets], cfg).chunks
+        assert len(checked) == (9 if mode == "full" else len(chunks))
+        written = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))]
+        assert len(written) == len(checked)  # the final head reaches every link
+        final = CheckpointStore(tmp_path, "s").load_latest()
+        assert sum(len(m["entries"]) for p in written for m in p["masklets"]) == sum(
+            len(m.entries) for m in final.masklets
+        )
+        assert masklets_signature(out) == masklets_signature(
+            postprocess(final.masklets, 90)
+        )
+
+    @pytest.mark.parametrize("mode", ["full", "chunk"])
+    @pytest.mark.parametrize("case", ["frame size", "frame count"])
+    def test_resume_rejects_a_checkpoint_of_other_geometry(self, tmp_path, mode, case):
+        # The checkpoint is of a 320x240, 60-frame sequence; the resume runs
+        # under the same id on a 256x192 or a 30-frame one.
+        cfg = ChunkerConfig(chi=40, omega=5, checkpoint_interval=10)
+        _, det, prop, dets = build_sequence(num_frames=60)
+
+        class Killed(Exception):
+            pass
+
+        def bomb(t):
+            if t == 50:
+                raise Killed()
+
+        with pytest.raises(Killed):
+            run_sequence(
+                dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
+                checkpoint_dir=tmp_path, sequence_id="s", on_frame=bomb, **RUN_KW
+            )
+        if case == "frame size":
+            _, det, prop, dets = build_sequence(num_frames=60, size=(256, 192))
+            expected = "320x240.*256x192"
+        else:
+            _, det, prop, dets = build_sequence(num_frames=30)
+            expected = "60 frames.* 30"
+        with pytest.raises(CheckpointError, match=expected):
+            run_sequence(
+                dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
+                checkpoint_dir=tmp_path, sequence_id="s", resume=True, **RUN_KW
+            )
+
+    @pytest.mark.parametrize("case", ["frame size", "frame count"])
+    def test_resume_rejects_a_v1_checkpoint_of_other_geometry(self, tmp_path, case):
+        # A v1 file has no header: its masks give the frame size, and its last
+        # completed frame must lie inside the sequence.
+        cfg = ChunkerConfig(checkpoint_interval=10)
+        _, det, prop, dets = build_sequence(num_frames=60)
+        run_sequence(
+            dets, prop, det.frame_size, chunk_cfg=cfg, mode="full",
+            checkpoint_dir=tmp_path / "v2", sequence_id="s", **RUN_KW
+        )
+        state = CheckpointStore(tmp_path / "v2", "s").load_latest()
+        write_v1_checkpoint(replace(state, last_completed_frame=49), tmp_path / "s_ckpt_frame_0049.json")
+        if case == "frame size":
+            _, det, prop, dets = build_sequence(num_frames=60, size=(256, 192))
+            expected = "320x240.*256x192"
+        else:
+            _, det, prop, dets = build_sequence(num_frames=30)
+            expected = "frame 49.* 30 frames"
+        with pytest.raises(CheckpointError, match=expected):
+            run_sequence(
+                dets, prop, det.frame_size, chunk_cfg=cfg, mode="full",
+                checkpoint_dir=tmp_path, sequence_id="s", resume=True, **RUN_KW
+            )
+
     def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path):
         gt, det, prop, dets = build_sequence(num_frames=60)
         cfg = ChunkerConfig(chi=30, omega=5, checkpoint_interval=10)
@@ -591,9 +944,9 @@ class TestMergeProperties:
 
 
 class TestCheckpointFaultProperties:
-    @given(st.integers(0, 100), st.integers(1, 2))
+    @given(st.integers(0, 100), st.integers(1, 2), st.integers(1, 4), st.data())
     @settings(max_examples=1000, deadline=None)
-    def test_some_checkpoint_always_loadable(self, frame, fail_at):
+    def test_some_checkpoint_always_loadable(self, frame, fail_at, links, data):
         import tempfile
 
         with tempfile.TemporaryDirectory() as d:
@@ -617,6 +970,43 @@ class TestCheckpointFaultProperties:
             recovered = load_checkpoint(path)
             assert recovered is not None
             assert recovered.last_completed_frame in (frame, frame + 1)
+
+        # A chain: a root, then `links` saves, the run dying at a fault in
+        # one of them. The fault fails the n-th rename or fsync of that save.
+        faulty = data.draw(st.integers(1, links))
+        fail_call = data.draw(st.integers(1, 4))
+        with tempfile.TemporaryDirectory() as d:
+            store = CheckpointStore(d, "s")
+            store.save(grown_checkpoint(frame))
+            completed = frame
+            for k in range(1, faulty + 1):
+                if k < faulty:
+                    store.save(grown_checkpoint(frame + k))
+                    completed = frame + k
+                    continue
+                calls = {"n": 0}
+                real_replace, real_fsync = os.replace, os.fsync
+
+                def failing(real):
+                    def call(*args):
+                        calls["n"] += 1
+                        if calls["n"] == fail_call:
+                            raise OSError("injected")
+                        return real(*args)
+
+                    return call
+
+                os.replace, os.fsync = failing(real_replace), failing(real_fsync)
+                try:
+                    store.save(grown_checkpoint(frame + k))
+                except OSError:
+                    pass
+                finally:
+                    os.replace, os.fsync = real_replace, real_fsync
+            recovered = CheckpointStore(d, "s").load_latest()
+            assert recovered.last_completed_frame in (completed, frame + faulty)
+            expected = grown_checkpoint(recovered.last_completed_frame)
+            assert state_signature(recovered) == state_signature(expected)
 
 
 class TestDeriveAdjustedPlan:

@@ -103,11 +103,36 @@ class TestMaskStorage:
     @settings(max_examples=1000, deadline=None)
     def test_runs_match_dense_encoding(self, g):
         m = BinaryMask(g)
-        runs = m.to_runs()
-        assert runs == dense_runs(g)
-        assert all(type(r) is int for r in runs)
+        runs = dense_runs(g)
         back = BinaryMask.from_runs(m.width, m.height, runs)
         assert back == m and np.array_equal(back.data, g)
+
+    @given(grids())
+    @settings(max_examples=1000, deadline=None)
+    def test_crop_runs_match_dense_encoding_of_the_crop(self, g):
+        m = BinaryMask(g)
+        runs = m.crop_runs()
+        assert runs == (dense_runs(m.crop) if not m.is_empty() else [])
+        assert all(type(r) is int for r in runs)
+        h, w = m.crop.shape
+        back = BinaryMask.from_crop_runs(m.x0, m.y0, w, h, runs, m.width, m.height)
+        assert back == m and np.array_equal(back.data, g)
+
+    @pytest.mark.parametrize(
+        "box, runs, error",
+        [
+            ((0, 0, 2, 2), [1, 2], ValueError),  # 3 pixels for a 2x2 crop
+            ((0, 0, 2, 2), [5, -1], ValueError),
+            ((0, 0, 2, 2), [0, 4.0], TypeError),
+            ((0.0, 0, 2, 2), [0, 4], TypeError),
+            ((3, 0, 2, 2), [0, 4], ValueError),  # leaves the 4x4 frame
+            ((0, 0, -2, -2), [0, 4], ValueError),
+            ((0, 0, 10**6, 10**6), [10**12], ValueError),
+        ],
+    )
+    def test_from_crop_runs_rejects_bad_input(self, box, runs, error):
+        with pytest.raises(error):
+            BinaryMask.from_crop_runs(*box, runs, 4, 4)
 
     @given(grids(), st.integers(-16, 16), st.integers(-16, 16))
     @settings(max_examples=1000, deadline=None)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import vidannot.pipeline
 from vidannot.backends import (
     Detection,
     GroundTruthFrame,
@@ -270,6 +271,33 @@ class TestDeploy:
         assert report.optimized_j == pytest.approx(1.0)
         assert report.failures == []
         assert len(report.outcomes) == 3
+
+    def test_each_frame_verified_once(self, tmp_path, monkeypatch):
+        # The representative and validation sequences are verified to score
+        # the search; the dataset run reuses those detections.
+        cfg = dataclasses.replace(
+            tiny_pipe_cfg(), deploy=DeploymentConfig(parameter_grid={"theta_min": [0.05, 0.1]})
+        )
+        sources = {
+            f"s{i}": synthetic_source(f"s{i}", cfg, dataclasses.replace(cfg.world, rng_seed=10 + i))
+            for i in range(3)
+        }
+        calls = []
+        real = vidannot.pipeline.run_smart_od
+
+        def counted(t, detector, smart_cfg):
+            calls.append((t, detector, smart_cfg))
+            return real(t, detector, smart_cfg)
+
+        monkeypatch.setattr(vidannot.pipeline, "run_smart_od", counted)
+        report = deploy(sources, cfg, tmp_path)
+        grid = len(cfg.deploy.parameter_grid["theta_min"])
+        # The search scores each grid point on one frame; after it, each
+        # frame of each sequence is verified once, with the chosen config.
+        after_search = calls[grid:]
+        assert len(after_search) == sum(s.num_frames for s in sources.values())
+        assert len({(t, id(d)) for t, d, _ in after_search}) == len(after_search)
+        assert report.failures == []
 
 
 class TestQaScore:
