@@ -58,33 +58,29 @@ _UNTRACED = object()  # the polygon of an entry whose outline is not traced yet
 
 
 class MaskletEntry:
-    """One frame of a masklet: its mask, outline polygon, box and confidence.
+    """One frame of a masklet: its mask, outline polygon and confidence; its
+    box is the outline's box.
 
     An entry built from a mask alone (`from_mask`) traces its outline the
-    first time `.polygon` or `.bbox` is read and keeps both, so entries that
+    first time `.polygon` or `.bbox` is read and keeps it, so entries that
     merging, stitching or pruning discard never pay for a contour. One built
-    with an explicit polygon and box keeps them, None included.
+    with an explicit polygon keeps it, None included.
     """
 
-    __slots__ = ("mask", "confidence", "_polygon", "_bbox")
+    __slots__ = ("mask", "confidence", "_polygon")
 
-    def __init__(
-        self, mask: BinaryMask, polygon: Polygon | None, bbox: BBox | None, confidence: float
-    ) -> None:
+    def __init__(self, mask: BinaryMask, polygon: Polygon | None, confidence: float) -> None:
         self.mask = mask
         self._polygon = polygon
-        self._bbox = bbox
         self.confidence = confidence
 
     @classmethod
     def from_mask(cls, mask: BinaryMask, confidence: float) -> MaskletEntry:
-        return cls(mask, _UNTRACED, None, confidence)
+        return cls(mask, _UNTRACED, confidence)
 
     def _trace(self) -> None:
         if self._polygon is _UNTRACED:
-            polygon = mask_to_polygon(self.mask, min_pixels=1)
-            self._polygon = polygon
-            self._bbox = polygon_to_bbox(polygon) if polygon is not None else None
+            self._polygon = mask_to_polygon(self.mask, min_pixels=1)
 
     @property
     def polygon(self) -> Polygon | None:
@@ -93,8 +89,8 @@ class MaskletEntry:
 
     @property
     def bbox(self) -> BBox | None:
-        self._trace()
-        return self._bbox
+        polygon = self.polygon
+        return polygon_to_bbox(polygon) if polygon is not None else None
 
 
 @dataclass
@@ -197,19 +193,15 @@ def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
         entry = m.entries[f]
         if polygon is None:
             out.entries[f] = entry
-            prev = None
             prev_frame = None
             continue
-        cur = np.asarray(resample_polygon(polygon, resample_n).vertices)
-        if prev is None or prev_frame != f - 1:
-            smoothed = cur
-        else:
-            aligned = _align_rotation(cur, prev)
-            smoothed = alpha * aligned + (1.0 - alpha) * prev
-        blended = Polygon(tuple((float(x), float(y)) for x, y in smoothed))
+        blended = resample_polygon(polygon, resample_n)
+        if prev_frame == f - 1:
+            aligned = _align_rotation(blended.vertices, prev)
+            blended = Polygon(alpha * aligned + (1.0 - alpha) * prev)
         mask = rasterize_polygon(blended, entry.mask.width, entry.mask.height)
-        out.entries[f] = MaskletEntry(mask, blended, polygon_to_bbox(blended), entry.confidence)
-        prev = smoothed
+        out.entries[f] = MaskletEntry(mask, blended, entry.confidence)
+        prev = blended.vertices
         prev_frame = f
     return out
 

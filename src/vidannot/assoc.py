@@ -205,9 +205,9 @@ class Associator:
         }
 
     def set_state(self, state: dict) -> None:
-        self.next_id = state["next_id"]
-        self.last_frame = state["last_frame"]
-        self.tracks = [
+        """Restore a `get_state` dict. A malformed one raises KeyError,
+        TypeError or ValueError and leaves the associator as it was."""
+        tracks = [
             Track(
                 id=t["id"],
                 last_box=BBox(*t["box"]),
@@ -217,3 +217,13 @@ class Associator:
             )
             for t in state["tracks"]
         ]
+        next_id, last_frame = state["next_id"], state["last_frame"]
+        ints = [next_id, *(v for t in tracks for v in (t.id, t.last_seen_frame, t.age))]
+        if not (
+            isinstance(state["tracks"], list)
+            and all(type(v) is int for v in ints)
+            and (last_frame is None or type(last_frame) is int)
+            and all(isinstance(t.class_label, str) for t in tracks)
+        ):
+            raise ValueError(f"malformed associator state: {state!r}")
+        self.next_id, self.last_frame, self.tracks = next_id, last_frame, tracks

@@ -8,13 +8,14 @@ Chunks are processed strictly in order; checkpoint writes are single-writer.
 from __future__ import annotations
 
 import glob
-import itertools
 import json
 import logging
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .ash import (
     AshConfig,
@@ -186,13 +187,20 @@ class Checkpoint:
     @classmethod
     def from_payload(cls, payload: dict) -> Checkpoint:
         version = payload.get("schema_version")
-        if version == 1:
-            return _from_v1_payload(payload)
-        if version != CHECKPOINT_SCHEMA_VERSION:
+        if version not in (1, CHECKPOINT_SCHEMA_VERSION):
             raise CheckpointError(
                 f"checkpoint schema version {version!r} is neither 1 nor "
                 f"{CHECKPOINT_SCHEMA_VERSION}"
             )
+        # A resume restores the associator state as it is, so a malformed one
+        # is corruption too.
+        state = payload["assoc_state"]
+        if payload["mode"] == "full":
+            Associator().set_state(state)
+        elif not (isinstance(state, dict) and type(state.get("next_id")) is int):
+            raise ValueError(f"chunk-mode associator state {state!r} has no integer next_id")
+        if version == 1:
+            return _from_v1_payload(payload)
         header = payload["header"]
         width, height, num_frames = header["width"], header["height"], header["num_frames"]
         last = payload["last_completed_frame"]
@@ -221,9 +229,6 @@ def _masklet_to_payload(m: Masklet) -> dict:
     entries = {}
     for f, polygon in zip(frames, polygons):
         e = m.entries[f]
-        # The loader derives the box from the outline.
-        if e.bbox != (polygon_to_bbox(polygon) if polygon is not None else None):
-            raise ValueError(f"object {m.object_id}, frame {f}: box is not its outline's box")
         h, w = e.mask.crop.shape
         entries[str(f)] = {
             "box": [e.mask.x0, e.mask.y0, w, h],
@@ -238,22 +243,19 @@ def _whole_pixels(polygon: Polygon) -> list[int]:
     """The vertices as a flat list of integers. Checkpointed outlines are
     traced from masks, before any smoothing, so every vertex is a pixel
     centre; any other vertex raises rather than being rounded."""
-    flat = list(itertools.chain.from_iterable(polygon.vertices))
-    ints = list(map(int, flat))
-    if ints != flat:
-        raise ValueError(f"outline {polygon.vertices} has a vertex off the pixel centres")
-    return ints
+    ints = polygon.vertices.astype(np.int64)
+    if not np.array_equal(ints, polygon.vertices):
+        raise ValueError(f"outline {polygon.vertices.tolist()} has a vertex off the pixel centres")
+    return ints.ravel().tolist()
 
 
 def _masklet_from_payload(payload: dict, width: int, height: int) -> Masklet:
     entries = {}
     for key in sorted(payload["entries"], key=int):
         e = payload["entries"][key]
-        polygon = _polygon_from_ints(e["polygon"])
         entries[int(key)] = MaskletEntry(
             BinaryMask.from_crop_runs(*e["box"], e["runs"], width, height),
-            polygon,
-            polygon_to_bbox(polygon) if polygon is not None else None,
+            _polygon_from_ints(e["polygon"]),
             e["confidence"],
         )
     return Masklet(payload["object_id"], payload["class_label"], entries)
@@ -264,8 +266,7 @@ def _polygon_from_ints(flat: list | None) -> Polygon | None:
         return None
     if len(flat) % 2 or not set(map(type, flat)) <= {int}:
         raise ValueError(f"outline {flat} is not a flat list of integer vertices")
-    coords = list(map(float, flat))
-    return Polygon(tuple(zip(coords[0::2], coords[1::2])))
+    return Polygon(np.array(flat, dtype=np.float64).reshape(-1, 2))
 
 
 def _from_v1_payload(payload: dict) -> Checkpoint:
@@ -277,10 +278,11 @@ def _from_v1_payload(payload: dict) -> Checkpoint:
         entries = {}
         for key, e in p["entries"].items():
             mask = BinaryMask.from_runs(e["mask"]["w"], e["mask"]["h"], e["mask"]["runs"])
-            vertices = e["polygon"]
-            polygon = Polygon(tuple((float(x), float(y)) for x, y in vertices)) if vertices else None
-            bbox = BBox(*e["bbox"]) if e["bbox"] else None
-            entries[int(key)] = MaskletEntry(mask, polygon, bbox, e["confidence"])
+            polygon = Polygon(e["polygon"]) if e["polygon"] else None
+            box = BBox(*e["bbox"]) if e["bbox"] else None
+            if box != (polygon_to_bbox(polygon) if polygon is not None else None):
+                raise ValueError(f"frame {key}: box {box} is not its outline's box")
+            entries[int(key)] = MaskletEntry(mask, polygon, e["confidence"])
         masklets.append(Masklet(p["object_id"], p["class_label"], entries))
     sizes = {(e.mask.width, e.mask.height) for m in masklets for e in m.entries.values()}
     if len(sizes) > 1:

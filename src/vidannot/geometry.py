@@ -6,7 +6,6 @@ function and safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -224,24 +223,31 @@ class BinaryMask:
         return cls.from_crop(band.reshape(rows, width), 0, y0, width, height)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """Ordered pixel-coordinate vertices; implicitly closed (last joins first)."""
+    """Ordered pixel-coordinate vertices; implicitly closed (last joins first).
 
-    vertices: tuple[tuple[float, float], ...]
+    `vertices` is a read-only (n, 2) float64 array of (x, y), n >= 3, built
+    from any (n, 2) array-like of finite numbers.
+    """
+
+    vertices: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError(f"polygon needs >= 3 vertices, got {len(self.vertices)}")
-        # Checked in C-level passes over the vertices; the loop below only
-        # finds the vertex to report.
-        if set(map(len, self.vertices)) == {2} and all(
-            map(math.isfinite, itertools.chain.from_iterable(self.vertices))
-        ):
-            return
-        for x, y in self.vertices:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite vertex: ({x!r}, {y!r})")
+        arr = np.array(self.vertices, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
+            raise ValueError(f"polygon needs an (n >= 3, 2) vertex array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite vertex in {arr.tolist()}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "vertices", arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polygon):
+            return NotImplemented
+        return bool(np.array_equal(self.vertices, other.vertices))
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def iou_box(a: BBox, b: BBox) -> float:
@@ -310,9 +316,9 @@ def union_masks(masks: Sequence[BinaryMask]) -> BinaryMask:
 
 
 def polygon_to_bbox(p: Polygon) -> BBox:
-    xs = [v[0] for v in p.vertices]
-    ys = [v[1] for v in p.vertices]
-    return BBox(min(xs), min(ys), max(xs), max(ys))
+    x1, y1 = p.vertices.min(axis=0).tolist()
+    x2, y2 = p.vertices.max(axis=0).tolist()
+    return BBox(x1, y1, x2, y2)
 
 
 def _largest_component(data: np.ndarray) -> np.ndarray:
@@ -408,7 +414,7 @@ def mask_to_polygon(m: BinaryMask, min_pixels: int = 3) -> Polygon | None:
     pts = _collapse_collinear([(y + m.y0, x + m.x0) for y, x in boundary])
     if len(pts) < 3:
         return None
-    return Polygon(tuple((float(x), float(y)) for y, x in pts))
+    return Polygon(np.array(pts)[:, ::-1])
 
 
 def _fill_scanline(vertices: np.ndarray, grid: np.ndarray, x0: int, y0: int) -> None:
@@ -469,7 +475,7 @@ def rasterize_polygon(p: Polygon, width: int, height: int) -> BinaryMask:
     Only the polygon's box, widened by a pixel of rounding slack and clipped
     to the frame, is rasterized.
     """
-    verts = np.asarray(p.vertices, dtype=float)
+    verts = p.vertices
     x0 = max(0, int(math.floor(verts[:, 0].min())) - 1)
     y0 = max(0, int(math.floor(verts[:, 1].min())) - 1)
     x1 = min(width, int(math.ceil(verts[:, 0].max())) + 2)
@@ -490,7 +496,7 @@ def resample_polygon(p: Polygon, n: int) -> Polygon:
     """
     if n < 3:
         raise ValueError(f"resample target must be >= 3, got {n}")
-    pts = np.asarray(p.vertices, dtype=float)
+    pts = p.vertices
     closed = np.vstack([pts, pts[:1]])
     seg = np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))
     total = float(seg.sum())
@@ -505,7 +511,7 @@ def resample_polygon(p: Polygon, n: int) -> Polygon:
     frac = np.where(zero, 0.0, (targets - cumulative[j]) / np.where(zero, 1.0, span))
     x = closed[j, 0] + frac * (closed[j + 1, 0] - closed[j, 0])
     y = closed[j, 1] + frac * (closed[j + 1, 1] - closed[j, 1])
-    return Polygon(tuple(zip(x.tolist(), y.tolist())))
+    return Polygon(np.column_stack((x, y)))
 
 
 def shift_mask(m: BinaryMask, dx: int, dy: int) -> BinaryMask:

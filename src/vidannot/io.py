@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .ash import AshConfig, Masklet
+from .ash import AshConfig, Masklet, MaskletEntry
 from .assoc import AssocConfig
 from .backends import (
     DetectionNoise,
@@ -114,10 +114,6 @@ class AnnotationDocument:
     schema_version: int = ANNOTATION_SCHEMA_VERSION
 
 
-def _round6(v: float) -> float:
-    return round(v, 6)
-
-
 def write_annotations(doc: AnnotationDocument, path: str | Path) -> None:
     """Line-delimited output: a header line, then one frame object per line."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -134,9 +130,10 @@ def write_annotations(doc: AnnotationDocument, path: str | Path) -> None:
                 {
                     "track_id": e.track_id,
                     "class_label": e.class_label,
-                    "confidence": _round6(e.confidence),
-                    "polygon": [[_round6(x), _round6(y)] for x, y in e.polygon.vertices],
-                    "bbox": [_round6(e.bbox.x1), _round6(e.bbox.y1), _round6(e.bbox.x2), _round6(e.bbox.y2)],
+                    "confidence": round(e.confidence, 6),
+                    # Python's round is correctly rounded; np.round is not.
+                    "polygon": [[round(x, 6), round(y, 6)] for x, y in e.polygon.vertices.tolist()],
+                    "bbox": [round(v, 6) for v in (e.bbox.x1, e.bbox.y1, e.bbox.x2, e.bbox.y2)],
                 }
                 for e in doc.frames[f]
             ]
@@ -147,6 +144,8 @@ def write_annotations(doc: AnnotationDocument, path: str | Path) -> None:
 
 
 def read_annotations(path: str | Path) -> AnnotationDocument:
+    """Invert write_annotations; any malformed file raises a FormatError that
+    names `path`."""
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
@@ -166,40 +165,37 @@ def read_annotations(path: str | Path) -> AnnotationDocument:
                     track_id=o["track_id"],
                     class_label=o["class_label"],
                     confidence=o["confidence"],
-                    polygon=Polygon(tuple((float(x), float(y)) for x, y in o["polygon"])),
+                    polygon=Polygon(o["polygon"]),
                     bbox=BBox(*o["bbox"]),
                 )
                 for o in payload["objects"]
             ]
             doc.frames[payload["frame"]] = entries
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise FormatError(f"{path}: malformed annotation file: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed annotation file: {exc!r}") from exc
     return doc
+
+
+def _outlined_entries(masklets: list[Masklet]) -> list[tuple[int, Masklet, MaskletEntry]]:
+    """(frame, masklet, entry) for every entry with an outline, by frame and
+    then by object id."""
+    rows = [(f, m, e) for m in masklets for f, e in m.entries.items() if e.polygon is not None]
+    return sorted(rows, key=lambda r: (r[0], r[1].object_id))
 
 
 def masklets_to_mot(masklets: list[Masklet]) -> list[MotRecord]:
     """Track records for every nonempty masklet entry, frame-major order."""
-    rows: list[tuple[int, int]] = []
-    by_key = {}
-    for m in masklets:
-        for f in m.frames():
-            e = m.entries[f]
-            if e.bbox is None:
-                continue
-            rows.append((f, m.object_id))
-            by_key[(f, m.object_id)] = (e, m)
-    rows.sort()
     out = []
-    for f, oid in rows:
-        e, m = by_key[(f, oid)]
+    for f, m, e in _outlined_entries(masklets):
+        box = e.bbox
         out.append(
             MotRecord(
                 frame=f + 1,
-                track_id=oid,
-                x=e.bbox.x1,
-                y=e.bbox.y1,
-                w=max(e.bbox.width, 1e-6),
-                h=max(e.bbox.height, 1e-6),
+                track_id=m.object_id,
+                x=box.x1,
+                y=box.y1,
+                w=max(box.width, 1e-6),
+                h=max(box.height, 1e-6),
                 conf=e.confidence,
             )
         )
@@ -210,15 +206,8 @@ def masklets_to_document(
     masklets: list[Masklet], sequence_id: str, frame_width: int, frame_height: int
 ) -> AnnotationDocument:
     doc = AnnotationDocument(sequence_id, frame_width, frame_height)
-    keyed = []
-    for m in masklets:
-        for f in m.frames():
-            e = m.entries[f]
-            if e.polygon is None or e.bbox is None:
-                continue
-            keyed.append((f, m.object_id, AnnotationEntry(m.object_id, m.class_label, e.confidence, e.polygon, e.bbox)))
-    keyed.sort(key=lambda k: (k[0], k[1]))
-    for f, _, entry in keyed:
+    for f, m, e in _outlined_entries(masklets):
+        entry = AnnotationEntry(m.object_id, m.class_label, e.confidence, e.polygon, e.bbox)
         doc.frames.setdefault(f, []).append(entry)
     return doc
 

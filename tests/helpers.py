@@ -6,6 +6,8 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from vidannot import geometry
+from vidannot.ash import _align_rotation
 from vidannot.backends import SyntheticWorldConfig, generate_synthetic_sequence
 from vidannot.geometry import BBox, BinaryMask, Polygon
 
@@ -221,6 +223,96 @@ def loop_resample_polygon(p: Polygon, n: int) -> Polygon:
     return Polygon(tuple(out))
 
 
+# Tuple oracles: outlines built and written as they were when a Polygon held
+# a tuple of (x, y) float tuples. The array paths must give the same floats
+# and the same bytes.
+
+Vertices = tuple[tuple[float, float], ...]
+
+
+def tuple_outline(m: BinaryMask, min_pixels: int = 3) -> Vertices | None:
+    """mask_to_polygon's vertices, built as float tuples."""
+    if m.count < min_pixels or m.is_empty():
+        return None
+    boundary = geometry._trace_moore_boundary(geometry._largest_component(m.crop))
+    pts = geometry._collapse_collinear([(y + m.y0, x + m.x0) for y, x in boundary])
+    if len(pts) < 3:
+        return None
+    return tuple((float(x), float(y)) for y, x in pts)
+
+
+def tuple_resample(vertices: Vertices, n: int) -> Vertices:
+    """resample_polygon's output, built as float tuples."""
+    pts = np.asarray(vertices, dtype=float)
+    closed = np.vstack([pts, pts[:1]])
+    seg = np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))
+    total = float(seg.sum())
+    if total <= 0.0:
+        raise ValueError("cannot resample a zero-perimeter polygon")
+    cumulative = np.concatenate(([0.0], np.cumsum(seg)))
+    targets = np.arange(n) * (total / n)
+    j = np.searchsorted(cumulative[1 : len(seg)], targets, side="right")
+    span = seg[j]
+    zero = span == 0.0
+    frac = np.where(zero, 0.0, (targets - cumulative[j]) / np.where(zero, 1.0, span))
+    x = closed[j, 0] + frac * (closed[j + 1, 0] - closed[j, 0])
+    y = closed[j, 1] + frac * (closed[j + 1, 1] - closed[j, 1])
+    return tuple(zip(x.tolist(), y.tolist()))
+
+
+def tuple_smooth(outlines: dict[int, Vertices | None], alpha: float, n: int) -> dict:
+    """smooth_polygons' blended outlines by frame, built as float tuples;
+    None where the frame has no outline."""
+    out: dict[int, Vertices | None] = {}
+    prev = None
+    prev_frame = None
+    for f in sorted(outlines):
+        if outlines[f] is None:
+            out[f] = prev = prev_frame = None
+            continue
+        cur = np.asarray(tuple_resample(outlines[f], n))
+        if prev is None or prev_frame != f - 1:
+            smoothed = cur
+        else:
+            smoothed = alpha * _align_rotation(cur, prev) + (1.0 - alpha) * prev
+        out[f] = tuple((float(x), float(y)) for x, y in smoothed)
+        prev = smoothed
+        prev_frame = f
+    return out
+
+
+def tuple_write_annotations(doc, path) -> None:
+    """vidannot.io.write_annotations, rounding each coordinate of the tuple
+    vertices in turn."""
+
+    def round6(v: float) -> float:
+        return round(v, 6)
+
+    header = {
+        "schema_version": doc.schema_version,
+        "sequence_id": doc.sequence_id,
+        "frame_width": doc.frame_width,
+        "frame_height": doc.frame_height,
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        for f in sorted(doc.frames):
+            objects = []
+            for e in doc.frames[f]:
+                vertices = tuple(map(tuple, e.polygon.vertices.tolist()))
+                objects.append({
+                    "track_id": e.track_id,
+                    "class_label": e.class_label,
+                    "confidence": round6(e.confidence),
+                    "polygon": [[round6(x), round6(y)] for x, y in vertices],
+                    "bbox": [round6(e.bbox.x1), round6(e.bbox.y1), round6(e.bbox.x2), round6(e.bbox.y2)],
+                })
+            fh.write(
+                json.dumps({"frame": f, "objects": objects}, sort_keys=True, separators=(",", ":"))
+                + "\n"
+            )
+
+
 # Schema-v1 checkpoint files. The program only reads them now; this is the
 # writer it used to have, kept to make v1 fixtures.
 
@@ -235,7 +327,7 @@ def v1_payload(ckpt) -> dict:
             e = m.entries[f]
             entries[str(f)] = {
                 "mask": {"w": e.mask.width, "h": e.mask.height, "runs": dense_runs(e.mask.data)},
-                "polygon": [[x, y] for x, y in e.polygon.vertices] if e.polygon else None,
+                "polygon": e.polygon.vertices.tolist() if e.polygon else None,
                 "bbox": [e.bbox.x1, e.bbox.y1, e.bbox.x2, e.bbox.y2] if e.bbox else None,
                 "confidence": e.confidence,
             }

@@ -53,7 +53,7 @@ def rect_masklet(object_id, frames_and_boxes, w=20, h=20, conf=0.9):
     for f, (x1, y1, x2, y2) in frames_and_boxes:
         mask = rect_mask(x1, y1, x2, y2, w, h)
         poly = mask_to_polygon(mask, min_pixels=1)
-        m.add_entry(f, MaskletEntry(mask, poly, BBox(x1, y1, x2, y2), conf))
+        m.add_entry(f, MaskletEntry(mask, poly, conf))
     return m
 
 
@@ -155,10 +155,10 @@ class TestLazyOutline:
 
         monkeypatch.setattr(vidannot.ash, "mask_to_polygon", forbidden)
         mask = rect_mask(2, 3, 9, 7, 20, 20)
-        none = MaskletEntry(mask, None, None, 0.9)
+        none = MaskletEntry(mask, None, 0.9)
         assert none.polygon is None and none.bbox is None
         square = mask_to_polygon(rect_mask(0, 0, 4, 4, 20, 20), 1)
-        kept = MaskletEntry(mask, square, BBox(0, 0, 4, 4), 0.9)
+        kept = MaskletEntry(mask, square, 0.9)
         assert kept.polygon is square and kept.bbox == BBox(0, 0, 4, 4)
 
 
@@ -166,7 +166,7 @@ class TestRemoveTrailingEmpty:
     def test_trailing_removed(self):
         m = rect_masklet(0, [(f, (2, 2, 8, 8)) for f in range(5)])
         for f in range(5, 10):
-            m.add_entry(f, MaskletEntry(BinaryMask.zeros(20, 20), None, None, 0.9))
+            m.add_entry(f, MaskletEntry(BinaryMask.zeros(20, 20), None, 0.9))
         out = remove_trailing_empty(m, 3)
         assert out.frames() == [0, 1, 2, 3, 4]
 
@@ -180,13 +180,13 @@ class TestRemoveTrailingEmpty:
         m = rect_masklet(0, [(f, (2, 2, 8, 8)) for f in range(7)])
         g = np.zeros((20, 20), dtype=bool)
         g[0, 0] = g[0, 1] = True
-        m.add_entry(7, MaskletEntry(BinaryMask(g), None, None, 0.9))
+        m.add_entry(7, MaskletEntry(BinaryMask(g), None, 0.9))
         out = remove_trailing_empty(m, 3)
         assert out.frames() == list(range(7))
 
     def test_entirely_below_floor_dropped(self):
         m = Masklet(0, "object")
-        m.add_entry(0, MaskletEntry(BinaryMask.zeros(10, 10), None, None, 0.5))
+        m.add_entry(0, MaskletEntry(BinaryMask.zeros(10, 10), None, 0.5))
         assert remove_trailing_empty(m, 3) is None
 
 
@@ -354,10 +354,9 @@ def random_masklets(draw, max_objects=4, max_frames=6, grid=20):
                 y = draw(st.integers(0, grid - 9))
                 mask = rect_mask(x, y, x + 8, y + 8, grid, grid)
                 poly = mask_to_polygon(mask, 1)
-                from vidannot.geometry import polygon_to_bbox
-                m.add_entry(f, MaskletEntry(mask, poly, polygon_to_bbox(poly), 0.9))
+                m.add_entry(f, MaskletEntry(mask, poly, 0.9))
             else:
-                m.add_entry(f, MaskletEntry(BinaryMask.zeros(grid, grid), None, None, 0.9))
+                m.add_entry(f, MaskletEntry(BinaryMask.zeros(grid, grid), None, 0.9))
         masklets.append(m)
     return masklets
 

@@ -36,7 +36,7 @@ from vidannot.chunker import (
     run_sequence,
     save_checkpoint,
 )
-from vidannot.geometry import BBox, Polygon, iou_mask, mask_to_polygon, polygon_to_bbox
+from vidannot.geometry import Polygon, iou_mask, mask_to_polygon
 
 from helpers import rect_mask, v1_payload, write_v1_checkpoint
 
@@ -113,14 +113,11 @@ def masklet_with(object_id: int, frames: dict[int, tuple[int, int, int, int] | N
         if spec is None:
             mask = rect_mask(0, 0, 0, 0, w, h)
             mask = type(mask)(np.zeros((h, w), dtype=bool))
-            m.add_entry(f, MaskletEntry(mask, None, None, 0.9))
+            m.add_entry(f, MaskletEntry(mask, None, 0.9))
         else:
             x1, y1, x2, y2 = spec
             mask = rect_mask(x1, y1, x2, y2, w, h)
-            m.add_entry(
-                f,
-                MaskletEntry(mask, mask_to_polygon(mask, 1), BBox(x1, y1, x2, y2), 0.9),
-            )
+            m.add_entry(f, MaskletEntry(mask, mask_to_polygon(mask, 1), 0.9))
     return m
 
 
@@ -259,7 +256,7 @@ class TestCheckpointProtocol:
         ck = small_checkpoint()
         e = ck.masklets[0].entries[0]
         polygon = Polygon(((1.0, 1.0), (9.5, 1.0), (9.0, 9.0)))
-        ck.masklets[0].entries[0] = MaskletEntry(e.mask, polygon, polygon_to_bbox(polygon), e.confidence)
+        ck.masklets[0].entries[0] = MaskletEntry(e.mask, polygon, e.confidence)
         with pytest.raises(ValueError, match="9.5"):
             save_checkpoint(ck, tmp_path / "a.json")
 
@@ -345,7 +342,12 @@ class TestCheckpointProtocol:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("runs", [1, 2]), ("bbox", [1, 2, 3]), ("polygon", [[0, 0], [1, 1]])],
+        [
+            ("runs", [1, 2]),
+            ("bbox", [1, 2, 3]),
+            ("polygon", [[0, 0], [1, 1]]),
+            ("bbox", [1, 1, 9, 8]),  # not the box of the outline (1, 1)-(9, 9)
+        ],
     )
     def test_invalid_payload_is_corruption(self, tmp_path, field, value):
         # Valid JSON whose mask runs, box or polygon fail validation.
@@ -392,6 +394,31 @@ class TestCheckpointProtocol:
         path = tmp_path / "h.json"
         payload = small_checkpoint().to_payload()
         payload["header"] = header
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="unreadable"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"next_id": 3, "last_frame": 19},
+            {"next_id": "3", "last_frame": 19, "tracks": []},
+            {"next_id": 3, "last_frame": 19.0, "tracks": []},
+            {"next_id": 3, "last_frame": 19, "tracks": {}},
+            {"next_id": 3, "last_frame": 19, "tracks": [{"id": 0}]},
+            {"next_id": 3, "last_frame": 19, "tracks": [
+                {"id": 0, "box": [1, 1, 5], "last_seen_frame": 19, "class_label": "o", "age": 0}
+            ]},
+            {"next_id": 3, "last_frame": 19, "tracks": [
+                {"id": 0, "box": [1, 1, 5, 5], "last_seen_frame": 19, "class_label": 7, "age": 0}
+            ]},
+            [],
+        ],
+    )
+    def test_malformed_full_mode_assoc_state_is_corruption(self, tmp_path, state):
+        path = tmp_path / "a.json"
+        payload = small_checkpoint().to_payload()
+        payload["assoc_state"] = state
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
@@ -911,6 +938,52 @@ class TestRunSequence:
             checkpoint_dir=tmp_path / "other", sequence_id="s", resume=True, **RUN_KW
         )
         assert sorted(m.object_id for m in out) == [0, 1, 2]
+
+    def resume_past_bad_assoc_state(self, tmp_path, mode, cfg, bad_head, state):
+        """Kill a 30-frame run at frame 25, replace `bad_head`'s associator
+        state by `state` and resume. Returns the uninterrupted run's masklets,
+        the resumed run's, and the frame of the head the resume starts from."""
+        gt, det, prop, dets = build_sequence(num_frames=30)
+        ref = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode, **RUN_KW)
+
+        class Killed(Exception):
+            pass
+
+        def bomb(t):
+            if t == 25:
+                raise Killed()
+
+        ckdir = tmp_path / "k"
+        with pytest.raises(Killed):
+            run_sequence(
+                dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
+                checkpoint_dir=ckdir, sequence_id="s", on_frame=bomb, **RUN_KW
+            )
+        edit_payload(ckdir / bad_head, assoc_state=state)
+        head = CheckpointStore(ckdir, "s").load_latest().last_completed_frame
+        resumed = run_sequence(
+            dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
+            checkpoint_dir=ckdir, sequence_id="s", resume=True, **RUN_KW
+        )
+        return ref, resumed, head
+
+    def test_full_resume_passes_over_a_malformed_assoc_state(self, tmp_path):
+        ref, resumed, head = self.resume_past_bad_assoc_state(
+            tmp_path, "full", ChunkerConfig(checkpoint_interval=10), "s_ckpt_frame_0019.json",
+            {"next_id": 3},
+        )
+        assert head == 9
+        assert masklets_signature(resumed) == masklets_signature(ref)
+
+    @pytest.mark.parametrize("state", [{}, [3]])
+    def test_chunk_resume_passes_over_a_malformed_assoc_state(self, tmp_path, state):
+        # Chunks (0, 9), (6, 15), (12, 21), (18, 27), ...: the kill at frame
+        # 25 leaves the segments of frames 9, 15 and 21.
+        ref, resumed, head = self.resume_past_bad_assoc_state(
+            tmp_path, "chunk", ChunkerConfig(chi=10, omega=2), "s_ckpt_frame_0021.json", state,
+        )
+        assert head == 15
+        assert masklets_signature(resumed) == masklets_signature(ref)
 
 
 @st.composite

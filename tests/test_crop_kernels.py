@@ -195,7 +195,7 @@ class TestKernelsMatchDenseOracles:
             with pytest.raises(ValueError):
                 resample_polygon(p, n)
             return
-        assert resample_polygon(p, n).vertices == expected.vertices
+        assert resample_polygon(p, n).vertices.tolist() == expected.vertices.tolist()
 
     def test_rasterize_far_outside_the_frame(self):
         p = Polygon(((-50.0, -50.0), (-40.0, -50.0), (-45.0, -40.0)))
@@ -267,6 +267,6 @@ def test_pipeline_never_builds_a_frame(no_frame_grids, tmp_path):
             assert outcome.qa > 0.5
     # The oracle scene has no duplicate segments, so merge one explicitly.
     mask = gt[0].objects[0].mask
-    twins = [Masklet(i, "object", {0: MaskletEntry(mask, None, None, 0.9)}) for i in (0, 1)]
+    twins = [Masklet(i, "object", {0: MaskletEntry(mask, None, 0.9)}) for i in (0, 1)]
     (merged,) = merge_redundant_frame(twins, 0, 0.3)
     assert merged.entries[0].mask == mask

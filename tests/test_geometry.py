@@ -73,7 +73,7 @@ class TestMaskIoU:
 class TestMaskToPolygon:
     def test_full_square(self):
         p = mask_to_polygon(BinaryMask(np.ones((4, 4), dtype=bool)))
-        assert p.vertices == ((0.0, 0.0), (3.0, 0.0), (3.0, 3.0), (0.0, 3.0))
+        assert p.vertices.tolist() == [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.0, 3.0]]
 
     def test_empty(self):
         assert mask_to_polygon(BinaryMask.zeros(4, 4)) is None
@@ -92,15 +92,15 @@ class TestMaskToPolygon:
         g[:, 0:2] = True
         g[3:5, :] = True
         p = mask_to_polygon(BinaryMask(g))
-        assert p.vertices == (
-            (0.0, 0.0),
-            (1.0, 0.0),
-            (1.0, 2.0),
-            (2.0, 3.0),
-            (4.0, 3.0),
-            (4.0, 4.0),
-            (0.0, 4.0),
-        )
+        assert p.vertices.tolist() == [
+            [0.0, 0.0],
+            [1.0, 0.0],
+            [1.0, 2.0],
+            [2.0, 3.0],
+            [4.0, 3.0],
+            [4.0, 4.0],
+            [0.0, 4.0],
+        ]
 
     def test_largest_component_wins(self):
         g = np.zeros((10, 10), dtype=bool)
@@ -130,19 +130,19 @@ class TestResample:
     SQUARE = Polygon(((0, 0), (10, 0), (10, 10), (0, 10)))
 
     def test_square_n4_corners(self):
-        assert resample_polygon(self.SQUARE, 4).vertices == self.SQUARE.vertices
+        assert resample_polygon(self.SQUARE, 4).vertices.tolist() == self.SQUARE.vertices.tolist()
 
     def test_square_n8_midpoints(self):
-        assert resample_polygon(self.SQUARE, 8).vertices == (
-            (0.0, 0.0),
-            (5.0, 0.0),
-            (10.0, 0.0),
-            (10.0, 5.0),
-            (10.0, 10.0),
-            (5.0, 10.0),
-            (0.0, 10.0),
-            (0.0, 5.0),
-        )
+        assert resample_polygon(self.SQUARE, 8).vertices.tolist() == [
+            [0.0, 0.0],
+            [5.0, 0.0],
+            [10.0, 0.0],
+            [10.0, 5.0],
+            [10.0, 10.0],
+            [5.0, 10.0],
+            [0.0, 10.0],
+            [0.0, 5.0],
+        ]
 
     def test_uniform_fixed_point(self):
         uniform = resample_polygon(self.SQUARE, 8)

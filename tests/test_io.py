@@ -142,6 +142,28 @@ class TestAnnotations:
         with pytest.raises(FormatError):
             read_annotations(p)
 
+    @pytest.mark.parametrize(
+        "line, key, value",
+        [
+            (1, "polygon", None),
+            (1, "polygon", [[2, 2, 0], [8, 2, 0], [8, 8, 0]]),
+            (1, "polygon", [[2, 2], [8, 8]]),
+            (1, "bbox", [2, 2, 8]),
+            (0, None, ["seq1", 320, 240]),
+        ],
+    )
+    def test_malformed_file_raises_format_error_naming_it(self, tmp_path, line, key, value):
+        p = tmp_path / "a.jsonl"
+        write_annotations(square_doc(), p)
+        lines = [json.loads(s) for s in p.read_text().splitlines()]
+        if key is None:
+            lines[line] = value
+        else:
+            lines[line]["objects"][0][key] = value
+        p.write_text("\n".join(json.dumps(v) for v in lines) + "\n")
+        with pytest.raises(FormatError, match=str(p)):
+            read_annotations(p)
+
 
 class TestConfig:
     def test_empty_config_gives_paper_defaults(self, tmp_path):

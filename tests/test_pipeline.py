@@ -305,7 +305,7 @@ class TestQaScore:
         cfg = tiny_pipe_cfg()
         src = synthetic_source("s", cfg, cfg.world)
         from vidannot.ash import Masklet, MaskletEntry
-        from vidannot.geometry import mask_to_polygon, polygon_to_bbox
+        from vidannot.geometry import mask_to_polygon
 
         masklets = []
         for i in range(2):
@@ -313,7 +313,7 @@ class TestQaScore:
             for t, frame in enumerate(src.ground_truth):
                 mask = frame.objects[i].mask
                 poly = mask_to_polygon(mask, 1)
-                m.add_entry(t, MaskletEntry(mask, poly, polygon_to_bbox(poly) if poly else None, 0.9))
+                m.add_entry(t, MaskletEntry(mask, poly, 0.9))
             masklets.append(m)
         assert qa_score(masklets, src.ground_truth, range(12)) == pytest.approx(1.0)
 

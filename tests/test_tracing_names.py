@@ -161,3 +161,37 @@ def test_each_chain_link_loads_and_each_segment_saves_through_the_rebound_names(
     assert names.count("chunker.ckpt_load") == 3
     assert names.count("chunker.ckpt_save") == tracer.counts["chunker.ckpt_saves"] == 1
     assert tracer.counts["chunker.ckpt_bytes"] == (tmp_path / "ckpt" / "s_ckpt_final.json").stat().st_size
+
+
+def test_every_smoothed_outline_rasterizes_through_the_rebound_name(tmp_path, monkeypatch):
+    # perfbench's ash.rasterize_* metrics time and count
+    # vidannot.ash.rasterize_polygon; smoothing that rasterized through any
+    # other name would leave them reading 0.
+    gt = generate_synthetic_sequence(
+        SyntheticWorldConfig(num_objects=3, num_frames=30, rng_seed=4)
+    )
+    source = SequenceSource("s", gt, SyntheticDetector(gt, DetectionNoise()), SyntheticPropagator(gt))
+    cfg = PipelineConfig(ash=AshConfig(alpha=0.2))
+
+    def annotate(out):
+        report = run_dataset({"s": source}, cfg.smart_od, cfg, out, mode="full")
+        assert report.failures == []
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    untraced = annotate(tmp_path / "untraced")
+    smoothed = []
+    real = vidannot.ash.smooth_polygons
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        smoothed.extend(e for e in out.entries.values() if e.polygon is not None)
+        return out
+
+    monkeypatch.setattr(vidannot.ash, "smooth_polygons", recorded)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.Instrumented(tracer):
+        traced = annotate(tmp_path / "traced")
+    assert smoothed
+    assert tracer.counts["ash.rasterize_calls"] == len(smoothed)
+    assert traced == untraced
