@@ -16,9 +16,11 @@ from .geometry import (
     BBox,
     BinaryMask,
     Polygon,
+    box_overlap,
     iou_mask,
     mask_to_polygon,
     polygon_to_bbox,
+    raster_box,
     rasterize_polygon,
     resample_polygon,
     union_masks,
@@ -61,26 +63,54 @@ class MaskletEntry:
     """One frame of a masklet: its mask, outline polygon and confidence; its
     box is the outline's box.
 
-    An entry built from a mask alone (`from_mask`) traces its outline the
-    first time `.polygon` or `.bbox` is read and keeps it, so entries that
-    merging, stitching or pruning discard never pay for a contour. One built
-    with an explicit polygon keeps it, None included.
+    An entry holds a mask, an outline or both, and derives whichever is
+    missing the first time it is read, then keeps it. One built from a mask
+    alone (`from_mask`) traces its outline, so entries that merging,
+    stitching or pruning discard never pay for a contour. One built from an
+    outline alone (`from_outline`) rasterizes it at the entry's frame size,
+    so smoothed entries whose mask nothing reads never pay for a raster. One
+    built with both keeps them, a None outline included.
     """
 
-    __slots__ = ("mask", "confidence", "_polygon")
+    __slots__ = ("confidence", "_mask", "_polygon", "_size")
 
     def __init__(self, mask: BinaryMask, polygon: Polygon | None, confidence: float) -> None:
-        self.mask = mask
+        self._mask: BinaryMask | None = mask
         self._polygon = polygon
         self.confidence = confidence
+        self._size = (mask.width, mask.height)
 
     @classmethod
     def from_mask(cls, mask: BinaryMask, confidence: float) -> MaskletEntry:
         return cls(mask, _UNTRACED, confidence)
 
+    @classmethod
+    def from_outline(
+        cls, polygon: Polygon, frame_size: tuple[int, int], confidence: float
+    ) -> MaskletEntry:
+        """An entry of a width x height frame whose mask is the raster of
+        `polygon`."""
+        entry = cls.__new__(cls)
+        entry._mask = None
+        entry._polygon = polygon
+        entry.confidence = confidence
+        entry._size = frame_size
+        return entry
+
     def _trace(self) -> None:
         if self._polygon is _UNTRACED:
-            self._polygon = mask_to_polygon(self.mask, min_pixels=1)
+            self._polygon = mask_to_polygon(self._mask, min_pixels=1)
+
+    @property
+    def mask(self) -> BinaryMask:
+        if self._mask is None:
+            self._mask = rasterize_polygon(self._polygon, *self._size)
+        return self._mask
+
+    @property
+    def frame_size(self) -> tuple[int, int]:
+        """(width, height) of the entry's frame."""
+        return self._size
 
     @property
     def polygon(self) -> Polygon | None:
@@ -91,6 +121,15 @@ class MaskletEntry:
     def bbox(self) -> BBox | None:
         polygon = self.polygon
         return polygon_to_bbox(polygon) if polygon is not None else None
+
+    def pixel_box(self) -> tuple[int, int, int, int] | None:
+        """A frame box (x0, y0, x1, y1), end-exclusive, that holds every pixel
+        of the mask, found without rasterizing: the mask's crop box once the
+        mask exists, the outline's raster box before. None when the mask is
+        empty or the box is."""
+        if self._mask is None:
+            return raster_box(self._polygon, *self._size)
+        return None if self._mask.is_empty() else self._mask.crop_box
 
 
 @dataclass
@@ -178,13 +217,14 @@ def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
 
     Polygons are resampled to a common vertex count and rotation-aligned, then
     blended with the previous frame's smoothed result. Gaps (missing frames or
-    empty masks) reset the recursion. alpha = 1 is the identity.
+    empty masks) reset the recursion. alpha = 1 is the identity. Each
+    smoothed entry holds its outline alone; its mask is rasterized when read.
     """
     if alpha >= 1.0:
         return m
     frames = m.frames()
     # Outlines are traced back to back, which runs faster than tracing each
-    # between the previous frame's resampling and rasterizing.
+    # between the previous frame's resampling and blending.
     polygons = [m.entries[f].polygon for f in frames]
     out = Masklet(m.object_id, m.class_label)
     prev: np.ndarray | None = None
@@ -199,14 +239,15 @@ def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
         if prev_frame == f - 1:
             aligned = _align_rotation(blended.vertices, prev)
             blended = Polygon(alpha * aligned + (1.0 - alpha) * prev)
-        mask = rasterize_polygon(blended, entry.mask.width, entry.mask.height)
-        out.entries[f] = MaskletEntry(mask, blended, entry.confidence)
+        out.entries[f] = MaskletEntry.from_outline(blended, entry.frame_size, entry.confidence)
         prev = blended.vertices
         prev_frame = f
     return out
 
 
-def _merge_pass(present: list[Masklet], frame: int, tau_merge: float) -> bool:
+def _merge_pass(
+    present: list[Masklet], boxes: list[tuple], frame: int, tau_merge: float
+) -> bool:
     n = len(present)
     parent = list(range(n))
 
@@ -219,6 +260,10 @@ def _merge_pass(present: list[Masklet], frame: int, tau_merge: float) -> bool:
     merged_any = False
     for i in range(n):
         for j in range(i + 1, n):
+            # Masks in disjoint boxes share no pixel: their IoU is 0, never
+            # above tau_merge > 0, and neither needs to be rasterized.
+            if box_overlap(boxes[i], boxes[j]) is None:
+                continue
             v = iou_mask(present[i].entries[frame].mask, present[j].entries[frame].mask)
             if v > tau_merge:
                 ri, rj = find(i), find(j)
@@ -253,13 +298,16 @@ def merge_redundant_frame(
     dropped.
     """
     while True:
-        present = [
-            m
-            for m in masklets
-            if frame in m.entries and not m.entries[frame].mask.is_empty()
-        ]
-        present.sort(key=lambda m: m.object_id)
-        if len(present) < 2 or not _merge_pass(present, frame, tau_merge):
+        # A pixel box is None for every empty mask. An outline's raster may
+        # still turn out empty; such an entry shares no pixel with any other,
+        # so it joins no group and changes no keeper or union.
+        present, boxes = [], []
+        for m in sorted(masklets, key=lambda m: m.object_id):
+            box = m.entries[frame].pixel_box() if frame in m.entries else None
+            if box is not None:
+                present.append(m)
+                boxes.append(box)
+        if len(present) < 2 or not _merge_pass(present, boxes, frame, tau_merge):
             break
     return [m for m in masklets if m.entries]
 
@@ -269,7 +317,8 @@ def postprocess_masklets(
 ) -> list[Masklet]:
     """Refine propagated masklets: trailing-empty pruning, temporal smoothing,
     then per-frame redundancy merging. Every returned entry has its outline
-    traced."""
+    traced; a smoothed entry's mask is rasterized only when something reads
+    it."""
     pruned = []
     for m in masklets:
         kept = remove_trailing_empty(m, cfg.epsilon_mask)

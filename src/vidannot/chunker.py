@@ -194,16 +194,22 @@ class Checkpoint:
             )
         # A resume restores the associator state as it is, so a malformed one
         # is corruption too.
-        state = payload["assoc_state"]
+        state, last = payload["assoc_state"], payload["last_completed_frame"]
         if payload["mode"] == "full":
             Associator().set_state(state)
+            # The resume associates the frame after the last completed one,
+            # which must come after every frame the state has seen.
+            if state["last_frame"] is not None and state["last_frame"] > last:
+                raise ValueError(
+                    f"associator state has seen frame {state['last_frame']}, "
+                    f"after last completed frame {last!r}"
+                )
         elif not (isinstance(state, dict) and type(state.get("next_id")) is int):
             raise ValueError(f"chunk-mode associator state {state!r} has no integer next_id")
         if version == 1:
             return _from_v1_payload(payload)
         header = payload["header"]
         width, height, num_frames = header["width"], header["height"], header["num_frames"]
-        last = payload["last_completed_frame"]
         if any(type(v) is not int for v in (width, height, num_frames, last)) or not (
             width >= 1 and height >= 1 and 0 <= last < num_frames
         ):

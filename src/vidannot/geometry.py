@@ -149,6 +149,12 @@ class BinaryMask:
         """Number of foreground pixels."""
         return self._count
 
+    @property
+    def crop_box(self) -> tuple[int, int, int, int]:
+        """The crop's frame box as (x0, y0, x1, y1), end-exclusive."""
+        h, w = self._crop.shape
+        return self._x0, self._y0, self._x0 + w, self._y0 + h
+
     def is_empty(self) -> bool:
         return self._count == 0
 
@@ -271,7 +277,7 @@ def iou_mask(a: BinaryMask, b: BinaryMask) -> float:
         raise ValueError(
             f"mask dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    window = _overlap(a, b)
+    window = box_overlap(a.crop_box, b.crop_box)
     inter = int(np.count_nonzero(_window(a, window) & _window(b, window))) if window else 0
     union = a.count + b.count - inter
     if union == 0:
@@ -279,16 +285,13 @@ def iou_mask(a: BinaryMask, b: BinaryMask) -> float:
     return inter / union
 
 
-def _box(m: BinaryMask) -> tuple[int, int, int, int]:
-    """The crop's frame box as (x0, y0, x1, y1), end-exclusive."""
-    h, w = m.crop.shape
-    return m.x0, m.y0, m.x0 + w, m.y0 + h
-
-
-def _overlap(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int, int] | None:
-    ax0, ay0, ax1, ay1 = _box(a)
-    bx0, by0, bx1, by1 = _box(b)
-    x0, y0, x1, y1 = max(ax0, bx0), max(ay0, by0), min(ax1, bx1), min(ay1, by1)
+def box_overlap(
+    a: tuple[int, int, int, int], b: tuple[int, int, int, int]
+) -> tuple[int, int, int, int] | None:
+    """The common part of two end-exclusive pixel boxes (x0, y0, x1, y1);
+    None when they share no pixel."""
+    x0, y0 = max(a[0], b[0]), max(a[1], b[1])
+    x1, y1 = min(a[2], b[2]), min(a[3], b[3])
     return (x0, y0, x1, y1) if x0 < x1 and y0 < y1 else None
 
 
@@ -306,7 +309,7 @@ def union_masks(masks: Sequence[BinaryMask]) -> BinaryMask:
     present = [m for m in masks if not m.is_empty()]
     if not present:
         return BinaryMask.zeros(width, height)
-    boxes = [_box(m) for m in present]
+    boxes = [m.crop_box for m in present]
     x0, y0 = min(b[0] for b in boxes), min(b[1] for b in boxes)
     x1, y1 = max(b[2] for b in boxes), max(b[3] for b in boxes)
     grid = np.zeros((y1 - y0, x1 - x0), dtype=bool)
@@ -469,22 +472,31 @@ def _draw_edges(vertices: np.ndarray, grid: np.ndarray, x0: int, y0: int) -> Non
     grid[py[ok], px[ok]] = True
 
 
-def rasterize_polygon(p: Polygon, width: int, height: int) -> BinaryMask:
-    """Pixel-center rasterization: even-odd interior fill plus boundary pixels.
-
-    Only the polygon's box, widened by a pixel of rounding slack and clipped
-    to the frame, is rasterized.
-    """
+def raster_box(p: Polygon, width: int, height: int) -> tuple[int, int, int, int] | None:
+    """The frame box (x0, y0, x1, y1), end-exclusive, that `rasterize_polygon`
+    fills: the polygon's box, widened by a pixel of rounding slack and clipped
+    to the width x height frame; None when nothing of it is left. The
+    raster's crop always lies inside it."""
     verts = p.vertices
     x0 = max(0, int(math.floor(verts[:, 0].min())) - 1)
     y0 = max(0, int(math.floor(verts[:, 1].min())) - 1)
     x1 = min(width, int(math.ceil(verts[:, 0].max())) + 2)
     y1 = min(height, int(math.ceil(verts[:, 1].max())) + 2)
-    if x0 >= x1 or y0 >= y1:
+    return (x0, y0, x1, y1) if x0 < x1 and y0 < y1 else None
+
+
+def rasterize_polygon(p: Polygon, width: int, height: int) -> BinaryMask:
+    """Pixel-center rasterization: even-odd interior fill plus boundary pixels.
+
+    Only the polygon's `raster_box` is rasterized.
+    """
+    box = raster_box(p, width, height)
+    if box is None:
         return BinaryMask.zeros(width, height)
+    x0, y0, x1, y1 = box
     grid = np.zeros((y1 - y0, x1 - x0), dtype=bool)
-    _fill_scanline(verts, grid, x0, y0)
-    _draw_edges(verts, grid, x0, y0)
+    _fill_scanline(p.vertices, grid, x0, y0)
+    _draw_edges(p.vertices, grid, x0, y0)
     return BinaryMask.from_crop(grid, x0, y0, width, height)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .ash import AshConfig, Masklet, MaskletEntry
 from .assoc import AssocConfig
 from .backends import (
@@ -114,6 +116,32 @@ class AnnotationDocument:
     schema_version: int = ANNOTATION_SCHEMA_VERSION
 
 
+def _round6_rows(vertices: np.ndarray) -> list[list[float]]:
+    """`[[round(x, 6), round(y, 6)], ...]` for an (n, 2) array, with the
+    rounding done as one array op.
+
+    Python's round is correctly rounded: it rounds the exact product
+    v * 10**6 half to even, then returns the float nearest to that whole
+    number / 10**6. np.rint(v * 1e6) / 1e6 does the same whenever the float
+    product v * 1e6 rounds to the same whole number as the exact one, since
+    dividing a whole float by 1e6 is correctly rounded. The float product is
+    off the exact one by at most 2**-52 of its size, so it can round
+    differently only within that distance of a half-integer. Where the float
+    product lies within max(|product|, 1) * 2**-48 of a half-integer, or is
+    not below 2**47 in size, the coordinate is rounded by round instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = vertices * 1e6
+        size = np.abs(scaled)
+        unsure = ~(size < 2.0**47) | (
+            np.abs(scaled - np.floor(scaled) - 0.5) <= 2.0**-48 * np.maximum(size, 1.0)
+        )
+    rows = (np.rint(scaled) / 1e6).tolist()
+    for i, j in zip(*np.nonzero(unsure)):
+        rows[i][j] = round(float(vertices[i, j]), 6)
+    return rows
+
+
 def write_annotations(doc: AnnotationDocument, path: str | Path) -> None:
     """Line-delimited output: a header line, then one frame object per line."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -131,8 +159,7 @@ def write_annotations(doc: AnnotationDocument, path: str | Path) -> None:
                     "track_id": e.track_id,
                     "class_label": e.class_label,
                     "confidence": round(e.confidence, 6),
-                    # Python's round is correctly rounded; np.round is not.
-                    "polygon": [[round(x, 6), round(y, 6)] for x, y in e.polygon.vertices.tolist()],
+                    "polygon": _round6_rows(e.polygon.vertices),
                     "bbox": [round(v, 6) for v in (e.bbox.x1, e.bbox.y1, e.bbox.x2, e.bbox.y2)],
                 }
                 for e in doc.frames[f]

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import ndimage
 
 from vidannot import geometry
-from vidannot.ash import _align_rotation
+from vidannot.ash import MaskletEntry, _align_rotation
 from vidannot.backends import SyntheticWorldConfig, generate_synthetic_sequence
 from vidannot.geometry import BBox, BinaryMask, Polygon
 
@@ -223,6 +223,52 @@ def loop_resample_polygon(p: Polygon, n: int) -> Polygon:
     return Polygon(tuple(out))
 
 
+def eager_merge_redundant_frame(masklets: list, frame: int, tau_merge: float) -> list:
+    """vidannot.ash.merge_redundant_frame as it was while every smoothed entry
+    held its raster: each entry's mask is read to find the present ones, and
+    every pair of them goes through iou_mask."""
+    while True:
+        present = [
+            m for m in masklets if frame in m.entries and not m.entries[frame].mask.is_empty()
+        ]
+        present.sort(key=lambda m: m.object_id)
+        if len(present) < 2:
+            break
+        n = len(present)
+        parent = list(range(n))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = geometry.iou_mask(present[i].entries[frame].mask, present[j].entries[frame].mask)
+                if v > tau_merge:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+        groups: dict[int, list[int]] = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        merged_any = False
+        for root, members in groups.items():
+            if len(members) < 2:
+                continue
+            merged_any = True
+            keeper = present[root]
+            union = geometry.union_masks([present[i].entries[frame].mask for i in members])
+            for i in members:
+                if i != root:
+                    del present[i].entries[frame]
+            keeper.entries[frame] = MaskletEntry.from_mask(union, keeper.entries[frame].confidence)
+        if not merged_any:
+            break
+    return [m for m in masklets if m.entries]
+
+
 # Tuple oracles: outlines built and written as they were when a Polygon held
 # a tuple of (x, y) float tuples. The array paths must give the same floats
 # and the same bytes.
@@ -283,7 +329,7 @@ def tuple_smooth(outlines: dict[int, Vertices | None], alpha: float, n: int) -> 
 
 def tuple_write_annotations(doc, path) -> None:
     """vidannot.io.write_annotations, rounding each coordinate of the tuple
-    vertices in turn."""
+    vertices in turn with Python's correctly rounded round."""
 
     def round6(v: float) -> float:
         return round(v, 6)

@@ -21,14 +21,27 @@ from vidannot.ash import (
 from vidannot.assoc import NewObject
 from vidannot.backends import (
     Detection,
+    DetectionNoise,
     PropagationDegradation,
+    SyntheticDetector,
     SyntheticPropagator,
     SyntheticWorldConfig,
     generate_synthetic_sequence,
 )
-from vidannot.geometry import BBox, BinaryMask, iou_mask, mask_to_polygon, polygon_to_bbox
+from vidannot.config import PipelineConfig
+from vidannot.geometry import (
+    BBox,
+    BinaryMask,
+    Polygon,
+    box_overlap,
+    iou_mask,
+    mask_to_polygon,
+    polygon_to_bbox,
+    rasterize_polygon,
+)
+from vidannot.pipeline import SequenceSource, run_dataset
 
-from helpers import rect_mask
+from helpers import eager_merge_redundant_frame, rect_mask
 
 
 def world(n=2, frames=10, vel=None, seed=1):
@@ -160,6 +173,192 @@ class TestLazyOutline:
         square = mask_to_polygon(rect_mask(0, 0, 4, 4, 20, 20), 1)
         kept = MaskletEntry(mask, square, 0.9)
         assert kept.polygon is square and kept.bbox == BBox(0, 0, 4, 4)
+
+
+@st.composite
+def smoothed_masklets(draw):
+    """A masklet of sparse masks on consecutive frames of one small frame
+    size, smoothed at a drawn alpha."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = Masklet(0, "object")
+    for f in range(draw(st.integers(1, 4))):
+        m.add_entry(f, MaskletEntry.from_mask(BinaryMask(rng.random((h, w)) < density), 0.8))
+    alpha = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    return smooth_polygons(m, alpha, draw(st.integers(3, 24))), w, h
+
+
+class TestLazyRaster:
+    @given(smoothed_masklets())
+    @settings(max_examples=1000, deadline=None)
+    def test_smoothed_entry_reports_the_raster_of_its_outline(self, case):
+        m, w, h = case
+        for entry in m.entries.values():
+            if entry.polygon is None:
+                continue
+            box = entry.pixel_box()
+            assert entry.frame_size == (w, h)
+            assert entry.mask == rasterize_polygon(entry.polygon, w, h)
+            assert entry.mask is entry.mask
+            if not entry.mask.is_empty():
+                assert box_overlap(entry.mask.crop_box, box) == entry.mask.crop_box
+
+    def test_rasterized_once_on_first_read(self, monkeypatch):
+        calls = []
+        real = vidannot.ash.rasterize_polygon
+
+        def counted(p, width, height):
+            calls.append((p, width, height))
+            return real(p, width, height)
+
+        monkeypatch.setattr(vidannot.ash, "rasterize_polygon", counted)
+        square = mask_to_polygon(rect_mask(2, 3, 9, 7, 20, 20), 1)
+        entry = MaskletEntry.from_outline(square, (20, 16), 0.9)
+        assert entry.polygon is square and entry.bbox == BBox(2, 3, 9, 7)
+        assert entry.pixel_box() == (1, 2, 11, 9)
+        assert calls == []
+        assert entry.mask == rect_mask(2, 3, 9, 7, 20, 16)
+        assert entry.mask.count == 40
+        assert calls == [(square, 20, 16)]
+        assert entry.pixel_box() == (2, 3, 10, 8)
+
+    def test_explicit_mask_is_never_rasterized_again(self, monkeypatch):
+        def forbidden(*_, **__):
+            raise AssertionError("an explicit mask was rasterized again")
+
+        monkeypatch.setattr(vidannot.ash, "rasterize_polygon", forbidden)
+        mask = rect_mask(2, 3, 9, 7, 20, 20)
+        for entry in (
+            MaskletEntry(mask, mask_to_polygon(mask, 1), 0.9),
+            MaskletEntry(mask, None, 0.9),
+            MaskletEntry.from_mask(mask, 0.9),
+        ):
+            assert entry.pixel_box() == (2, 3, 10, 8)
+            assert entry.mask is mask and entry.mask is mask
+
+    def test_outline_outside_the_frame_can_have_a_box_and_no_pixel(self):
+        # Every vertex lies between the pixel centres x = -1 and x = 0.
+        sliver = Polygon(((-1.4, 1.0), (-0.6, 2.0), (-1.0, 5.5)))
+        entry = MaskletEntry.from_outline(sliver, (8, 8), 0.9)
+        assert entry.pixel_box() == (0, 0, 2, 8)
+        assert entry.mask.is_empty()
+        assert entry.pixel_box() is None
+
+    def test_a_run_rasterizes_only_the_masks_it_reads_each_once(self, tmp_path, monkeypatch):
+        # Merging reads a smoothed mask only for pairs whose boxes meet, and
+        # QA only on its sampled frames; the writer reads outlines alone.
+        gt = generate_synthetic_sequence(
+            SyntheticWorldConfig(num_objects=3, num_frames=30, rng_seed=4)
+        )
+        source = SequenceSource(
+            "s", gt, SyntheticDetector(gt, DetectionNoise()), SyntheticPropagator(gt)
+        )
+        cfg = PipelineConfig(ash=AshConfig(alpha=0.2))
+        smoothed = []
+        real_smooth = vidannot.ash.smooth_polygons
+
+        def smooth(*args, **kwargs):
+            out = real_smooth(*args, **kwargs)
+            smoothed.extend(e for e in out.entries.values() if e.polygon is not None)
+            return out
+
+        reading: list[MaskletEntry] = []
+        real_mask = MaskletEntry.__dict__["mask"]
+
+        def read_mask(entry):
+            reading.append(entry)
+            try:
+                return real_mask.__get__(entry, MaskletEntry)
+            finally:
+                reading.pop()
+
+        rasterized = []
+        real_raster = vidannot.ash.rasterize_polygon
+
+        def raster(p, width, height):
+            assert reading, "an outline was rasterized with no mask being read"
+            assert reading[-1].polygon is p
+            rasterized.append(reading[-1])
+            return real_raster(p, width, height)
+
+        monkeypatch.setattr(vidannot.ash, "smooth_polygons", smooth)
+        monkeypatch.setattr(MaskletEntry, "mask", property(read_mask, real_mask.__set__))
+        monkeypatch.setattr(vidannot.ash, "rasterize_polygon", raster)
+        report = run_dataset({"s": source}, cfg.smart_od, cfg, tmp_path, mode="full")
+        assert report.failures == []
+        assert smoothed and rasterized
+        assert len({id(e) for e in rasterized}) == len(rasterized) < len(smoothed)
+        assert {id(e) for e in rasterized} <= {id(e) for e in smoothed}
+
+
+@st.composite
+def merge_inputs(draw):
+    """Masklets with one entry each at frame 0, and some at frame 1, on a
+    small frame: outlines on a half-pixel lattice (so boxes touch and abut),
+    free-form outlines partly or wholly outside the frame, slivers left of
+    the frame whose box is not empty though their raster is, and plain
+    masks, empty ones included."""
+    w, h = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    frames = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["lattice", "free", "sliver", "mask"]))
+        if kind == "mask":
+            density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            frames.append(BinaryMask(rng.random((h, w)) < density))
+            continue
+        n = draw(st.integers(3, 6))
+        if kind == "lattice":
+            x = st.integers(-6, 2 * w + 6).map(lambda k: k / 2)
+            y = st.integers(-6, 2 * h + 6).map(lambda k: k / 2)
+        elif kind == "free":
+            x = st.floats(-6.0, w + 6.0, allow_nan=False)
+            y = st.floats(-6.0, h + 6.0, allow_nan=False)
+        else:
+            x = st.floats(-1.45, -0.55, allow_nan=False)
+            y = st.floats(-1.0, h + 1.0, allow_nan=False)
+        vertices = draw(st.lists(st.tuples(x, y), min_size=n, max_size=n))
+        if kind == "lattice" and draw(st.booleans()):
+            (x0, y0), (x1, y1) = vertices[:2]
+            vertices = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]  # a box outline
+        frames.append(Polygon(vertices))
+    ids = draw(st.permutations(range(len(frames))))
+    later = draw(st.lists(st.booleans(), min_size=len(frames), max_size=len(frames)))
+    return w, h, list(zip(ids, frames, later)), draw(st.sampled_from([0.05, 0.3, 0.7]))
+
+
+def merge_masklets(w, h, spec, lazy):
+    masklets = []
+    for object_id, outline, later in spec:
+        m = Masklet(object_id, "object")
+        if isinstance(outline, BinaryMask):
+            m.add_entry(0, MaskletEntry.from_mask(outline, 0.5))
+        elif lazy:
+            m.add_entry(0, MaskletEntry.from_outline(outline, (w, h), 0.5))
+        else:
+            m.add_entry(0, MaskletEntry(rasterize_polygon(outline, w, h), outline, 0.5))
+        if later:
+            m.add_entry(1, MaskletEntry.from_mask(rect_mask(0, 0, 0, 0, w, h), 0.5))
+        masklets.append(m)
+    return masklets
+
+
+class TestLazyMergeEqualsEager:
+    @given(merge_inputs())
+    @settings(max_examples=1000, deadline=None)
+    def test_merge_on_lazy_entries_matches_the_eager_merge(self, case):
+        w, h, spec, tau = case
+        got = merge_redundant_frame(merge_masklets(w, h, spec, lazy=True), 0, tau)
+        want = eager_merge_redundant_frame(merge_masklets(w, h, spec, lazy=False), 0, tau)
+        assert [m.object_id for m in got] == [m.object_id for m in want]
+        for a, b in zip(got, want):
+            assert a.frames() == b.frames()
+            for f in a.frames():
+                ea, eb = a.entries[f], b.entries[f]
+                assert ea.mask == eb.mask
+                assert ea.polygon == eb.polygon
+                assert ea.confidence == eb.confidence
 
 
 class TestRemoveTrailingEmpty:

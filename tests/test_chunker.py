@@ -413,6 +413,7 @@ class TestCheckpointProtocol:
                 {"id": 0, "box": [1, 1, 5, 5], "last_seen_frame": 19, "class_label": 7, "age": 0}
             ]},
             [],
+            {"next_id": 1, "last_frame": 6, "tracks": []},  # after last completed frame 5
         ],
     )
     def test_malformed_full_mode_assoc_state_is_corruption(self, tmp_path, state):
@@ -912,7 +913,11 @@ class TestRunSequence:
             checkpoint_dir=tmp_path / "v2", sequence_id="s", **RUN_KW
         )
         state = CheckpointStore(tmp_path / "v2", "s").load_latest()
-        write_v1_checkpoint(replace(state, last_completed_frame=49), tmp_path / "s_ckpt_frame_0049.json")
+        # The associator state must not have seen a frame after frame 49.
+        at_49 = replace(
+            state, last_completed_frame=49, assoc_state={**state.assoc_state, "last_frame": 49}
+        )
+        write_v1_checkpoint(at_49, tmp_path / "s_ckpt_frame_0049.json")
         if case == "frame size":
             _, det, prop, dets = build_sequence(num_frames=60, size=(256, 192))
             expected = "320x240.*256x192"
@@ -941,7 +946,7 @@ class TestRunSequence:
 
     def resume_past_bad_assoc_state(self, tmp_path, mode, cfg, bad_head, state):
         """Kill a 30-frame run at frame 25, replace `bad_head`'s associator
-        state by `state` and resume. Returns the uninterrupted run's masklets,
+        state by `state` (or by `state` of it, for a function) and resume. Returns the uninterrupted run's masklets,
         the resumed run's, and the frame of the head the resume starts from."""
         gt, det, prop, dets = build_sequence(num_frames=30)
         ref = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode, **RUN_KW)
@@ -959,6 +964,8 @@ class TestRunSequence:
                 dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
                 checkpoint_dir=ckdir, sequence_id="s", on_frame=bomb, **RUN_KW
             )
+        if callable(state):
+            state = state(json.loads((ckdir / bad_head).read_text())["assoc_state"])
         edit_payload(ckdir / bad_head, assoc_state=state)
         head = CheckpointStore(ckdir, "s").load_latest().last_completed_frame
         resumed = run_sequence(
@@ -971,6 +978,18 @@ class TestRunSequence:
         ref, resumed, head = self.resume_past_bad_assoc_state(
             tmp_path, "full", ChunkerConfig(checkpoint_interval=10), "s_ckpt_frame_0019.json",
             {"next_id": 3},
+        )
+        assert head == 9
+        assert masklets_signature(resumed) == masklets_signature(ref)
+
+    @pytest.mark.parametrize("mode", ["full", "auto"])
+    def test_resume_passes_over_an_assoc_state_ahead_of_its_frame(self, tmp_path, mode):
+        # The frame-19 segment's state has seen frame 27, so resuming from it
+        # would associate frame 20 after frame 27. A chunk-mode state holds
+        # no frame; auto mode resumes the full-mode chain first.
+        ref, resumed, head = self.resume_past_bad_assoc_state(
+            tmp_path, mode, ChunkerConfig(checkpoint_interval=10), "s_ckpt_frame_0019.json",
+            lambda state: {**state, "last_frame": 27},
         )
         assert head == 9
         assert masklets_signature(resumed) == masklets_signature(ref)

@@ -25,8 +25,10 @@ from vidannot.config import PipelineConfig
 from vidannot.geometry import (
     BinaryMask,
     Polygon,
+    box_overlap,
     iou_mask,
     mask_to_polygon,
+    raster_box,
     rasterize_polygon,
     resample_polygon,
     shift_mask,
@@ -177,7 +179,10 @@ class TestKernelsMatchDenseOracles:
     @settings(max_examples=1000, deadline=None)
     def test_rasterize(self, case):
         p, w, h = case
-        assert np.array_equal(rasterize_polygon(p, w, h).data, dense_rasterize(p, w, h))
+        raster = rasterize_polygon(p, w, h)
+        assert np.array_equal(raster.data, dense_rasterize(p, w, h))
+        if not raster.is_empty():
+            assert box_overlap(raster.crop_box, raster_box(p, w, h)) == raster.crop_box
 
     @given(polygons(), st.lists(st.integers(0, 23), max_size=6), st.integers(3, 80))
     @settings(max_examples=1000, deadline=None)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidannot.config import PipelineConfig
-from vidannot.geometry import BBox, Polygon
+from vidannot.geometry import BBox, Polygon, polygon_to_bbox
 from vidannot.io import (
     AnnotationDocument,
     AnnotationEntry,
@@ -23,6 +25,8 @@ from vidannot.io import (
     write_config,
     write_mot,
 )
+
+from helpers import tuple_write_annotations
 
 
 class TestMot:
@@ -163,6 +167,52 @@ class TestAnnotations:
         p.write_text("\n".join(json.dumps(v) for v in lines) + "\n")
         with pytest.raises(FormatError, match=str(p)):
             read_annotations(p)
+
+
+def nudged(v: float, ulps: int) -> float:
+    """v moved `ulps` representable floats up (or down, when negative)."""
+    for _ in range(abs(ulps)):
+        v = float(np.nextafter(v, np.inf if ulps > 0 else -np.inf))
+    return v
+
+
+# Coordinates where rounding to 6 decimals is hard: exact binary ties (k / 128
+# times 1e6 ends in .5 for odd k), decimal ties that binary only comes near,
+# floats a few ulps off either, whole pixels, signed zeros, values below 1e-4,
+# and magnitudes up to the largest finite float.
+COORDS = st.one_of(
+    st.integers(-50, 2000).map(float),
+    st.integers(-(10**6), 10**6).map(lambda k: k / 128),
+    st.integers(-(10**9), 10**9).map(lambda k: (2 * k + 1) / 2e6),
+    st.builds(
+        nudged,
+        st.one_of(
+            st.integers(-(10**6), 10**6).map(lambda k: k / 128),
+            st.integers(-(10**9), 10**9).map(lambda k: (2 * k + 1) / 2e6),
+        ),
+        st.integers(-3, 3),
+    ),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e-4, 1e-4, allow_nan=False),
+    st.floats(-1e4, 1e4, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPolygonRounding:
+    @given(st.lists(st.lists(st.tuples(COORDS, COORDS), min_size=3, max_size=12), min_size=1, max_size=4))
+    @settings(max_examples=1000, deadline=None)
+    def test_bytes_equal_rounding_each_coordinate(self, outlines):
+        doc = AnnotationDocument("seq", 320, 240)
+        doc.frames[0] = [
+            AnnotationEntry(i, "object", 0.5, Polygon(v), polygon_to_bbox(Polygon(v)))
+            for i, v in enumerate(outlines)
+        ]
+        with tempfile.TemporaryDirectory() as d:
+            got, want = Path(d) / "got.jsonl", Path(d) / "want.jsonl"
+            write_annotations(doc, got)
+            tuple_write_annotations(doc, want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestConfig:

@@ -15,7 +15,7 @@ import vidannot.ash
 import vidannot.chunker
 import vidannot.pipeline
 import vidannot.smart_od
-from vidannot.ash import AshConfig
+from vidannot.ash import AshConfig, MaskletEntry
 from vidannot.assoc import AssocConfig
 from vidannot.backends import (
     DetectionNoise,
@@ -165,8 +165,8 @@ def test_each_chain_link_loads_and_each_segment_saves_through_the_rebound_names(
 
 def test_every_smoothed_outline_rasterizes_through_the_rebound_name(tmp_path, monkeypatch):
     # perfbench's ash.rasterize_* metrics time and count
-    # vidannot.ash.rasterize_polygon; smoothing that rasterized through any
-    # other name would leave them reading 0.
+    # vidannot.ash.rasterize_polygon; a smoothed entry whose mask is read
+    # must rasterize through that name, or they would read 0.
     gt = generate_synthetic_sequence(
         SyntheticWorldConfig(num_objects=3, num_frames=30, rng_seed=4)
     )
@@ -187,11 +187,19 @@ def test_every_smoothed_outline_rasterizes_through_the_rebound_name(tmp_path, mo
         smoothed.extend(e for e in out.entries.values() if e.polygon is not None)
         return out
 
+    read = set()
+    real_mask = MaskletEntry.__dict__["mask"]
+
+    def read_mask(entry):
+        read.add(id(entry))
+        return real_mask.__get__(entry, MaskletEntry)
+
     monkeypatch.setattr(vidannot.ash, "smooth_polygons", recorded)
+    monkeypatch.setattr(MaskletEntry, "mask", property(read_mask))
     tracing = load_tracing()
     tracer = tracing.Tracer()
     with tracing.Instrumented(tracer):
         traced = annotate(tmp_path / "traced")
     assert smoothed
-    assert tracer.counts["ash.rasterize_calls"] == len(smoothed)
+    assert tracer.counts["ash.rasterize_calls"] == sum(id(e) in read for e in smoothed)
     assert traced == untraced
