@@ -1,4 +1,4 @@
-"""Long-sequence processing: chunk planning, overlap-based identity handoff,
+"""Long-sequence processing: chunk selection, overlap-based identity handoff,
 three-phase checkpointing with filename-tagged restore, and automatic
 full-vs-chunk fallback.
 
@@ -29,7 +29,7 @@ from .ash import (
 )
 from .assoc import AssocConfig, Associator, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
-from .geometry import BBox, BinaryMask, Polygon, iou_mask, polygon_to_bbox
+from .geometry import BinaryMask, Polygon, iou_mask
 
 logger = logging.getLogger(__name__)
 
@@ -60,18 +60,14 @@ class ChunkerConfig:
             raise ValueError(f"need 0 <= omega < chi, got omega={self.omega}, chi={self.chi}")
         if not 0.0 < self.tau_overlap < 1.0:
             raise ValueError(f"tau_overlap out of (0,1): {self.tau_overlap}")
+        if self.window is not None and self.window < 0:
+            raise ValueError(f"window must be None or >= 0: {self.window}")
         if self.checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1: {self.checkpoint_interval}")
 
     @property
     def search_window(self) -> int:
         return self.omega if self.window is None else self.window
-
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    chunks: tuple[tuple[int, int], ...]  # inclusive [start, end] intervals
-    overlap: int
 
 
 def find_optimal_frame(
@@ -154,9 +150,7 @@ class Checkpoint:
     size and frame count, the file name of the segment before it (`base`,
     None for the chain's root) and only the entries that no earlier segment
     of its chain holds. `load_checkpoint` reads one segment; `CheckpointStore`
-    writes and assembles whole chains. A schema-v1 file holds a whole state
-    and loads as the root of a chain, with no frame count and the frame size
-    of its masks (None when it has none).
+    writes and assembles whole chains.
     """
 
     sequence_id: str
@@ -164,9 +158,8 @@ class Checkpoint:
     masklets: list[Masklet]
     assoc_state: dict
     mode: str  # "full" | "chunk"
-    frame_size: tuple[int, int] | None  # (width, height)
-    num_frames: int | None
-    chunk_index: int = -1
+    frame_size: tuple[int, int]  # (width, height)
+    num_frames: int
     base: str | None = None
 
     def to_payload(self) -> dict:
@@ -177,7 +170,6 @@ class Checkpoint:
             "sequence_id": self.sequence_id,
             "last_completed_frame": self.last_completed_frame,
             "mode": self.mode,
-            "chunk_index": self.chunk_index,
             "header": {"width": width, "height": height, "num_frames": self.num_frames},
             "base": self.base,
             "assoc_state": self.assoc_state,
@@ -187,10 +179,9 @@ class Checkpoint:
     @classmethod
     def from_payload(cls, payload: dict) -> Checkpoint:
         version = payload.get("schema_version")
-        if version not in (1, CHECKPOINT_SCHEMA_VERSION):
+        if version != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(
-                f"checkpoint schema version {version!r} is neither 1 nor "
-                f"{CHECKPOINT_SCHEMA_VERSION}"
+                f"checkpoint schema version {version!r} is not {CHECKPOINT_SCHEMA_VERSION}"
             )
         # A resume restores the associator state as it is, so a malformed one
         # is corruption too.
@@ -206,8 +197,6 @@ class Checkpoint:
                 )
         elif not (isinstance(state, dict) and type(state.get("next_id")) is int):
             raise ValueError(f"chunk-mode associator state {state!r} has no integer next_id")
-        if version == 1:
-            return _from_v1_payload(payload)
         header = payload["header"]
         width, height, num_frames = header["width"], header["height"], header["num_frames"]
         if any(type(v) is not int for v in (width, height, num_frames, last)) or not (
@@ -222,7 +211,6 @@ class Checkpoint:
             payload["mode"],
             (width, height),
             num_frames,
-            payload["chunk_index"],
             payload["base"],
         )
 
@@ -275,36 +263,6 @@ def _polygon_from_ints(flat: list | None) -> Polygon | None:
     return Polygon(np.array(flat, dtype=np.float64).reshape(-1, 2))
 
 
-def _from_v1_payload(payload: dict) -> Checkpoint:
-    # Schema v1 stores each mask as the run lengths of its whole frame, and
-    # each outline and box as coordinate lists. Files from older versions also
-    # carry an "rng_state" key; it is ignored.
-    masklets = []
-    for p in payload["masklets"]:
-        entries = {}
-        for key, e in p["entries"].items():
-            mask = BinaryMask.from_runs(e["mask"]["w"], e["mask"]["h"], e["mask"]["runs"])
-            polygon = Polygon(e["polygon"]) if e["polygon"] else None
-            box = BBox(*e["bbox"]) if e["bbox"] else None
-            if box != (polygon_to_bbox(polygon) if polygon is not None else None):
-                raise ValueError(f"frame {key}: box {box} is not its outline's box")
-            entries[int(key)] = MaskletEntry(mask, polygon, e["confidence"])
-        masklets.append(Masklet(p["object_id"], p["class_label"], entries))
-    sizes = {(e.mask.width, e.mask.height) for m in masklets for e in m.entries.values()}
-    if len(sizes) > 1:
-        raise ValueError(f"masks of different frame sizes: {sorted(sizes)}")
-    return Checkpoint(
-        payload["sequence_id"],
-        payload["last_completed_frame"],
-        masklets,
-        payload["assoc_state"],
-        payload["mode"],
-        sizes.pop() if sizes else None,
-        None,
-        payload["chunk_index"],
-    )
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Three-phase atomic save of one segment: write temp, back up the
     existing file, promote.
@@ -336,8 +294,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint | None:
-    """Load one segment (or v1 file), falling back to its backup; None means
-    there is neither.
+    """Load one segment, falling back to its backup; None means there is
+    neither.
 
     A corrupt or version-mismatched file raises a CheckpointError, which names
     the recovery file when one exists. Corrupt covers unreadable files,
@@ -500,8 +458,8 @@ class CheckpointStore:
         for i, link in enumerate(links):
             if (
                 (link.sequence_id, link.mode) != (self.sequence_id, last.mode)
-                or link.frame_size not in (None, last.frame_size)
-                or link.num_frames not in (None, last.num_frames)
+                or link.frame_size != last.frame_size
+                or link.num_frames != last.num_frames
                 or (i and link.last_completed_frame <= links[i - 1].last_completed_frame)
             ):
                 raise CheckpointError(
@@ -663,20 +621,15 @@ def _resume(run: _Run, resume: bool, mode: str) -> Checkpoint | None:
         run.store.restart()
         return None
     num_frames = len(run.detections)
-    if ckpt.frame_size not in (None, run.frame_size):
+    if ckpt.frame_size != run.frame_size:
         raise CheckpointError(
             f"checkpoint of {run.sequence_id} has {ckpt.frame_size[0]}x{ckpt.frame_size[1]} "
             f"frames, the sequence {run.frame_size[0]}x{run.frame_size[1]}"
         )
-    if ckpt.num_frames not in (None, num_frames):
+    if ckpt.num_frames != num_frames:
         raise CheckpointError(
             f"checkpoint of {run.sequence_id} has {ckpt.num_frames} frames, "
             f"the sequence {num_frames}"
-        )
-    if ckpt.last_completed_frame >= num_frames:
-        raise CheckpointError(
-            f"checkpoint of {run.sequence_id} completed frame {ckpt.last_completed_frame}, "
-            f"the sequence has {num_frames} frames"
         )
     logger.info(
         "resuming %s (%s mode) after frame %d", run.sequence_id, mode, ckpt.last_completed_frame
@@ -684,15 +637,11 @@ def _resume(run: _Run, resume: bool, mode: str) -> Checkpoint | None:
     return ckpt
 
 
-def _save(
-    run: _Run, t: int, masklets: list[Masklet], assoc_state: dict, mode: str, chunk_index: int = -1
-) -> None:
+def _save(run: _Run, t: int, masklets: list[Masklet], assoc_state: dict, mode: str) -> None:
     """Append the state after frame `t` to the run's checkpoint chain."""
     num_frames = len(run.detections)
     run.store.save(
-        Checkpoint(
-            run.sequence_id, t, masklets, assoc_state, mode, run.frame_size, num_frames, chunk_index
-        ),
+        Checkpoint(run.sequence_id, t, masklets, assoc_state, mode, run.frame_size, num_frames),
         final=(t == num_frames - 1),
     )
 
@@ -723,37 +672,44 @@ def _run_full(run: _Run, resume: bool) -> list[Masklet]:
     return postprocess_masklets(masklets, range(num_frames), run.ash_cfg)
 
 
-def derive_chunk_plan(
-    object_counts: Sequence[int], cfg: ChunkerConfig
-) -> ChunkPlan:
-    """Chunk intervals with the start of each chunk pulled toward object-dense
-    frames; every later chunk starts at or before the previous chunk's end, so
-    consecutive chunks share at least one frame to stitch identities over.
+def next_chunk(
+    object_counts: Sequence[int], prev_end: int, cfg: ChunkerConfig
+) -> tuple[int, int]:
+    """The inclusive [start, end] interval of the chunk after the one ending
+    at frame `prev_end` (-1 for the first chunk).
+
+    The start is pulled toward object-dense frames near `prev_end + 1`, but
+    stays at or before `prev_end`, so consecutive chunks share at least one
+    frame to stitch identities over. Only the counts of the search window
+    around `prev_end + 1` are read.
     """
     num_frames = len(object_counts)
     if num_frames > cfg.chi and cfg.chi - cfg.omega < 2:
         raise ValueError(f"chunking cannot advance with chi={cfg.chi}, omega={cfg.omega}")
-    if num_frames <= cfg.chi:
-        return ChunkPlan(((0, num_frames - 1),), cfg.omega)
-    chunks: list[tuple[int, int]] = []
-    current = 0
-    while True:
-        if chunks:
-            optimal = find_optimal_frame(object_counts, current, cfg.search_window)
-            start = max(0, optimal - cfg.omega)
-            start = min(start, current - 1)  # share a frame with the previous chunk
-        else:
-            start = 0
+    if prev_end < 0:
+        return 0, min(num_frames - 1, cfg.chi - 1)
+    optimal = find_optimal_frame(object_counts, prev_end + 1, cfg.search_window)
+    start = min(max(0, optimal - cfg.omega), prev_end)  # share a frame with the previous chunk
+    end = min(num_frames - 1, start + cfg.chi - 1)
+    if end <= prev_end:
+        # Degenerate adjustment; force forward progress.
+        start = prev_end - cfg.omega
         end = min(num_frames - 1, start + cfg.chi - 1)
-        if chunks and end <= chunks[-1][1]:
-            # Degenerate adjustment; force forward progress.
-            start = chunks[-1][1] - cfg.omega
-            end = min(num_frames - 1, start + cfg.chi - 1)
-        chunks.append((start, end))
-        if end >= num_frames - 1:
-            break
-        current = end + 1
-    return ChunkPlan(tuple(chunks), cfg.omega)
+    return start, end
+
+
+class _DetectionCounts(Sequence):
+    """Each frame's detection count, read from the frame's detections only
+    when asked for."""
+
+    def __init__(self, detections: Sequence[list[Detection]]) -> None:
+        self._detections = detections
+
+    def __len__(self) -> int:
+        return len(self._detections)
+
+    def __getitem__(self, t: int) -> int:
+        return len(self._detections[t])
 
 
 def _stitch(
@@ -782,22 +738,24 @@ def _stitch(
 
 
 def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
-    counts = [len(d) for d in run.detections]
-    plan = derive_chunk_plan(counts, run.chunk_cfg)
+    # Each chunk follows from the previous chunk's end alone, so a resume
+    # continues after its checkpoint's last completed frame and verifies
+    # only the frames it reads.
+    counts = _DetectionCounts(run.detections)
+    num_frames = len(run.detections)
     stitched: list[Masklet] = []
     next_id = 0
-    first_chunk = 0
+    prev_end = -1
     ckpt = _resume(run, resume, "chunk")
     if ckpt is not None:
         stitched = ckpt.masklets
         next_id = ckpt.assoc_state.get("next_id", 0)
-        first_chunk = ckpt.chunk_index + 1
+        prev_end = ckpt.last_completed_frame
 
-    for i in range(first_chunk, len(plan.chunks)):
-        start, end = plan.chunks[i]
+    while prev_end < num_frames - 1:
+        start, end = next_chunk(counts, prev_end, run.chunk_cfg)
         associator = Associator(run.assoc_cfg, next_id=next_id)
         chunk_masklets = []
-        prev_end = plan.chunks[i - 1][1] if i else -1
         # No name holds the unpruned list: its trailing empty masks are freed
         # before the next chunk is tracked.
         for m in _track(run, list(range(start, end + 1)), associator, [], reported=prev_end):
@@ -805,11 +763,12 @@ def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
             if kept is not None:
                 chunk_masklets.append(kept)
         next_id = associator.next_id
-        if i == 0:
+        if prev_end < 0:
             stitched = chunk_masklets
         else:
             overlap = list(range(start, prev_end + 1))
             stitched = _stitch(stitched, chunk_masklets, overlap, run.chunk_cfg.tau_overlap)
         if run.store is not None:
-            _save(run, end, stitched, {"next_id": next_id}, "chunk", chunk_index=i)
-    return postprocess_masklets(stitched, range(len(run.detections)), run.ash_cfg)
+            _save(run, end, stitched, {"next_id": next_id}, "chunk")
+        prev_end = end
+    return postprocess_masklets(stitched, range(num_frames), run.ash_cfg)

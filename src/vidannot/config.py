@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .ash import AshConfig
 from .assoc import AssocConfig
@@ -32,6 +32,9 @@ class DeploymentConfig:
             raise ValueError(f"tau_qa out of (0,1): {self.tau_qa}")
         if not 0.0 < self.qa_sample_fraction <= 1.0:
             raise ValueError(f"qa_sample_fraction out of (0,1]: {self.qa_sample_fraction}")
+        unknown = sorted(set(self.parameter_grid) - {f.name for f in fields(SmartOdConfig)})
+        if unknown:
+            raise ValueError(f"parameter_grid names no smart_od field: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)

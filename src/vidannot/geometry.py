@@ -204,30 +204,6 @@ class BinaryMask:
         crop = np.repeat(values, lengths).reshape(crop_height, crop_width)
         return cls.from_crop(crop, x0, y0, width, height)
 
-    @classmethod
-    def from_runs(cls, width: int, height: int, runs: list[int]) -> BinaryMask:
-        if any(not isinstance(r, (int, np.integer)) for r in runs):
-            raise TypeError("run lengths must be integers")
-        lengths = np.asarray(runs, dtype=np.int64)
-        total = int(lengths.sum())
-        if total != width * height:
-            raise ValueError(f"run lengths sum to {total}, expected {width * height}")
-        if (lengths < 0).any():
-            raise ValueError("negative run length")
-        bounds = np.cumsum(lengths)
-        starts, ends = bounds[0:-1:2], bounds[1::2]  # foreground runs [start, end)
-        keep = ends > starts
-        if not keep.any():
-            return cls.zeros(width, height)
-        # Fill only the full-width rows the foreground runs span.
-        starts, ends = starts[keep].tolist(), ends[keep].tolist()
-        y0 = starts[0] // width
-        rows = (ends[-1] - 1) // width + 1 - y0
-        band = np.zeros(rows * width, dtype=bool)
-        for start, end in zip(starts, ends):
-            band[start - y0 * width : end - y0 * width] = True
-        return cls.from_crop(band.reshape(rows, width), 0, y0, width, height)
-
 
 @dataclass(frozen=True, eq=False)
 class Polygon:

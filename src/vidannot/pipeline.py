@@ -30,7 +30,7 @@ from .backends import (
 from .ash import Masklet
 from .chunker import run_sequence
 from .config import PipelineConfig
-from .geometry import iou_mask
+from .geometry import box_overlap, iou_mask
 from .io import masklets_to_document, masklets_to_mot, write_annotations, write_mot
 from .metrics import match_frame
 from .smart_od import SmartOdConfig, run_smart_od
@@ -93,12 +93,7 @@ def select_representative(
 def detection_precision_recall(
     detections, gt_frame: GroundTruthFrame, iou_threshold: float = 0.5
 ) -> tuple[float, float]:
-    gt_boxes = [o.box for o in gt_frame.visible_objects()]
-    matches, fps, fns = match_frame([d.box for d in detections], gt_boxes, iou_threshold)
-    tp = len(matches)
-    precision = tp / (tp + len(fps)) if (tp + len(fps)) else 0.0
-    recall = tp / (tp + len(fns)) if (tp + len(fns)) else 0.0
-    return precision, recall
+    return _precision_recall([detections], [gt_frame], iou_threshold)
 
 
 def grid_configs(
@@ -216,7 +211,8 @@ def qa_score(
     """Mean best mask IoU over reference objects in the sampled frames.
 
     A reference object with no overlapping predicted mask contributes zero, so
-    drifted or missing annotations drag the score down.
+    drifted or missing annotations drag the score down. A mask whose pixel
+    box misses the reference's has IoU 0 and is not read.
     """
     total = 0.0
     count = 0
@@ -227,7 +223,8 @@ def qa_score(
             best = 0.0
             for m in masklets:
                 entry = m.entries.get(f)
-                if entry is None or entry.mask.is_empty():
+                box = entry.pixel_box() if entry is not None else None
+                if box is None or box_overlap(box, obj.mask.crop_box) is None:
                     continue
                 v = iou_mask(entry.mask, obj.mask)
                 if v > best:

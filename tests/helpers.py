@@ -9,6 +9,7 @@ from scipy import ndimage
 from vidannot import geometry
 from vidannot.ash import MaskletEntry, _align_rotation
 from vidannot.backends import SyntheticWorldConfig, generate_synthetic_sequence
+from vidannot.chunker import next_chunk
 from vidannot.geometry import BBox, BinaryMask, Polygon
 
 
@@ -359,36 +360,30 @@ def tuple_write_annotations(doc, path) -> None:
             )
 
 
-# Schema-v1 checkpoint files. The program only reads them now; this is the
-# writer it used to have, kept to make v1 fixtures.
+def plan_chunks(counts, cfg) -> tuple[tuple[int, int], ...]:
+    """Every chunk of a sequence with these per-frame object counts, as
+    chunk mode picks them: each from the previous chunk's end."""
+    chunks = [next_chunk(counts, -1, cfg)]
+    while chunks[-1][1] < len(counts) - 1:
+        chunks.append(next_chunk(counts, chunks[-1][1], cfg))
+    return tuple(chunks)
 
 
-def v1_payload(ckpt) -> dict:
-    """A vidannot.chunker.Checkpoint as a schema-v1 payload: the whole state,
-    each mask as the run lengths of its full frame."""
-    masklets = []
-    for m in ckpt.masklets:
-        entries = {}
-        for f in m.frames():
-            e = m.entries[f]
-            entries[str(f)] = {
-                "mask": {"w": e.mask.width, "h": e.mask.height, "runs": dense_runs(e.mask.data)},
-                "polygon": e.polygon.vertices.tolist() if e.polygon else None,
-                "bbox": [e.bbox.x1, e.bbox.y1, e.bbox.x2, e.bbox.y2] if e.bbox else None,
-                "confidence": e.confidence,
-            }
-        masklets.append({"object_id": m.object_id, "class_label": m.class_label, "entries": entries})
-    return {
-        "schema_version": 1,
-        "sequence_id": ckpt.sequence_id,
-        "last_completed_frame": ckpt.last_completed_frame,
-        "mode": ckpt.mode,
-        "chunk_index": ckpt.chunk_index,
-        "assoc_state": ckpt.assoc_state,
-        "masklets": masklets,
-    }
-
-
-def write_v1_checkpoint(ckpt, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(v1_payload(ckpt), separators=(",", ":"), sort_keys=True))
+def every_pair_qa_score(masklets, reference, sampled_frames) -> float:
+    """vidannot.pipeline.qa_score as it was before box-disjoint pairs were
+    skipped: every non-empty mask of a sampled frame goes through iou_mask."""
+    total = 0.0
+    count = 0
+    for f in sampled_frames:
+        for obj in reference[f].visible_objects():
+            count += 1
+            best = 0.0
+            for m in masklets:
+                entry = m.entries.get(f)
+                if entry is None or entry.mask.is_empty():
+                    continue
+                v = geometry.iou_mask(entry.mask, obj.mask)
+                if v > best:
+                    best = v
+            total += best
+    return total / count if count else 1.0

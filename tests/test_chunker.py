@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
-from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -29,16 +30,16 @@ from vidannot.chunker import (
     CheckpointStore,
     ChunkerConfig,
     ProcessingBudgetExceeded,
-    derive_chunk_plan,
     find_optimal_frame,
     load_checkpoint,
     merge_chunk_overlap,
+    next_chunk,
     run_sequence,
     save_checkpoint,
 )
 from vidannot.geometry import Polygon, iou_mask, mask_to_polygon
 
-from helpers import rect_mask, v1_payload, write_v1_checkpoint
+from helpers import plan_chunks, rect_mask
 
 
 class TestPlanChunks:
@@ -47,20 +48,25 @@ class TestPlanChunks:
         # recurrence: every chunk starts omega frames before the previous end.
         counts = [1] * 120
         counts[49] = counts[88] = 5
-        plan = derive_chunk_plan(counts, ChunkerConfig(chi=50, omega=10))
-        assert plan.chunks == ((0, 49), (39, 88), (78, 119))
+        chunks = plan_chunks(counts, ChunkerConfig(chi=50, omega=10))
+        assert chunks == ((0, 49), (39, 88), (78, 119))
 
     def test_short_sequence_single_chunk(self):
-        assert derive_chunk_plan([1] * 30, ChunkerConfig()).chunks == ((0, 29),)
+        assert plan_chunks([1] * 30, ChunkerConfig()) == ((0, 29),)
 
     def test_exact_fit_single_chunk(self):
-        assert derive_chunk_plan([1] * 50, ChunkerConfig()).chunks == ((0, 49),)
+        assert plan_chunks([1] * 50, ChunkerConfig()) == ((0, 49),)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            derive_chunk_plan([1] * 10, ChunkerConfig(chi=3, omega=2))
+            plan_chunks([1] * 10, ChunkerConfig(chi=3, omega=2))
         with pytest.raises(ValueError):
             ChunkerConfig(chi=50, omega=50)
+
+    def test_negative_search_window_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            ChunkerConfig(chi=30, omega=5, window=-3)
+        assert ChunkerConfig(chi=30, omega=5, window=0).search_window == 0
 
     @given(
         st.data(),
@@ -75,8 +81,7 @@ class TestPlanChunks:
         if num_frames > chi and chi - omega < 2:
             return
         counts = data.draw(st.lists(st.integers(0, 5), min_size=num_frames, max_size=num_frames))
-        plan = derive_chunk_plan(counts, ChunkerConfig(chi=chi, omega=omega))
-        chunks = plan.chunks
+        chunks = plan_chunks(counts, ChunkerConfig(chi=chi, omega=omega))
         assert chunks[0][0] == 0
         assert chunks[-1][1] == num_frames - 1
         for s, e in chunks:
@@ -89,6 +94,48 @@ class TestPlanChunks:
             assert s1 < s2 <= e1
             assert e1 < e2
             assert e1 - s2 + 1 <= 2 * omega + 1
+
+
+class RecordedCounts(Sequence):
+    """Per-frame counts that note each frame read."""
+
+    def __init__(self, counts: list[int]) -> None:
+        self.counts = counts
+        self.read: set[int] = set()
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, t: int) -> int:
+        self.read.add(t)
+        return self.counts[t]
+
+
+class TestNextChunk:
+    @given(
+        st.data(),
+        st.integers(1, 400),
+        st.integers(2, 60),
+        st.integers(0, 30),
+        st.none() | st.integers(0, 40),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_reads_only_the_search_window(self, data, num_frames, chi, omega, window):
+        if omega >= chi or (num_frames > chi and chi - omega < 2):
+            return
+        cfg = ChunkerConfig(chi=chi, omega=omega, window=window)
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=num_frames, max_size=num_frames))
+        chunks = plan_chunks(counts, cfg)
+        first = RecordedCounts(counts)
+        assert next_chunk(first, -1, cfg) == chunks[0] and not first.read
+        for (_, prev_end), following in zip(chunks, chunks[1:]):
+            lo = prev_end + 1 - cfg.search_window
+            hi = prev_end + 1 + cfg.search_window
+            # Counts outside the window do not matter, and are not read.
+            changed = [c if lo <= t <= hi else 9 - c for t, c in enumerate(counts)]
+            recorded = RecordedCounts(changed)
+            assert next_chunk(recorded, prev_end, cfg) == following
+            assert recorded.read and all(lo <= t <= hi for t in recorded.read)
 
 
 class TestFindOptimalFrame:
@@ -231,15 +278,6 @@ class TestCheckpointProtocol:
         back = load_checkpoint(path)
         assert back.to_payload() == ck.to_payload()
 
-    def test_v1_roundtrip_bit_exact(self, tmp_path):
-        ck = small_checkpoint()
-        path = tmp_path / "a.json"
-        write_v1_checkpoint(ck, path)
-        back = load_checkpoint(path)
-        assert v1_payload(back) == v1_payload(ck)
-        # A v1 file has no header: its frame size is its masks'.
-        assert (back.frame_size, back.num_frames, back.base) == ((24, 24), None, None)
-
     def test_v2_stores_crop_local_masks_and_integer_outlines(self, tmp_path):
         path = tmp_path / "a.json"
         save_checkpoint(small_checkpoint(), path)
@@ -333,34 +371,14 @@ class TestCheckpointProtocol:
         assert ".bak" in str(err.value)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "v.json"
-        payload = small_checkpoint().to_payload()
-        payload["schema_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("runs", [1, 2]),
-            ("bbox", [1, 2, 3]),
-            ("polygon", [[0, 0], [1, 1]]),
-            ("bbox", [1, 1, 9, 8]),  # not the box of the outline (1, 1)-(9, 9)
-        ],
-    )
-    def test_invalid_payload_is_corruption(self, tmp_path, field, value):
-        # Valid JSON whose mask runs, box or polygon fail validation.
-        path = tmp_path / "p.json"
-        payload = v1_payload(small_checkpoint())
-        entry = payload["masklets"][0]["entries"]["0"]
-        if field == "runs":
-            entry["mask"]["runs"] = value
-        else:
-            entry[field] = value
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="unreadable"):
-            load_checkpoint(path)
+        # Schema v1 held each mask as full-frame runs; only v2 loads.
+        for version in (99, 1):
+            path = tmp_path / f"v{version}.json"
+            payload = small_checkpoint().to_payload()
+            payload["schema_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CheckpointError, match=f"version {version} is not 2"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -424,14 +442,6 @@ class TestCheckpointProtocol:
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
 
-    def test_old_payload_with_rng_state_loads(self, tmp_path):
-        path = tmp_path / "old.json"
-        payload = v1_payload(small_checkpoint())
-        payload["rng_state"] = {"seed": 0}
-        path.write_text(json.dumps(payload))
-        assert v1_payload(load_checkpoint(path)) == v1_payload(small_checkpoint())
-
-
 class TestCheckpointStore:
     def test_latest_prefers_final_then_frames(self, tmp_path):
         store = CheckpointStore(tmp_path, "s")
@@ -444,17 +454,6 @@ class TestCheckpointStore:
 
     def test_empty_dir_sentinel(self, tmp_path):
         assert CheckpointStore(tmp_path, "s").load_latest() is None
-
-    def test_bad_mask_runs_fall_back_to_older(self, tmp_path):
-        # Two v1 files, each a whole state.
-        store = CheckpointStore(tmp_path, "s")
-        write_v1_checkpoint(small_checkpoint(frame=10), tmp_path / "s_ckpt_frame_0010.json")
-        newest = tmp_path / "s_ckpt_frame_0020.json"
-        write_v1_checkpoint(small_checkpoint(frame=20), newest)
-        payload = json.loads(newest.read_text())
-        payload["masklets"][0]["entries"]["0"]["mask"]["runs"] = [1, 2]
-        newest.write_text(json.dumps(payload))
-        assert store.load_latest().last_completed_frame == 10
 
     def test_bad_v2_mask_runs_fall_back_to_older(self, tmp_path):
         store = CheckpointStore(tmp_path, "s")
@@ -580,29 +579,6 @@ class TestDamagedChain:
         edit_payload(paths[0], base=paths[2].name)
         with pytest.raises(CheckpointError, match="loops back"):
             CheckpointStore(tmp_path, "s").load_latest()
-
-    def test_v1_root_under_v2_segments(self, tmp_path):
-        root = tmp_path / "s_ckpt_frame_0010.json"
-        write_v1_checkpoint(grown_checkpoint(10), root)
-        store = CheckpointStore(tmp_path, "s")
-        assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(10))
-        store.save(grown_checkpoint(20))
-        head = store.save(grown_checkpoint(30))
-        assert json.loads(root.read_text())["schema_version"] == 1
-        assert self.loads(tmp_path, 30)
-        head.unlink()
-        assert self.loads(tmp_path, 20)
-        root.write_text("{ not json")
-        with pytest.raises(CheckpointError):
-            CheckpointStore(tmp_path, "s").load_latest()
-
-    def test_v1_root_of_another_frame_size(self, tmp_path):
-        write_v1_checkpoint(grown_checkpoint(10), tmp_path / "s_ckpt_frame_0010.json")
-        store = CheckpointStore(tmp_path, "s")
-        store.load_latest()
-        store.save(grown_checkpoint(20, size=(32, 32)))
-        assert self.loads(tmp_path, 10)
-
 
 def build_sequence(num_frames=60, n=3, seed=14, size=(320, 240)):
     gt = generate_synthetic_sequence(
@@ -858,7 +834,7 @@ class TestRunSequence:
             dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
             checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
         )
-        chunks = derive_chunk_plan([len(d) for d in dets], cfg).chunks
+        chunks = plan_chunks([len(d) for d in dets], cfg)
         assert len(checked) == (9 if mode == "full" else len(chunks))
         written = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))]
         assert len(written) == len(checked)  # the final head reaches every link
@@ -902,33 +878,25 @@ class TestRunSequence:
                 checkpoint_dir=tmp_path, sequence_id="s", resume=True, **RUN_KW
             )
 
-    @pytest.mark.parametrize("case", ["frame size", "frame count"])
-    def test_resume_rejects_a_v1_checkpoint_of_other_geometry(self, tmp_path, case):
-        # A v1 file has no header: its masks give the frame size, and its last
-        # completed frame must lie inside the sequence.
-        cfg = ChunkerConfig(checkpoint_interval=10)
-        _, det, prop, dets = build_sequence(num_frames=60)
-        run_sequence(
-            dets, prop, det.frame_size, chunk_cfg=cfg, mode="full",
-            checkpoint_dir=tmp_path / "v2", sequence_id="s", **RUN_KW
+    @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
+    def test_resume_over_a_v1_file_raises_naming_it(self, tmp_path, mode):
+        # Schema v1 stored each mask as full-frame runs; it no longer loads.
+        # A run that does not resume deletes it with the sequence's other files.
+        _, det, prop, dets = build_sequence(num_frames=30)
+        v1 = tmp_path / "s_ckpt_frame_0009.json"
+        v1.write_text(json.dumps({
+            "schema_version": 1, "sequence_id": "s", "last_completed_frame": 9,
+            "mode": "chunk" if mode == "chunk" else "full", "chunk_index": 0,
+            "assoc_state": {"next_id": 0, "last_frame": 9, "tracks": []}, "masklets": [],
+        }))
+        kw = dict(
+            chunk_cfg=ChunkerConfig(chi=10, omega=2), mode=mode, checkpoint_dir=tmp_path,
+            sequence_id="s",
         )
-        state = CheckpointStore(tmp_path / "v2", "s").load_latest()
-        # The associator state must not have seen a frame after frame 49.
-        at_49 = replace(
-            state, last_completed_frame=49, assoc_state={**state.assoc_state, "last_frame": 49}
-        )
-        write_v1_checkpoint(at_49, tmp_path / "s_ckpt_frame_0049.json")
-        if case == "frame size":
-            _, det, prop, dets = build_sequence(num_frames=60, size=(256, 192))
-            expected = "320x240.*256x192"
-        else:
-            _, det, prop, dets = build_sequence(num_frames=30)
-            expected = "frame 49.* 30 frames"
-        with pytest.raises(CheckpointError, match=expected):
-            run_sequence(
-                dets, prop, det.frame_size, chunk_cfg=cfg, mode="full",
-                checkpoint_dir=tmp_path, sequence_id="s", resume=True, **RUN_KW
-            )
+        with pytest.raises(CheckpointError, match=re.escape(str(v1))):
+            run_sequence(dets, prop, det.frame_size, resume=True, **kw, **RUN_KW)
+        run_sequence(dets, prop, det.frame_size, **kw, **RUN_KW)
+        assert {json.loads(p.read_text())["schema_version"] for p in tmp_path.iterdir()} == {2}
 
     def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path):
         gt, det, prop, dets = build_sequence(num_frames=60)
@@ -1103,27 +1071,23 @@ class TestCheckpointFaultProperties:
 
 class TestDeriveAdjustedPlan:
     def test_uniform_counts_pull_starts_back(self):
-        from vidannot.chunker import derive_chunk_plan
-
-        plan = derive_chunk_plan([4] * 120, ChunkerConfig(chi=50, omega=10))
+        chunks = plan_chunks([4] * 120, ChunkerConfig(chi=50, omega=10))
         # Ties resolve to the lowest frame in the search window, so each
         # chunk start lands 2*omega before the nominal boundary.
-        assert plan.chunks[0] == (0, 49)
-        assert plan.chunks[1][0] == 30
+        assert chunks[0] == (0, 49)
+        assert chunks[1][0] == 30
         covered = set()
-        for s, e in plan.chunks:
+        for s, e in chunks:
             covered.update(range(s, e + 1))
         assert covered == set(range(120))
 
     def test_dense_region_attracts_start(self):
-        from vidannot.chunker import derive_chunk_plan
-
         counts = [2] * 120
         counts[55] = 9  # density peak just after the first nominal boundary
-        plan = derive_chunk_plan(counts, ChunkerConfig(chi=50, omega=10))
-        assert plan.chunks[1][0] == 45  # peak frame minus omega
+        chunks = plan_chunks(counts, ChunkerConfig(chi=50, omega=10))
+        assert chunks[1][0] == 45  # peak frame minus omega
         covered = set()
-        for s, e in plan.chunks:
+        for s, e in chunks:
             covered.update(range(s, e + 1))
         assert covered == set(range(120))
 
@@ -1133,10 +1097,8 @@ class TestDeriveAdjustedPlan:
         # share no frame with chunk (0, 49).
         counts = [2] * 120
         counts[60] = 9
-        plan = derive_chunk_plan(counts, ChunkerConfig(chi=50, omega=10))
-        assert plan.chunks == ((0, 49), (49, 98), (79, 119))
+        chunks = plan_chunks(counts, ChunkerConfig(chi=50, omega=10))
+        assert chunks == ((0, 49), (49, 98), (79, 119))
 
     def test_short_sequence_one_chunk(self):
-        from vidannot.chunker import derive_chunk_plan
-
-        assert derive_chunk_plan([1] * 20, ChunkerConfig()).chunks == ((0, 19),)
+        assert plan_chunks([1] * 20, ChunkerConfig()) == ((0, 19),)

@@ -99,3 +99,16 @@ class TestCliVerbs:
             rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / mode),
                        "--seq", "s", "--mode", mode])
             assert rc == EXIT_OK
+
+    def test_deploy_rejects_an_unknown_grid_key(self, tmp_path, capsys):
+        grid = {"theta_typo": [0.1]}
+        cfg = write_tiny_config(tmp_path / "c.json", deploy={"parameter_grid": grid})
+        rc = main(["deploy", "--config", cfg, "--out", str(tmp_path / "out"), "--sequences", "2"])
+        assert rc == EXIT_CONFIG
+        assert "theta_typo" in capsys.readouterr().err
+
+    def test_chunk_mode_rejects_a_negative_search_window(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "c.json", chunker={"chi": 8, "omega": 2, "window": -3})
+        rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / "out"), "--mode", "chunk"])
+        assert rc == EXIT_CONFIG
+        assert "window" in capsys.readouterr().err

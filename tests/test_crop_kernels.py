@@ -103,14 +103,6 @@ class TestMaskStorage:
 
     @given(grids())
     @settings(max_examples=1000, deadline=None)
-    def test_runs_match_dense_encoding(self, g):
-        m = BinaryMask(g)
-        runs = dense_runs(g)
-        back = BinaryMask.from_runs(m.width, m.height, runs)
-        assert back == m and np.array_equal(back.data, g)
-
-    @given(grids())
-    @settings(max_examples=1000, deadline=None)
     def test_crop_runs_match_dense_encoding_of_the_crop(self, g):
         m = BinaryMask(g)
         runs = m.crop_runs()

@@ -20,7 +20,7 @@ from vidannot.geometry import (
     shift_mask,
 )
 
-from helpers import dense_runs, ellipse_mask, perimeter, rect_mask
+from helpers import ellipse_mask, perimeter, rect_mask
 
 
 class TestBBox:
@@ -289,10 +289,3 @@ class TestShiftMask:
         ys, xs = np.nonzero(s.data)
         assert xs.min() == 4 and xs.max() == 5  # clipped at border
         assert s.count == 6
-
-
-class TestRuns:
-    @given(masks_strategy)
-    @settings(max_examples=1000, deadline=None)
-    def test_rle_roundtrip(self, m):
-        assert BinaryMask.from_runs(m.width, m.height, dense_runs(m.data)) == m

@@ -267,6 +267,12 @@ class TestConfig:
             with pytest.raises(FormatError, match=name):
                 read_config(p)
 
+    def test_parameter_grid_key_must_be_a_smart_od_field(self):
+        with pytest.raises(FormatError, match="theta_typo"):
+            parse_config({"deploy": {"parameter_grid": {"theta_typo": [0.1]}}})
+        grid = {"theta_v": [0.03, 0.05]}
+        assert parse_config({"deploy": {"parameter_grid": grid}}).deploy.parameter_grid == grid
+
     def test_serialize_parse_normalizes(self):
         cfg = PipelineConfig()
         once = serialize_config(cfg)

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vidannot.chunker
 import vidannot.pipeline
+import vidannot.smart_od
+from vidannot.ash import Masklet, MaskletEntry
 from vidannot.backends import (
     Detection,
     GroundTruthFrame,
+    GroundTruthObject,
     PropagationDegradation,
     SyntheticWorldConfig,
 )
 from vidannot.config import DeploymentConfig, PipelineConfig
-from vidannot.geometry import BBox
+from vidannot.geometry import BBox, BinaryMask, Polygon
 from vidannot.pipeline import (
     cross_validate,
     deploy,
@@ -25,6 +32,8 @@ from vidannot.pipeline import (
     synthetic_source,
 )
 from vidannot.smart_od import SmartOdConfig
+
+from helpers import every_pair_qa_score, rect_mask
 
 
 class TestSelectRepresentative:
@@ -254,6 +263,83 @@ class TestRunDataset:
             assert a == b
 
 
+class Killed(Exception):
+    pass
+
+
+class TestChunkResume:
+    """A chunk-mode run of 90 frames, 3 objects, chi=30 and omega=5 picks the
+    chunks (0, 29), (20, 49), (40, 69) and (60, 89). Killed at frame 70, it
+    leaves the segment of frame 69, and the resume tracks only (60, 89)."""
+
+    outputs = ("s_annotations.jsonl", "s_track.txt")
+
+    @staticmethod
+    def config() -> PipelineConfig:
+        return dataclasses.replace(
+            PipelineConfig(),
+            world=SyntheticWorldConfig(num_objects=3, num_frames=90, rng_seed=5),
+            ash=dataclasses.replace(PipelineConfig().ash, alpha=1.0),
+            chunker=dataclasses.replace(PipelineConfig().chunker, chi=30, omega=5),
+        )
+
+    def killed_and_reference(self, tmp_path) -> tuple[PipelineConfig, dict]:
+        """Kill a run at frame 70 with checkpoints in tmp_path / "ckpt"; return
+        the config and the bytes an uninterrupted run_dataset writes."""
+        cfg = self.config()
+        source = synthetic_source("s", cfg, cfg.world)
+        dets = [vidannot.smart_od.run_smart_od(t, source.detector, cfg.smart_od) for t in range(90)]
+
+        def bomb(t):
+            if t == 70:
+                raise Killed()
+
+        with pytest.raises(Killed):
+            vidannot.chunker.run_sequence(
+                dets, source.propagator, source.frame_size, cfg.assoc, cfg.ash, cfg.chunker,
+                mode="chunk", checkpoint_dir=tmp_path / "ckpt", sequence_id="s", on_frame=bomb,
+            )
+        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
+            "s_ckpt_frame_0029.json", "s_ckpt_frame_0049.json", "s_ckpt_frame_0069.json"
+        ]
+        run_dataset(
+            {"s": synthetic_source("s", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "ref",
+            mode="chunk",
+        )
+        return cfg, {name: (tmp_path / "ref" / name).read_bytes() for name in self.outputs}
+
+    def resume(self, tmp_path, cfg) -> dict:
+        report = run_dataset(
+            {"s": synthetic_source("s", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "out",
+            checkpoint_dir=tmp_path / "ckpt", mode="chunk", resume=True,
+        )
+        assert report.failures == []
+        return {name: (tmp_path / "out" / name).read_bytes() for name in self.outputs}
+
+    def test_resume_verifies_only_the_frames_it_reads(self, tmp_path, monkeypatch):
+        cfg, ref = self.killed_and_reference(tmp_path)
+        verified = []
+        real = vidannot.pipeline.run_smart_od
+
+        def recorded(t, *args, **kwargs):
+            verified.append(t)
+            return real(t, *args, **kwargs)
+
+        monkeypatch.setattr(vidannot.pipeline, "run_smart_od", recorded)
+        assert self.resume(tmp_path, cfg) == ref
+        # The search window around frame 70 (65..75) lies inside the chunk.
+        assert sorted(verified) == list(range(60, 90))
+
+    def test_segments_with_a_chunk_index_resume(self, tmp_path):
+        # Segments once carried their chunk's index; it is ignored now.
+        cfg, ref = self.killed_and_reference(tmp_path)
+        for i, path in enumerate(sorted((tmp_path / "ckpt").iterdir())):
+            payload = json.loads(path.read_text())
+            payload["chunk_index"] = i
+            path.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+        assert self.resume(tmp_path, cfg) == ref
+
+
 class TestDeploy:
     def test_end_to_end(self, tmp_path):
         cfg = tiny_pipe_cfg()
@@ -322,9 +408,48 @@ class TestQaScore:
         src = synthetic_source("s", cfg, cfg.world)
         assert qa_score([], src.ground_truth, range(12)) == 0.0
 
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_scoring_every_pair(self, data):
+        # Masks and outlines of a 40x30 frame, some out of the frame or empty,
+        # against reference masks that may be empty or invisible.
+        w, h, frames = 40, 30, 3
+        coord = st.integers(-8, 47)
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+        def rect():
+            x1, y1 = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+            x2, y2 = data.draw(st.integers(x1, w - 1)), data.draw(st.integers(y1, h - 1))
+            if data.draw(st.booleans()):
+                return BinaryMask.zeros(w, h)
+            return rect_mask(x1, y1, x2, y2, w, h)
+
+        def entry():
+            if data.draw(st.booleans()):
+                return MaskletEntry.from_mask(rect(), 0.9)
+            n = data.draw(st.integers(3, 6))
+            vertices = [
+                (data.draw(coord) + 0.5 * data.draw(st.integers(0, 1)), data.draw(coord))
+                for _ in range(n)
+            ]
+            return MaskletEntry.from_outline(Polygon(vertices), (w, h), 0.9)
+
+        masklets = []
+        for i in range(data.draw(st.integers(0, 4))):
+            present = data.draw(st.lists(st.integers(0, frames - 1), unique=True, max_size=frames))
+            masklets.append(Masklet(i, "object", {f: entry() for f in sorted(present)}))
+        reference = [
+            GroundTruthFrame(f, w, h, tuple(
+                GroundTruthObject(
+                    j, rect(), BBox(0, 0, 1, 1), "object", data.draw(st.sampled_from([0.0, 1.0]))
+                )
+                for j in range(data.draw(st.integers(0, 3)))
+            ))
+            for f in range(frames)
+        ]
+        sampled = data.draw(st.lists(st.integers(0, frames - 1), unique=True, min_size=1))
+        # qa_score goes first: the oracle rasterizes every outline it reads.
+        score = qa_score(masklets, reference, sampled)
+        assert score == every_pair_qa_score(masklets, reference, sampled)
 
 
 class TestOptimizeExhaustiveness:
