@@ -29,6 +29,11 @@ class AssocConfig:
             raise ValueError(
                 f"need lambda_min < lambda_max, got {self.lambda_min}, {self.lambda_max}"
             )
+        lo, hi = self.aspect_range
+        if not 0 < lo <= hi:
+            raise ValueError(f"need 0 < lo <= hi in aspect_range, got {self.aspect_range}")
+        if self.track_buffer < 0:
+            raise ValueError(f"track_buffer must be >= 0: {self.track_buffer}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Long-sequence processing: chunk selection, overlap-based identity handoff,
-three-phase checkpointing with filename-tagged restore, and automatic
+checkpoints as one append-only log per sequence, and automatic
 full-vs-chunk fallback.
 
 Chunks are processed strictly in order; checkpoint writes are single-writer.
@@ -7,10 +7,10 @@ Chunks are processed strictly in order; checkpoint writes are single-writer.
 
 from __future__ import annotations
 
-import glob
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -33,7 +33,7 @@ from .geometry import BinaryMask, Polygon, iou_mask
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class ProcessingBudgetExceeded(RuntimeError):
@@ -62,8 +62,11 @@ class ChunkerConfig:
             raise ValueError(f"tau_overlap out of (0,1): {self.tau_overlap}")
         if self.window is not None and self.window < 0:
             raise ValueError(f"window must be None or >= 0: {self.window}")
-        if self.checkpoint_interval < 1:
-            raise ValueError(f"checkpoint_interval must be >= 1: {self.checkpoint_interval}")
+        interval, budget = self.checkpoint_interval, self.full_budget
+        if type(interval) is not int or interval < 1:
+            raise ValueError(f"checkpoint_interval must be an int >= 1: {interval!r}")
+        if budget is not None and (type(budget) is not int or budget < 1):
+            raise ValueError(f"full_budget must be None or an int >= 1: {budget!r}")
 
     @property
     def search_window(self) -> int:
@@ -145,12 +148,10 @@ def merge_chunk_overlap(
 class Checkpoint:
     """A sequence's tracking state after `last_completed_frame`.
 
-    On disk a checkpoint is a chain of schema-v2 segments, one file each. A
-    segment holds the associator state, a header with the sequence's frame
-    size and frame count, the file name of the segment before it (`base`,
-    None for the chain's root) and only the entries that no earlier segment
-    of its chain holds. `load_checkpoint` reads one segment; `CheckpointStore`
-    writes and assembles whole chains.
+    On disk a checkpoint is a log, one schema-v3 line per save. A line holds
+    the associator state, a header with the sequence's frame size and frame
+    count, and only the entries that no earlier line holds.
+    `save_checkpoint` appends one line; `load_checkpoint` reads a whole log.
     """
 
     sequence_id: str
@@ -160,10 +161,9 @@ class Checkpoint:
     mode: str  # "full" | "chunk"
     frame_size: tuple[int, int]  # (width, height)
     num_frames: int
-    base: str | None = None
 
     def to_payload(self) -> dict:
-        """This checkpoint as one schema-v2 segment."""
+        """This checkpoint as one schema-v3 line."""
         width, height = self.frame_size
         return {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -171,7 +171,6 @@ class Checkpoint:
             "last_completed_frame": self.last_completed_frame,
             "mode": self.mode,
             "header": {"width": width, "height": height, "num_frames": self.num_frames},
-            "base": self.base,
             "assoc_state": self.assoc_state,
             "masklets": [_masklet_to_payload(m) for m in self.masklets],
         }
@@ -211,7 +210,6 @@ class Checkpoint:
             payload["mode"],
             (width, height),
             num_frames,
-            payload["base"],
         )
 
 
@@ -264,221 +262,158 @@ def _polygon_from_ints(flat: list | None) -> Polygon | None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Three-phase atomic save of one segment: write temp, back up the
-    existing file, promote.
+    """Append `ckpt` to the log at `path` as one line, flushed and fsynced.
 
-    A crash at any point leaves at least one valid checkpoint: either the
-    untouched original, or the backup (plus a complete temp awaiting
-    promotion).
+    A crash mid-append leaves at most a torn last line, which loading passes
+    over. The directory is synced only when the append creates the log.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    backup = path.with_name(path.name + ".bak")
+    created = not path.exists()
     # One json.dumps call encodes in C; json.dump writes the same bytes from
     # the pure-Python encoder.
-    text = json.dumps(ckpt.to_payload(), separators=(",", ":"), sort_keys=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    line = json.dumps(ckpt.to_payload(), separators=(",", ":"), sort_keys=True) + "\n"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line)
         fh.flush()
         os.fsync(fh.fileno())
-    if path.exists():
-        os.replace(path, backup)
-    os.replace(tmp, path)
-    # The renames are durable only once the directory entry is on disk.
-    fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    if created:
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint | None:
-    """Load one segment, falling back to its backup; None means there is
-    neither.
+def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
+    """The state the log at `path` holds, and the length in bytes of the
+    lines that hold it; (None, 0) when there is no log or no whole line.
 
-    A corrupt or version-mismatched file raises a CheckpointError, which names
-    the recovery file when one exists. Corrupt covers unreadable files,
-    invalid JSON and valid JSON whose payload fails validation (header, mask
-    runs, boxes, polygons).
+    The state is that of the longest prefix of newline-terminated lines that
+    each parse, validate (header, associator state, mask runs, boxes,
+    polygons) and follow the lines before them: the same sequence, mode,
+    frame size and frame count, a later last completed frame, and masklets
+    that continue their objects' earlier frames. A whole first line that
+    does not load raises a CheckpointError naming the file.
     """
-    path = Path(path)
-    backup = path.with_name(path.name + ".bak")
-
-    def read(p: Path) -> Checkpoint:
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return None, 0
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint {path} unreadable ({exc})") from exc
+    state, valid = None, 0
+    *lines, torn = data.split(b"\n")
+    for n, line in enumerate(lines, 1):
         try:
-            with open(p, encoding="utf-8") as fh:
-                return Checkpoint.from_payload(json.load(fh))
-        except (OSError, ValueError, TypeError, KeyError, CheckpointError) as exc:
-            raise CheckpointError(f"checkpoint {p} unreadable ({exc})") from exc
+            state = _follow(state, Checkpoint.from_payload(json.loads(line)))
+        except (ValueError, TypeError, LookupError, AttributeError, CheckpointError) as exc:
+            if state is None:
+                raise CheckpointError(f"checkpoint {path} line 1 unreadable ({exc})") from exc
+            logger.warning("checkpoint %s line %d unreadable (%s)", path, n, exc)
+            return state, valid
+        valid += len(line) + 1
+    if torn:
+        logger.warning("checkpoint %s line %d is cut short", path, len(lines) + 1)
+    return state, valid
 
-    if path.exists():
-        try:
-            return read(path)
-        except CheckpointError as exc:
-            if backup.exists():
-                raise CheckpointError(f"{exc}; recovery file: {backup}") from exc
-            raise
-    if backup.exists():
-        logger.warning("checkpoint %s missing, recovering from %s", path, backup)
-        return read(backup)
-    return None
+
+def _follow(state: Checkpoint | None, line: Checkpoint) -> Checkpoint:
+    """`state`, the lines before `line`, extended by `line`; `state` itself
+    is left as it was."""
+    if state is not None and (
+        (line.sequence_id, line.mode, line.frame_size, line.num_frames)
+        != (state.sequence_id, state.mode, state.frame_size, state.num_frames)
+        or line.last_completed_frame <= state.last_completed_frame
+    ):
+        raise CheckpointError(
+            f"{line.mode} mode, frame {line.last_completed_frame} of {line.sequence_id} does not "
+            f"follow {state.mode} mode, frame {state.last_completed_frame} of {state.sequence_id}"
+        )
+    by_id = {m.object_id: m for m in (state.masklets if state is not None else [])}
+    for m in line.masklets:
+        have = by_id.setdefault(m.object_id, m)
+        if have is m:
+            continue
+        if m.class_label != have.class_label or (
+            m.entries and have.entries and min(m.entries) <= max(have.entries)
+        ):
+            raise CheckpointError(f"object {m.object_id} does not continue its earlier frames")
+        by_id[m.object_id] = Masklet(m.object_id, m.class_label, {**have.entries, **m.entries})
+    return replace(line, masklets=list(by_id.values()))
 
 
 class CheckpointStore:
-    """One sequence's checkpoint chain, as tagged files in one directory.
+    """One sequence's checkpoint: the log `<sequence_id>_ckpt.jsonl`.
 
-    Each save appends a segment to the chain the store is on: the one
-    `load_latest` read, or a new one after `restart` or `clear`. After each
-    save, every file of the sequence that the new head does not reach is
-    deleted.
+    Each save appends a line to the log the store is on: the one
+    `load_latest` read or, after `restart` or `clear`, a new one that
+    replaces it.
     """
 
     def __init__(self, directory: str | Path, sequence_id: str) -> None:
         self.directory = Path(directory)
         self.sequence_id = sequence_id
-        self._chain: list[str] = []  # file names of the chain's links, root first
-        self._saved: dict[int, int] = {}  # object id -> last frame the chain holds
+        self.path = self.directory / f"{sequence_id}_ckpt.jsonl"
+        self.restart()
 
-    def _path_for(self, tag: str) -> Path:
-        return self.directory / f"{self.sequence_id}_ckpt_{tag}.json"
+    def _old_files(self) -> list[Path]:
+        """The sequence's files of the file-per-save format of older versions,
+        their .bak and .tmp copies included; no other sequence's files."""
+        pattern = re.escape(self.sequence_id) + r"_ckpt_(final|frame_\d+)\.json(\.bak|\.tmp)?"
+        return sorted(p for p in self.directory.glob("*") if re.fullmatch(pattern, p.name))
 
-    def _files(self, pattern: str) -> list[Path]:
-        # The sequence id is matched literally, glob metacharacters included.
-        return list(self.directory.glob(glob.escape(f"{self.sequence_id}_ckpt_") + pattern))
-
-    def save(self, ckpt: Checkpoint, final: bool = False) -> Path:
-        """Append `ckpt`, a run's whole state, to the chain as one segment
-        that holds only the entries no earlier link holds: for each object,
-        the frames after the last one saved. Both modes grow a masklet only
-        at its tail, so the chain then holds all of `ckpt`."""
-        path = self._path_for("final" if final else f"frame_{ckpt.last_completed_frame:04d}")
-        if path.name in self._chain:
-            raise ValueError(f"{path.name} is already a link of the chain")
-        segment = replace(
-            ckpt,
-            masklets=self._unsaved(ckpt.masklets),
-            base=self._chain[-1] if self._chain else None,
-        )
-        save_checkpoint(segment, path)
-        self._chain.append(path.name)
-        self._note_saved(segment.masklets)
-        self._prune()
-        return path
-
-    def _note_saved(self, masklets: list[Masklet]) -> None:
-        for m in masklets:
-            self._saved[m.object_id] = max(m.entries, default=self._saved.get(m.object_id, -1))
-
-    def _unsaved(self, masklets: list[Masklet]) -> list[Masklet]:
-        out = []
-        for m in masklets:
-            last = self._saved.get(m.object_id)
-            if last is None:
-                out.append(m)
-                continue
-            tail = {f: e for f, e in m.entries.items() if f > last}
-            if tail:
-                out.append(Masklet(m.object_id, m.class_label, tail))
-        return out
+    def save(self, ckpt: Checkpoint) -> Path:
+        """Append `ckpt`, a run's whole state, to the log as one line that
+        holds only the entries no earlier line holds: for each object, the
+        frames after the last one saved. Both modes grow a masklet only at
+        its tail, so the log then holds all of `ckpt`."""
+        saved = self._saved
+        if saved is None:
+            self.path.unlink(missing_ok=True)
+            saved = {}
+        masklets = []
+        for m in ckpt.masklets:
+            last = saved.get(m.object_id)
+            tail = {f: e for f, e in m.entries.items() if last is None or f > last}
+            if tail or last is None:
+                masklets.append(Masklet(m.object_id, m.class_label, tail))
+        save_checkpoint(replace(ckpt, masklets=masklets), self.path)
+        self._saved = {m.object_id: max(m.entries, default=-1) for m in ckpt.masklets}
+        return self.path
 
     def restart(self) -> None:
-        """Start a new chain at the next save; that save prunes the old files."""
-        self._chain = []
-        self._saved = {}
+        """Start a new log at the next save, in place of the current one."""
+        self._saved: dict[int, int] | None = None  # object id -> last frame the log holds
 
     def clear(self) -> None:
-        """Delete every checkpoint of this sequence, backups and temps included."""
-        for p in self._files("*"):
+        """Delete the log and the sequence's older-format files, .bak and .tmp too."""
+        for p in [self.path, *self._old_files()]:
             p.unlink(missing_ok=True)
         self.restart()
 
-    def _prune(self) -> None:
-        keep = set(self._chain)
-        for p in self._files("*"):
-            if p.name not in keep and p.name.removesuffix(".bak") not in keep:
-                p.unlink(missing_ok=True)
-
-    def candidates(self) -> list[Path]:
-        """Chain heads, newest first: the final checkpoint, then by frame."""
-        found = self._files("*.json")
-        final = self._path_for("final")
-        frames = sorted((p for p in found if "_ckpt_frame_" in p.name), reverse=True)
-        return ([final] if final in found else []) + frames
-
     def load_latest(self) -> Checkpoint | None:
-        """The state of the newest chain that loads whole, which the next save
-        extends; None when the sequence has no checkpoint.
+        """The state the log holds, which the next save extends; None when
+        the sequence has no checkpoint.
 
-        A chain with a missing, unreadable or mismatched link is passed over
-        for the next older head; when no chain loads, the last error raises.
+        A torn or bad tail is cut off the log. A bad first line, a log of
+        another sequence, or no log beside a file of the older format raises
+        a CheckpointError naming the file.
         """
-        last_error: CheckpointError | None = None
-        for head in self.candidates():
-            try:
-                state, names = self._load_chain(head.name)
-            except CheckpointError as exc:
-                last_error = exc
-                continue
-            self.restart()
-            self._chain = names
-            self._note_saved(state.masklets)
-            return state
-        if last_error is not None:
-            raise last_error
-        return None
-
-    def _load_chain(self, head: str) -> tuple[Checkpoint, list[str]]:
-        """The state the chain ending in file `head` holds, and its links'
-        file names, root first."""
-        links: list[Checkpoint] = []
-        names: list[str] = []
-        name: str | None = head
-        while name is not None:
-            if name in names:
-                raise CheckpointError(f"the chain of {head} loops back to {name}")
-            if not (
-                isinstance(name, str)
-                and name.startswith(f"{self.sequence_id}_ckpt_")
-                and name.endswith(".json")
-                and Path(name).name == name
-            ):
-                raise CheckpointError(
-                    f"the chain of {head} names {name!r}, not a checkpoint of {self.sequence_id}"
-                )
-            link = load_checkpoint(self.directory / name)
-            if link is None:
-                raise CheckpointError(f"{name}, a link of the chain of {head}, is missing")
-            links.insert(0, link)
-            names.insert(0, name)
-            name = link.base
-        last = links[-1]
-        by_id: dict[int, Masklet] = {}
-        masklets: list[Masklet] = []
-        for i, link in enumerate(links):
-            if (
-                (link.sequence_id, link.mode) != (self.sequence_id, last.mode)
-                or link.frame_size != last.frame_size
-                or link.num_frames != last.num_frames
-                or (i and link.last_completed_frame <= links[i - 1].last_completed_frame)
-            ):
-                raise CheckpointError(
-                    f"{names[i]} ({link.mode} mode, sequence {link.sequence_id}, frame "
-                    f"{link.last_completed_frame}) does not fit the chain of {head}"
-                )
-            for m in link.masklets:
-                have = by_id.setdefault(m.object_id, m)
-                if have is m:
-                    masklets.append(m)
-                elif m.class_label != have.class_label or (
-                    m.entries and have.entries and min(m.entries) <= max(have.entries)
-                ):
-                    raise CheckpointError(
-                        f"object {m.object_id} of {names[i]} does not continue its base"
-                    )
-                else:
-                    have.entries.update(m.entries)
-        return replace(last, masklets=masklets, base=None), names
+        self.restart()
+        if not self.path.exists():
+            old = [p for p in self._old_files() if p.suffix == ".json"]
+            if old:
+                raise CheckpointError(f"checkpoint {old[0]} is of a format that no longer loads")
+            return None
+        state, valid = load_checkpoint(self.path)
+        if state is not None and state.sequence_id != self.sequence_id:
+            raise CheckpointError(f"checkpoint {self.path} line 1: sequence {state.sequence_id}")
+        if self.path.stat().st_size > valid:
+            os.truncate(self.path, valid)
+        if state is not None:
+            self._saved = {m.object_id: max(m.entries, default=-1) for m in state.masklets}
+        return state
 
 
 def _prepare_detections(
@@ -506,7 +441,6 @@ class _Run:
     ash_cfg: AshConfig
     chunk_cfg: ChunkerConfig
     store: CheckpointStore | None
-    sequence_id: str
     rescale: bool
     on_frame: Callable[[int], None] | None
 
@@ -573,11 +507,7 @@ def run_sequence(
     """
     if mode not in ("full", "chunk", "auto"):
         raise ValueError(f"mode must be full|chunk|auto, got {mode!r}")
-    store = (
-        CheckpointStore(checkpoint_dir, sequence_id)
-        if checkpoint_dir is not None
-        else None
-    )
+    store = CheckpointStore(checkpoint_dir, sequence_id) if checkpoint_dir is not None else None
     if store is not None and not resume:
         # A fresh run's checkpoints must not compete with an older run's.
         store.clear()
@@ -589,7 +519,6 @@ def run_sequence(
         ash_cfg,
         chunk_cfg,
         store,
-        sequence_id,
         rescale,
         on_frame,
     )
@@ -603,16 +532,16 @@ def run_sequence(
     try:
         return _run_chunked(run, resume)
     except (PropagationError, ProcessingBudgetExceeded) as exc:
-        last = store.candidates() if store else []
-        ref = f"; last checkpoint: {last[0]}" if last else "; no checkpoint written"
+        written = store is not None and store.path.exists()
+        ref = f"; last checkpoint: {store.path}" if written else "; no checkpoint written"
         raise RuntimeError(f"both processing modes failed: {exc}{ref}") from exc
 
 
 def _resume(run: _Run, resume: bool, mode: str) -> Checkpoint | None:
     """The checkpointed state a run in `mode` continues from, if any.
 
-    The store's next save extends that state's chain; without one, it starts
-    a new chain. A state saved for frames of another size or count raises.
+    The store's next save extends that state's log; without one, it starts
+    a new log. A state saved for frames of another size or count raises.
     """
     if run.store is None:
         return None
@@ -620,29 +549,23 @@ def _resume(run: _Run, resume: bool, mode: str) -> Checkpoint | None:
     if ckpt is None or ckpt.mode != mode:
         run.store.restart()
         return None
-    num_frames = len(run.detections)
-    if ckpt.frame_size != run.frame_size:
+    if (ckpt.num_frames, ckpt.frame_size) != (len(run.detections), run.frame_size):
         raise CheckpointError(
-            f"checkpoint of {run.sequence_id} has {ckpt.frame_size[0]}x{ckpt.frame_size[1]} "
-            f"frames, the sequence {run.frame_size[0]}x{run.frame_size[1]}"
-        )
-    if ckpt.num_frames != num_frames:
-        raise CheckpointError(
-            f"checkpoint of {run.sequence_id} has {ckpt.num_frames} frames, "
-            f"the sequence {num_frames}"
+            f"checkpoint of {ckpt.sequence_id} has {ckpt.num_frames} frames of "
+            f"{ckpt.frame_size[0]}x{ckpt.frame_size[1]}, the sequence {len(run.detections)} "
+            f"of {run.frame_size[0]}x{run.frame_size[1]}"
         )
     logger.info(
-        "resuming %s (%s mode) after frame %d", run.sequence_id, mode, ckpt.last_completed_frame
+        "resuming %s (%s mode) after frame %d", ckpt.sequence_id, mode, ckpt.last_completed_frame
     )
     return ckpt
 
 
 def _save(run: _Run, t: int, masklets: list[Masklet], assoc_state: dict, mode: str) -> None:
-    """Append the state after frame `t` to the run's checkpoint chain."""
-    num_frames = len(run.detections)
+    """Append the state after frame `t` to the run's checkpoint log."""
+    sequence_id, num_frames = run.store.sequence_id, len(run.detections)
     run.store.save(
-        Checkpoint(run.sequence_id, t, masklets, assoc_state, mode, run.frame_size, num_frames),
-        final=(t == num_frames - 1),
+        Checkpoint(sequence_id, t, masklets, assoc_state, mode, run.frame_size, num_frames)
     )
 
 

@@ -35,6 +35,9 @@ class DeploymentConfig:
         unknown = sorted(set(self.parameter_grid) - {f.name for f in fields(SmartOdConfig)})
         if unknown:
             raise ValueError(f"parameter_grid names no smart_od field: {', '.join(unknown)}")
+        for key, values in self.parameter_grid.items():
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"parameter_grid['{key}'] is not a non-empty list: {values!r}")
 
 
 @dataclass(frozen=True)

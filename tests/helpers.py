@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 from scipy import ndimage
 
+import vidannot.chunker
 from vidannot import geometry
 from vidannot.ash import MaskletEntry, _align_rotation
 from vidannot.backends import SyntheticWorldConfig, generate_synthetic_sequence
@@ -387,3 +390,37 @@ def every_pair_qa_score(masklets, reference, sampled_frames) -> float:
                     best = v
             total += best
     return total / count if count else 1.0
+
+
+def inject_append_fault(monkeypatch, phase: str) -> None:
+    """Make checkpoint appends fail at `phase`: "write" writes half the line
+    and raises, "fsync" fails the log's fsync and "directory fsync" the
+    directory's."""
+    real_open, real_fsync = open, os.fsync
+
+    class CutShort:
+        def __init__(self, fh) -> None:
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            self.fh.close()
+
+        def write(self, text: str) -> None:
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("injected short write")
+
+    def opened(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        return CutShort(fh) if phase == "write" else fh
+
+    def fsync(fd: int) -> None:
+        if phase == ("directory fsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync"):
+            raise OSError(f"injected {phase} failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(vidannot.chunker, "open", opened, raising=False)
+    monkeypatch.setattr(os, "fsync", fsync)

@@ -6,7 +6,6 @@ lines; the whole suite is also part of the default pytest run.
 from __future__ import annotations
 
 import math
-import os
 import time
 from pathlib import Path
 
@@ -22,12 +21,7 @@ from vidannot.backends import (
     SyntheticWorldConfig,
     generate_synthetic_sequence,
 )
-from vidannot.chunker import (
-    ChunkerConfig,
-    load_checkpoint,
-    run_sequence,
-    save_checkpoint,
-)
+from vidannot.chunker import CheckpointStore, ChunkerConfig, run_sequence
 from vidannot.geometry import iou_box, iou_mask
 from vidannot.io import masklets_to_document, masklets_to_mot, write_annotations, write_mot
 from vidannot.metrics import LabeledBox, evaluate, match_frame
@@ -35,7 +29,8 @@ from vidannot.smart_od import SmartOdConfig, dynamic_threshold, filter_area_rati
 
 from test_metrics import brute_idf1
 from test_smart_od import brute_threshold
-from test_chunker import small_checkpoint
+from test_chunker import grown_checkpoint, state_signature
+from helpers import inject_append_fault
 
 EIGHT_WAY_VELOCITIES = tuple(
     (0.2 * math.cos(2 * math.pi * i / 8), 0.2 * math.sin(2 * math.pi * i / 8))
@@ -331,24 +326,20 @@ class TestCriterion5CrashSafety:
         )
 
     def test_fault_injection_leaves_loadable_checkpoint(self, tmp_path, monkeypatch):
-        path = tmp_path / "c.json"
-        save_checkpoint(small_checkpoint(frame=1), path)
-        for fail_at in (1, 2):
-            calls = {"n": 0}
-            real_replace = os.replace
-
-            def flaky(src, dst, *, _fail_at=fail_at, _calls=calls):
-                _calls["n"] += 1
-                if _calls["n"] == _fail_at:
-                    raise OSError("injected crash")
-                return real_replace(src, dst)
-
-            monkeypatch.setattr(os, "replace", flaky)
-            with pytest.raises(OSError):
-                save_checkpoint(small_checkpoint(frame=2), path)
-            monkeypatch.setattr(os, "replace", real_replace)
-            assert load_checkpoint(path) is not None
-            save_checkpoint(small_checkpoint(frame=1), path)
+        # A save's append cut short, or failing at the fsync of the log or of
+        # the directory it creates, leaves the old or the new state loadable.
+        for phase in ("write", "fsync", "directory fsync"):
+            store = CheckpointStore(tmp_path / phase, "acc")
+            states = [None, state_signature(grown_checkpoint(20, seq="acc"))]
+            if phase != "directory fsync":
+                store.save(grown_checkpoint(10, seq="acc"))
+                states[0] = state_signature(grown_checkpoint(10, seq="acc"))
+            with monkeypatch.context() as m:
+                inject_append_fault(m, phase)
+                with pytest.raises(OSError, match="injected"):
+                    store.save(grown_checkpoint(20, seq="acc"))
+            loaded = CheckpointStore(tmp_path / phase, "acc").load_latest()
+            assert (loaded and state_signature(loaded)) in states
         print(
             "\n[acceptance] criterion 5b (checkpoint fault injection): PASS "
             "loadable checkpoint survives crashes between all save phases"

@@ -207,3 +207,14 @@ class TestAssociatorState:
             AssocConfig(tau_track_det=0.0)
         with pytest.raises(ValueError):
             AssocConfig(lambda_min=100, lambda_max=100)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("aspect_range", (5.0, 0.2)), ("aspect_range", (0.0, 5.0)), ("track_buffer", -1)],
+    )
+    def test_aspect_range_and_track_buffer_validated(self, field, value):
+        # An aspect range (5, 0.2) once rejected every box, and the run wrote
+        # empty annotations without an error.
+        with pytest.raises(ValueError, match=field):
+            AssocConfig(**{field: value})
+        assert AssocConfig(aspect_range=(1.0, 1.0), track_buffer=0).track_buffer == 0

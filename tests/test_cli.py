@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from vidannot.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -112,3 +114,19 @@ class TestCliVerbs:
         rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / "out"), "--mode", "chunk"])
         assert rc == EXIT_CONFIG
         assert "window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [{"theta_v": 0.1}, {"threshold_method": "kmeans"}])
+    def test_deploy_rejects_a_grid_value_that_is_not_a_list(self, tmp_path, capsys, grid):
+        cfg = write_tiny_config(tmp_path / "c.json", deploy={"parameter_grid": grid})
+        rc = main(["deploy", "--config", cfg, "--out", str(tmp_path / "out"), "--sequences", "2"])
+        assert rc == EXIT_CONFIG
+        assert next(iter(grid)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields", [{"full_budget": "10"}, {"full_budget": -5}, {"checkpoint_interval": 2.5}]
+    )
+    def test_annotate_rejects_a_bad_budget_or_interval(self, tmp_path, capsys, fields):
+        cfg = write_tiny_config(tmp_path / "c.json", chunker={"chi": 8, "omega": 2, **fields})
+        rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert next(iter(fields)) in capsys.readouterr().err

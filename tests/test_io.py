@@ -273,6 +273,27 @@ class TestConfig:
         grid = {"theta_v": [0.03, 0.05]}
         assert parse_config({"deploy": {"parameter_grid": grid}}).deploy.parameter_grid == grid
 
+    @pytest.mark.parametrize("grid", [{"theta_v": 0.1}, {"threshold_method": "kmeans"}])
+    def test_parameter_grid_values_must_be_lists(self, grid):
+        # A number once died in the grid search with a raw TypeError; a
+        # string was searched one character at a time.
+        with pytest.raises(FormatError, match=f"parameter_grid\\['{next(iter(grid))}'\\]"):
+            parse_config({"deploy": {"parameter_grid": grid}})
+
+    @pytest.mark.parametrize(
+        "section, fields",
+        [
+            ("chunker", {"full_budget": "10"}),
+            ("chunker", {"full_budget": -5}),
+            ("chunker", {"checkpoint_interval": 2.5}),
+            ("assoc", {"aspect_range": [5, 0.2]}),
+            ("assoc", {"track_buffer": -3}),
+        ],
+    )
+    def test_out_of_range_fields_rejected_by_name(self, section, fields):
+        with pytest.raises(FormatError, match=next(iter(fields))):
+            parse_config({section: fields})
+
     def test_serialize_parse_normalizes(self):
         cfg = PipelineConfig()
         once = serialize_config(cfg)

@@ -269,8 +269,8 @@ class Killed(Exception):
 
 class TestChunkResume:
     """A chunk-mode run of 90 frames, 3 objects, chi=30 and omega=5 picks the
-    chunks (0, 29), (20, 49), (40, 69) and (60, 89). Killed at frame 70, it
-    leaves the segment of frame 69, and the resume tracks only (60, 89)."""
+    chunks (0, 29), (20, 49), (40, 69) and (60, 89). Killed at frame 70, its
+    log ends with the line of frame 69, and the resume tracks only (60, 89)."""
 
     outputs = ("s_annotations.jsonl", "s_track.txt")
 
@@ -299,9 +299,10 @@ class TestChunkResume:
                 dets, source.propagator, source.frame_size, cfg.assoc, cfg.ash, cfg.chunker,
                 mode="chunk", checkpoint_dir=tmp_path / "ckpt", sequence_id="s", on_frame=bomb,
             )
-        assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == [
-            "s_ckpt_frame_0029.json", "s_ckpt_frame_0049.json", "s_ckpt_frame_0069.json"
-        ]
+        log = tmp_path / "ckpt" / "s_ckpt.jsonl"
+        assert [p.name for p in (tmp_path / "ckpt").iterdir()] == [log.name]
+        frames = [json.loads(line)["last_completed_frame"] for line in log.read_text().splitlines()]
+        assert frames == [29, 49, 69]
         run_dataset(
             {"s": synthetic_source("s", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "ref",
             mode="chunk",
@@ -331,12 +332,15 @@ class TestChunkResume:
         assert sorted(verified) == list(range(60, 90))
 
     def test_segments_with_a_chunk_index_resume(self, tmp_path):
-        # Segments once carried their chunk's index; it is ignored now.
+        # Checkpoints once carried their chunk's index; it is ignored now.
         cfg, ref = self.killed_and_reference(tmp_path)
-        for i, path in enumerate(sorted((tmp_path / "ckpt").iterdir())):
-            payload = json.loads(path.read_text())
+        log = tmp_path / "ckpt" / "s_ckpt.jsonl"
+        lines = []
+        for i, line in enumerate(log.read_text().splitlines()):
+            payload = json.loads(line)
             payload["chunk_index"] = i
-            path.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True))
+            lines.append(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+        log.write_text("".join(lines))
         assert self.resume(tmp_path, cfg) == ref
 
 

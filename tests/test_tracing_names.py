@@ -143,7 +143,7 @@ def test_each_chain_link_loads_and_each_segment_saves_through_the_rebound_names(
     def save(*args, **kwargs):
         assert not kwargs  # the tracer's hook reads (ckpt, path) positionally
         ckpt, path = args
-        saved.append((Path(path).name, ckpt.base))
+        saved.append((Path(path).name, ckpt.last_completed_frame))
         return real_save(ckpt, path)
 
     monkeypatch.setattr(vidannot.chunker, "load_checkpoint", load)
@@ -155,12 +155,13 @@ def test_each_chain_link_loads_and_each_segment_saves_through_the_rebound_names(
             {"s": source}, cfg.smart_od, cfg, tmp_path / "out",
             checkpoint_dir=tmp_path / "ckpt", mode="full", resume=True,
         )
-    assert loaded == ["s_ckpt_frame_0029.json", "s_ckpt_frame_0019.json", "s_ckpt_frame_0009.json"]
-    assert saved == [("s_ckpt_final.json", "s_ckpt_frame_0029.json")]
+    # One read of the log, whose lines are those of frames 9, 19 and 29.
+    assert loaded == ["s_ckpt.jsonl"]
+    assert saved == [("s_ckpt.jsonl", 39)]
     names = [span[2] for span in tracer.spans]
-    assert names.count("chunker.ckpt_load") == 3
+    assert names.count("chunker.ckpt_load") == 1
     assert names.count("chunker.ckpt_save") == tracer.counts["chunker.ckpt_saves"] == 1
-    assert tracer.counts["chunker.ckpt_bytes"] == (tmp_path / "ckpt" / "s_ckpt_final.json").stat().st_size
+    assert tracer.counts["chunker.ckpt_bytes"] == (tmp_path / "ckpt" / "s_ckpt.jsonl").stat().st_size
 
 
 def test_every_smoothed_outline_rasterizes_through_the_rebound_name(tmp_path, monkeypatch):
