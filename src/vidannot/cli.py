@@ -30,8 +30,17 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+def _read_input(read, path: str):
+    """`read(path)` for a file named on the command line; one that cannot be
+    opened is a usage error."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = read_config(args.config) if args.config else PipelineConfig()
+    cfg = _read_input(read_config, args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
@@ -45,22 +54,11 @@ def _world(cfg: PipelineConfig, seed_offset: int = 0) -> SyntheticWorldConfig:
 
 
 def _gt_mot_records(gt_frames) -> list[MotRecord]:
-    records = []
-    for frame in gt_frames:
-        for obj in frame.visible_objects():
-            records.append(
-                MotRecord(
-                    frame=frame.frame_index + 1,
-                    track_id=obj.identity,
-                    x=obj.box.x1,
-                    y=obj.box.y1,
-                    w=max(obj.box.width, 1e-6),
-                    h=max(obj.box.height, 1e-6),
-                    conf=1.0,
-                    visibility=obj.visibility,
-                )
-            )
-    return records
+    return [
+        MotRecord.from_box(frame.frame_index + 1, obj.identity, obj.box, 1.0, obj.visibility)
+        for frame in gt_frames
+        for obj in frame.visible_objects()
+    ]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -76,20 +74,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     source = synthetic_source(args.seq, cfg, _world(cfg))
-    records = []
-    for t in range(source.num_frames):
-        for d in run_smart_od(t, source.detector, cfg.smart_od):
-            records.append(
-                MotRecord(
-                    frame=t + 1,
-                    track_id=-1,
-                    x=d.box.x1,
-                    y=d.box.y1,
-                    w=max(d.box.width, 1e-6),
-                    h=max(d.box.height, 1e-6),
-                    conf=d.confidence,
-                )
-            )
+    records = [
+        MotRecord.from_box(t + 1, -1, d.box, d.confidence)
+        for t in range(source.num_frames)
+        for d in run_smart_od(t, source.detector, cfg.smart_od)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.seq}_det.txt"
@@ -134,7 +123,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     def to_frames(path: str) -> dict[int, list[LabeledBox]]:
-        grouped = read_mot(path)
+        grouped = _read_input(read_mot, path)
         return {
             f - 1: [LabeledBox(r.track_id, r.box, str(r.class_id)) for r in records]
             for f, records in grouped.items()

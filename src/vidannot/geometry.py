@@ -1,11 +1,14 @@
 """Boxes, binary masks, polygons, conversions between them, and IoU.
 
 All values are immutable after construction; every operation here is a pure
-function and safe to call concurrently.
+function and safe to call concurrently. A mask op costs O(crop area); tracing
+an outline costs one Python step per boundary pixel and makes no Python object
+per crop pixel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -301,80 +304,29 @@ def polygon_to_bbox(p: Polygon) -> BBox:
 
 
 def _largest_component(data: np.ndarray) -> np.ndarray:
-    labels, _ = ndimage.label(data, structure=_FOUR_CONNECTED)
+    labels, count = ndimage.label(data, structure=_FOUR_CONNECTED)
+    if count == 1:
+        return data
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     return labels == int(sizes.argmax())
 
 
-_MOORE_INDEX = {off: i for i, off in enumerate(_MOORE)}
-# After stepping in direction d, the backtrack cell (the last background cell
-# checked, the Moore neighbor before d) seen from the new pixel.
-_BACK_DIR = tuple(
-    _MOORE_INDEX[(_MOORE[d - 1][0] - _MOORE[d][0], _MOORE[d - 1][1] - _MOORE[d][1])]
-    for d in range(8)
-)
+# After a step in direction d, the backtrack cell (the last background cell
+# checked, the Moore neighbor before d) seen from the new pixel: a 4-neighbor.
+_BACK_DIR = (6, 6, 0, 0, 2, 2, 4, 4)
 
 
-def _trace_moore_boundary(component: np.ndarray) -> list[tuple[int, int]]:
-    """Clockwise Moore boundary pixels of a single connected component.
-
-    Starts at the uppermost-leftmost foreground pixel with its West neighbor
-    as the backtrack cell, scans the Moore neighborhood clockwise from just
-    past the backtrack, and stops when a (pixel, backtrack) state repeats.
-    The state-repeat rule is total for any finite component, including single
-    pixels and one-pixel-wide lines.
-    """
-    stride = component.shape[1] + 2
-    # A background border makes every neighbor of a foreground pixel a valid
-    # index into the flat grid.
-    cells = np.pad(component, 1).ravel().tolist()
+@functools.lru_cache(maxsize=None)
+def _moore_scans(stride: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per backtrack, the clockwise Moore scan from just past it through a flat
+    grid `stride` >= 3 cells wide, as (flat offset, which names the direction,
+    next backtrack). Cached per padded crop width: one entry per frame column
+    at most."""
     step = [dy * stride + dx for dy, dx in _MOORE]
-    # Per backtrack direction: the clockwise scan as (flat offset, next backtrack).
-    scans = [[(step[(b + i) % 8], _BACK_DIR[(b + i) % 8]) for i in range(1, 9)] for b in range(8)]
-    cur = cells.index(True)
-    back = _MOORE_INDEX[(0, -1)]  # West neighbor, background by scan order
-    boundary = [cur]
-    seen = {cur * 8 + back}
-    while True:
-        for offset, next_back in scans[back]:
-            if cells[cur + offset]:
-                break
-        else:
-            break  # isolated pixel
-        cur += offset
-        back = next_back
-        state = cur * 8 + back
-        if state in seen:
-            break
-        seen.add(state)
-        boundary.append(cur)
-    return [(i // stride - 1, i % stride - 1) for i in boundary]
-
-
-def _collapse_collinear(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    deduped: list[tuple[int, int]] = []
-    for p in points:
-        if not deduped or p != deduped[-1]:
-            deduped.append(p)
-    if len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
-    if len(deduped) < 3:
-        return deduped
-    out: list[tuple[int, int]] = []
-    n = len(deduped)
-    for i in range(n):
-        prev = deduped[(i - 1) % n]
-        cur = deduped[i]
-        nxt = deduped[(i + 1) % n]
-        ax, ay = cur[0] - prev[0], cur[1] - prev[1]
-        bx, by = nxt[0] - cur[0], nxt[1] - cur[1]
-        cross = ax * by - ay * bx
-        dot = ax * bx + ay * by
-        # Drop only straight continuations; keep reversal points (spike tips).
-        if cross != 0 or dot <= 0:
-            out.append(cur)
-    return out if len(out) >= 3 else deduped
+    return tuple(
+        tuple((step[d % 8], _BACK_DIR[d % 8]) for d in range(b + 1, b + 9)) for b in range(8)
+    )
 
 
 def mask_to_polygon(m: BinaryMask, min_pixels: int = 3) -> Polygon | None:
@@ -382,18 +334,59 @@ def mask_to_polygon(m: BinaryMask, min_pixels: int = 3) -> Polygon | None:
 
     Returns None when the foreground has fewer than `min_pixels` pixels or the
     component is too small to form a polygon. Holes and smaller components are
-    ignored. Vertices are (x, y) pixel centers; collinear runs are collapsed.
+    ignored. Vertices are (x, y) pixel centers where the boundary turns; a
+    one-pixel-wide straight line keeps every pixel.
+
+    A clockwise Moore trace from the uppermost-leftmost pixel, with its West
+    neighbor as the backtrack cell, until a (pixel, backtrack) state repeats.
+    It reads the crop as bytes and costs one Python step per boundary pixel.
     """
     if m.count < min_pixels or m.is_empty():
         return None
     # Labels and the trace run on the crop; raster order, and so every
-    # tie-break, is the same as on the whole frame.
-    component = _largest_component(m.crop)
-    boundary = _trace_moore_boundary(component)
-    pts = _collapse_collinear([(y + m.y0, x + m.x0) for y, x in boundary])
-    if len(pts) < 3:
+    # tie-break, is the same as on the whole frame. A background border makes
+    # every neighbor of a foreground pixel a valid index into the flat grid.
+    h, w = m.crop.shape
+    stride = w + 2
+    grid = np.zeros((h + 2, stride), dtype=bool)
+    grid[1:-1, 1:-1] = _largest_component(m.crop)
+    cells = grid.tobytes()
+    scans = _moore_scans(stride)
+    start = cells.index(1)
+    first = next((step for step in scans[0] if cells[start + step[0]]), None)
+    if first is None:
+        return None  # isolated pixel
+    # The trace stops when a (pixel, backtrack) state repeats. Every backtrack
+    # is a background 4-neighbor and every pixel after the start was entered
+    # from a foreground one; no two such states step to the same state, save
+    # that the start pixel entered from E or SE steps where the first state
+    # does. So the first state to repeat is the first, which steps to the
+    # second, or the second: either way the walk ends at the start pixel about
+    # to enter the second state again. The start is always a vertex: the walk
+    # leaves it heading E, SE, S or SW and enters it heading N, NE, W or NW.
+    prev, back = first
+    cur = second = start + prev
+    turns = [start]  # boundary pixels where the step direction changes
+    while True:
+        for offset, next_back in scans[back]:
+            if cells[cur + offset]:
+                break
+        if cur + offset == second and next_back == first[1]:
+            break
+        if offset != prev:
+            turns.append(cur)
+        cur += offset
+        back, prev = next_back, offset
+    if len(turns) < 3:
+        # A closed path of unit steps with fewer than three turns is a
+        # one-pixel-wide straight line walked to its far end and back; its
+        # outline keeps every pixel.
+        line = np.arange(start, turns[1] + 1, 1 if turns[1] - start < stride else stride)
+        turns = np.concatenate((line, line[-2:0:-1]))
+    if len(turns) < 3:
         return None
-    return Polygon(np.array(pts)[:, ::-1])
+    ys, xs = np.divmod(np.asarray(turns), stride)
+    return Polygon(np.column_stack((xs + (m.x0 - 1), ys + (m.y0 - 1))))
 
 
 def _fill_scanline(vertices: np.ndarray, grid: np.ndarray, x0: int, y0: int) -> None:

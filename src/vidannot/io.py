@@ -58,6 +58,14 @@ class MotRecord:
     def box(self) -> BBox:
         return BBox(self.x, self.y, self.x + self.w, self.y + self.h)
 
+    @classmethod
+    def from_box(
+        cls, frame: int, track_id: int, box: BBox, conf: float, visibility: float = 1.0
+    ) -> MotRecord:
+        """The row of `box`, a zero width or height widened to 1e-6."""
+        w, h = max(box.width, 1e-6), max(box.height, 1e-6)
+        return cls(frame, track_id, box.x1, box.y1, w, h, conf, visibility=visibility)
+
 
 def read_mot(path: str | Path) -> dict[int, list[MotRecord]]:
     """Parse a MOT CSV into records grouped by frame, preserving line order."""
@@ -212,21 +220,10 @@ def _outlined_entries(masklets: list[Masklet]) -> list[tuple[int, Masklet, Maskl
 
 def masklets_to_mot(masklets: list[Masklet]) -> list[MotRecord]:
     """Track records for every nonempty masklet entry, frame-major order."""
-    out = []
-    for f, m, e in _outlined_entries(masklets):
-        box = e.bbox
-        out.append(
-            MotRecord(
-                frame=f + 1,
-                track_id=m.object_id,
-                x=box.x1,
-                y=box.y1,
-                w=max(box.width, 1e-6),
-                h=max(box.height, 1e-6),
-                conf=e.confidence,
-            )
-        )
-    return out
+    return [
+        MotRecord.from_box(f + 1, m.object_id, e.bbox, e.confidence)
+        for f, m, e in _outlined_entries(masklets)
+    ]
 
 
 def masklets_to_document(

@@ -307,6 +307,8 @@ def run_dataset(
     Per-sequence failures are recorded and do not stop the remaining
     sequences.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     return _run_dataset(
         sources, {}, smart_cfg, pipe_cfg, out_dir, checkpoint_dir, mode, workers, resume
     )
@@ -369,6 +371,8 @@ def deploy(
     crowded frame, validates on a different sequence, then runs the dataset
     and QA-samples the results.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     counts = {s: src.object_counts() for s, src in sources.items()}
     rep_seq, rep_frame = select_representative(counts)
     rep_source = sources[rep_seq]

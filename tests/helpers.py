@@ -144,7 +144,8 @@ def _dense_collapse(points):
     return out if len(out) >= 3 else deduped
 
 
-def dense_polygon(grid: np.ndarray, min_pixels: int = 3) -> Polygon | None:
+def _dense_outline(grid: np.ndarray, min_pixels: int) -> tuple[tuple[float, float], ...] | None:
+    """The outline's (x, y) vertices as float tuples, traced on the whole frame."""
     if int(grid.sum()) < min_pixels:
         return None
     labels, n = ndimage.label(grid, structure=_FOUR)
@@ -155,7 +156,12 @@ def dense_polygon(grid: np.ndarray, min_pixels: int = 3) -> Polygon | None:
     pts = _dense_collapse(_dense_trace(labels == int(sizes.argmax())))
     if len(pts) < 3:
         return None
-    return Polygon(tuple((float(x), float(y)) for y, x in pts))
+    return tuple((float(x), float(y)) for y, x in pts)
+
+
+def dense_polygon(grid: np.ndarray, min_pixels: int = 3) -> Polygon | None:
+    vertices = _dense_outline(grid, min_pixels)
+    return None if vertices is None else Polygon(vertices)
 
 
 def dense_rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
@@ -281,14 +287,9 @@ Vertices = tuple[tuple[float, float], ...]
 
 
 def tuple_outline(m: BinaryMask, min_pixels: int = 3) -> Vertices | None:
-    """mask_to_polygon's vertices, built as float tuples."""
-    if m.count < min_pixels or m.is_empty():
-        return None
-    boundary = geometry._trace_moore_boundary(geometry._largest_component(m.crop))
-    pts = geometry._collapse_collinear([(y + m.y0, x + m.x0) for y, x in boundary])
-    if len(pts) < 3:
-        return None
-    return tuple((float(x), float(y)) for y, x in pts)
+    """mask_to_polygon's vertices, built as float tuples by the full-frame,
+    loop-based trace of the dense oracle."""
+    return _dense_outline(m.data, min_pixels)
 
 
 def tuple_resample(vertices: Vertices, n: int) -> Vertices:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from vidannot.cli import EXIT_CONFIG, EXIT_OK, main
+from vidannot.config import PipelineConfig
+from vidannot.pipeline import run_dataset
 
 
 def write_tiny_config(path, **extra):
@@ -130,3 +132,33 @@ class TestCliVerbs:
         rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert next(iter(fields)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["annotate", "--config", "{missing}"],
+            ["deploy", "--config", "{missing}"],
+            ["evaluate", "--pred", "{missing}", "--gt", "{empty}"],
+            ["evaluate", "--pred", "{empty}", "--gt", "{missing}"],
+        ],
+    )
+    def test_an_input_file_that_cannot_be_read_is_a_usage_error(self, tmp_path, capsys, argv):
+        missing, empty = tmp_path / "missing.json", tmp_path / "empty.txt"
+        empty.write_text("")
+        argv = [a.format(missing=missing, empty=empty) for a in argv]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(missing) in err
+
+    @pytest.mark.parametrize("verb,workers", [("annotate", "0"), ("annotate", "-2"), ("deploy", "0")])
+    def test_fewer_than_one_worker_is_a_usage_error(self, tmp_path, capsys, verb, workers):
+        cfg = write_tiny_config(tmp_path / "c.json")
+        rc = main([verb, "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers])
+        assert rc == EXIT_CONFIG
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_dataset_rejects_fewer_than_one_worker(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            run_dataset({}, PipelineConfig().smart_od, PipelineConfig(), tmp_path / "out", workers=0)

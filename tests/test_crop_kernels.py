@@ -225,6 +225,61 @@ class TestKernelsMatchDenseOracles:
         assert np.array_equal(_align_rotation(cur, prev), loop_align_rotation(cur, prev))
 
 
+
+def _drawn(shape: tuple[int, int], *boxes: tuple[int, int, int, int], holes=()) -> np.ndarray:
+    """A frame with the end-exclusive boxes (x0, y0, x1, y1) set, then the
+    `holes` boxes cleared."""
+    g = np.zeros(shape, dtype=bool)
+    for value, group in ((True, boxes), (False, holes)):
+        for x0, y0, x1, y1 in group:
+            g[y0:y1, x0:x1] = value
+    return g
+
+
+def _world_masks(axes: tuple[float, float], frame: int) -> list[np.ndarray]:
+    world = generate_synthetic_sequence(
+        SyntheticWorldConfig(
+            frame_width=320, frame_height=240, num_objects=4, num_frames=40,
+            ellipse_axes=axes, rng_seed=7, occlusion_enabled=True,
+        )
+    )
+    return [obj.mask.data for obj in world[frame].objects]
+
+
+# Outlines at the sizes the workloads trace, up to the hd world's 80x56
+# ellipses, and the shapes where the trace turns back on itself.
+REALISTIC_OUTLINES = {
+    **{
+        f"world-axes{axes[0]}x{axes[1]}-frame{frame}": (axes, frame)
+        for axes in ((40, 28), (11, 8))
+        for frame in (0, 13, 26, 39)
+    },
+    "rectangle-80x56": _drawn((70, 100), (10, 7, 90, 63)),
+    "ring-with-a-hole": _drawn((40, 60), (5, 4, 50, 33), holes=[(15, 10, 38, 25)]),
+    "line-1px-horizontal": _drawn((20, 40), (3, 6, 35, 7)),
+    "line-1px-vertical": _drawn((40, 20), (6, 3, 7, 35)),
+    "l-shape-1px": _drawn((30, 30), (4, 3, 5, 25), (4, 24, 26, 25)),
+    "spur-1px": _drawn((40, 60), (5, 5, 30, 30), (30, 15, 52, 16)),
+    "t-junction-1px": _drawn((20, 20), (3, 5, 13, 6), (4, 6, 5, 13)),
+    "blocks-touching-diagonally": _drawn((40, 40), (2, 2, 10, 10), (10, 10, 30, 30)),
+    "equal-blocks-tie": _drawn((40, 40), (20, 3, 30, 13), (3, 20, 13, 30)),
+    "single-pixel": _drawn((10, 10), (4, 4, 5, 5)),
+    "two-pixel-line": _drawn((10, 10), (4, 4, 6, 5)),
+    "three-pixel-vertical-line": _drawn((10, 10), (4, 4, 5, 7)),
+}
+
+
+class TestContourAtRealisticSizes:
+    @pytest.mark.parametrize("min_pixels", [1, 3])
+    @pytest.mark.parametrize("case", REALISTIC_OUTLINES)
+    def test_contour_matches_dense_oracle(self, case, min_pixels):
+        shape = REALISTIC_OUTLINES[case]
+        grids = _world_masks(*shape) if isinstance(shape, tuple) else [shape]
+        assert grids
+        for g in grids:
+            assert mask_to_polygon(BinaryMask(g), min_pixels) == dense_polygon(g, min_pixels)
+
+
 @pytest.fixture
 def no_frame_grids(monkeypatch):
     def forbidden(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -342,6 +343,71 @@ class TestChunkResume:
             lines.append(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
         log.write_text("".join(lines))
         assert self.resume(tmp_path, cfg) == ref
+
+
+class TestPinnedOutputBytes:
+    """The annotation and MOT bytes of two oracle runs, pinned by SHA-256: an
+    alpha-1.0 world with fixed velocities and noise-free detections in full
+    mode, run once uninterrupted and once killed after frame 27 and resumed
+    from its checkpoint of frame 19. Outlines are written as traced, so any
+    change to tracing, association, checkpoints or the writers shows here."""
+
+    DIGESTS = {
+        "p_annotations.jsonl": "2fc948d3e27bb16cd6fce19f87e31ca306095f3d9d3104bfd63e9073aba7c45f",
+        "p_track.txt": "af51d47c1327525cc8a10cbd8db7a7d2204792c01d92eb313d32a3fd5850be9e",
+    }
+
+    @staticmethod
+    def config() -> PipelineConfig:
+        world = SyntheticWorldConfig(
+            frame_width=320, frame_height=240, num_objects=4, num_frames=40,
+            velocities=((0.9, 0.4), (-0.7, 0.5), (0.5, -0.8), (-0.3, -0.6)),
+            ellipse_axes=(24.0, 16.0), rng_seed=11, occlusion_enabled=True,
+        )
+        return dataclasses.replace(
+            PipelineConfig(),
+            world=world,
+            ash=dataclasses.replace(PipelineConfig().ash, alpha=1.0),
+            chunker=dataclasses.replace(PipelineConfig().chunker, checkpoint_interval=10),
+        )
+
+    @staticmethod
+    def digests(out) -> dict[str, str]:
+        return {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("p_annotations.jsonl", "p_track.txt")
+        }
+
+    def test_uninterrupted_run(self, tmp_path):
+        cfg = self.config()
+        report = run_dataset(
+            {"p": synthetic_source("p", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path, mode="full"
+        )
+        assert report.failures == []
+        assert self.digests(tmp_path) == self.DIGESTS
+
+    def test_killed_and_resumed_run(self, tmp_path):
+        cfg = self.config()
+        source = synthetic_source("p", cfg, cfg.world)
+        dets = [vidannot.smart_od.run_smart_od(t, source.detector, cfg.smart_od) for t in range(40)]
+
+        def bomb(t):
+            if t == 27:
+                raise Killed()
+
+        with pytest.raises(Killed):
+            vidannot.chunker.run_sequence(
+                dets, source.propagator, source.frame_size, cfg.assoc, cfg.ash, cfg.chunker,
+                mode="full", checkpoint_dir=tmp_path / "ckpt", sequence_id="p", on_frame=bomb,
+            )
+        log = (tmp_path / "ckpt" / "p_ckpt.jsonl").read_text().splitlines()
+        assert [json.loads(line)["last_completed_frame"] for line in log] == [9, 19]
+        report = run_dataset(
+            {"p": synthetic_source("p", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "out",
+            checkpoint_dir=tmp_path / "ckpt", mode="full", resume=True,
+        )
+        assert report.failures == []
+        assert self.digests(tmp_path / "out") == self.DIGESTS
 
 
 class TestDeploy:
