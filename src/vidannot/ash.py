@@ -5,6 +5,7 @@ smoothing, and per-frame redundancy merging.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .geometry import (
     polygon_to_bbox,
     raster_box,
     rasterize_polygon,
-    resample_polygon,
+    resample_outlines,
     union_masks,
 )
 
@@ -201,15 +202,25 @@ def remove_trailing_empty(m: Masklet, epsilon_mask: int) -> Masklet | None:
     return Masklet(m.object_id, m.class_label, kept)
 
 
+@functools.lru_cache(maxsize=None)
+def _rotation_table(n: int) -> np.ndarray:
+    """Row r holds the vertex order of np.roll(cur, -r, axis=0) for n vertices."""
+    k = np.arange(n)
+    table = (k[:, None] + k) % n
+    table.flags.writeable = False
+    return table
+
+
 def _align_rotation(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Rotate cur's vertex order to minimize total squared distance to prev."""
     n = len(cur)
-    # rolled[r] is np.roll(cur, -r, axis=0); each row's cost sums the same
-    # 2n squares in the same order as that rotation's own sum, and argmin
-    # keeps the first of equal costs.
-    rolled = cur[(np.arange(n)[:, None] + np.arange(n)) % n]
-    cost = ((rolled - prev) ** 2).reshape(n, -1).sum(axis=1)
-    return rolled[int(np.argmin(cost))]
+    # Each row's cost sums the same 2n squares in the same order as that
+    # rotation's own sum, and argmin keeps the first of equal costs.
+    diff = cur.take(_rotation_table(n), axis=0)
+    diff -= prev
+    diff *= diff
+    r = int(diff.reshape(n, -1).sum(axis=1).argmin())
+    return np.concatenate((cur[r:], cur[:r]))
 
 
 def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
@@ -219,29 +230,31 @@ def smooth_polygons(m: Masklet, alpha: float, resample_n: int) -> Masklet:
     blended with the previous frame's smoothed result. Gaps (missing frames or
     empty masks) reset the recursion. alpha = 1 is the identity. Each
     smoothed entry holds its outline alone; its mask is rasterized when read.
+
+    Every outline of the masklet is traced first, then all are resampled in
+    one array pass; only alignment and blending, which need the previous
+    frame's result, run frame by frame.
     """
     if alpha >= 1.0:
         return m
     frames = m.frames()
-    # Outlines are traced back to back, which runs faster than tracing each
-    # between the previous frame's resampling and blending.
     polygons = [m.entries[f].polygon for f in frames]
+    traced = [f for f, p in zip(frames, polygons) if p is not None]
+    # Rows are blended in place, each from the row before once that is final.
+    rows = resample_outlines([p for p in polygons if p is not None], resample_n)
+    for i in range(1, len(traced)):
+        if traced[i - 1] == traced[i] - 1:
+            prev = rows[i - 1]
+            rows[i] = alpha * _align_rotation(rows[i], prev) + (1.0 - alpha) * prev
+    smoothed = dict(zip(traced, Polygon.from_rows(rows)))
     out = Masklet(m.object_id, m.class_label)
-    prev: np.ndarray | None = None
-    prev_frame: int | None = None
-    for f, polygon in zip(frames, polygons):
+    for f in frames:
         entry = m.entries[f]
-        if polygon is None:
-            out.entries[f] = entry
-            prev_frame = None
-            continue
-        blended = resample_polygon(polygon, resample_n)
-        if prev_frame == f - 1:
-            aligned = _align_rotation(blended.vertices, prev)
-            blended = Polygon(alpha * aligned + (1.0 - alpha) * prev)
-        out.entries[f] = MaskletEntry.from_outline(blended, entry.frame_size, entry.confidence)
-        prev = blended.vertices
-        prev_frame = f
+        outline = smoothed.get(f)
+        out.entries[f] = (
+            entry if outline is None
+            else MaskletEntry.from_outline(outline, entry.frame_size, entry.confidence)
+        )
     return out
 
 

@@ -227,6 +227,24 @@ class Polygon:
         arr.flags.writeable = False
         object.__setattr__(self, "vertices", arr)
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> list[Polygon]:
+        """One polygon per row of a (k, n, 2) array-like of finite numbers,
+        n >= 3, copied and checked once for all rows: each polygon's vertices
+        are a read-only view of its row of the copy."""
+        arr = np.array(rows, dtype=np.float64)
+        if arr.ndim != 3 or arr.shape[1] < 3 or arr.shape[2] != 2:
+            raise ValueError(f"polygon rows need a (k, n >= 3, 2) array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite vertex in polygon rows")
+        arr.flags.writeable = False
+        polygons = []
+        for vertices in arr:
+            p = cls.__new__(cls)
+            object.__setattr__(p, "vertices", vertices)
+            polygons.append(p)
+        return polygons
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polygon):
             return NotImplemented
@@ -469,30 +487,46 @@ def rasterize_polygon(p: Polygon, width: int, height: int) -> BinaryMask:
     return BinaryMask.from_crop(grid, x0, y0, width, height)
 
 
-def resample_polygon(p: Polygon, n: int) -> Polygon:
-    """Place exactly n vertices at equal arc-length intervals along the perimeter.
+def resample_outlines(polygons: Sequence[Polygon], n: int) -> np.ndarray:
+    """Place exactly n vertices at equal arc-length intervals along each
+    polygon's perimeter: a (len(polygons), n, 2) array whose row i is polygon
+    i resampled, computed for all rows at once.
 
-    The first output vertex coincides with p's first vertex. Raises on a
-    zero-perimeter (degenerate) polygon.
+    Each row's first vertex coincides with its polygon's first vertex. Raises
+    on a zero-perimeter (degenerate) polygon.
     """
     if n < 3:
         raise ValueError(f"resample target must be >= 3, got {n}")
-    pts = p.vertices
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))
-    total = float(seg.sum())
-    if total <= 0.0:
+    if not polygons:
+        return np.empty((0, n, 2))
+    lengths = np.array([len(p.vertices) for p in polygons])
+    flat = np.concatenate([p.vertices for p in polygons])
+    width = int(lengths.max())
+    # Row i holds polygon i closed by its first vertex, then padded with more
+    # copies of that vertex: zero-length segments past the polygon's end.
+    inside = np.arange(width + 1) < lengths[:, None]
+    closed = np.repeat(flat[np.cumsum(lengths) - lengths, None, :], width + 1, axis=1)
+    closed[inside] = flat
+    step = np.diff(closed, axis=1)
+    seg = np.hypot(step[..., 0], step[..., 1])
+    # A pairwise sum's rounding depends on its length, so each perimeter is
+    # summed over its own segments; cumsum is exact on each row's prefix.
+    totals = np.array([row[:m].sum() for row, m in zip(seg, lengths.tolist())])
+    if (totals <= 0.0).any():
         raise ValueError("cannot resample a zero-perimeter polygon")
-    cumulative = np.concatenate(([0.0], np.cumsum(seg)))
-    targets = np.arange(n) * (total / n)
-    # Each target lies on the last segment that starts at or before it.
-    j = np.searchsorted(cumulative[1 : len(seg)], targets, side="right")
-    span = seg[j]
+    cumulative = np.zeros((len(polygons), width + 1))
+    np.cumsum(seg, axis=1, out=cumulative[:, 1:])
+    targets = np.arange(n) * (totals / n)[:, None]
+    # Each target lies on the last segment that starts at or before it: j
+    # counts the starts after the first, of the row's own segments, that do.
+    starts = np.where(inside[:, 1:width], cumulative[:, 1:width], np.inf)
+    j = np.count_nonzero(starts[:, None, :] <= targets[:, :, None], axis=2)
+    rows = np.arange(len(polygons))[:, None]
+    span = seg[rows, j]
     zero = span == 0.0
-    frac = np.where(zero, 0.0, (targets - cumulative[j]) / np.where(zero, 1.0, span))
-    x = closed[j, 0] + frac * (closed[j + 1, 0] - closed[j, 0])
-    y = closed[j, 1] + frac * (closed[j + 1, 1] - closed[j, 1])
-    return Polygon(np.column_stack((x, y)))
+    frac = np.where(zero, 0.0, (targets - cumulative[rows, j]) / np.where(zero, 1.0, span))
+    a, b = closed[rows, j], closed[rows, j + 1]
+    return a + frac[..., None] * (b - a)
 
 
 def shift_mask(m: BinaryMask, dx: int, dy: int) -> BinaryMask:

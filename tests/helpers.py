@@ -10,7 +10,7 @@ from scipy import ndimage
 
 import vidannot.chunker
 from vidannot import geometry
-from vidannot.ash import MaskletEntry, _align_rotation
+from vidannot.ash import MaskletEntry
 from vidannot.backends import SyntheticWorldConfig, generate_synthetic_sequence
 from vidannot.chunker import next_chunk
 from vidannot.geometry import BBox, BinaryMask, Polygon
@@ -211,7 +211,8 @@ def loop_align_rotation(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
 
 
 def loop_resample_polygon(p: Polygon, n: int) -> Polygon:
-    """resample_polygon as a walk over the targets, one segment step at a time."""
+    """resample_outlines' row for one polygon, as a walk over the targets, one
+    segment step at a time."""
     pts = np.asarray(p.vertices, dtype=float)
     closed = np.vstack([pts, pts[:1]])
     seg = np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))
@@ -293,7 +294,7 @@ def tuple_outline(m: BinaryMask, min_pixels: int = 3) -> Vertices | None:
 
 
 def tuple_resample(vertices: Vertices, n: int) -> Vertices:
-    """resample_polygon's output, built as float tuples."""
+    """resample_outlines' row for one outline, built as float tuples."""
     pts = np.asarray(vertices, dtype=float)
     closed = np.vstack([pts, pts[:1]])
     seg = np.hypot(np.diff(closed[:, 0]), np.diff(closed[:, 1]))
@@ -325,7 +326,7 @@ def tuple_smooth(outlines: dict[int, Vertices | None], alpha: float, n: int) -> 
         if prev is None or prev_frame != f - 1:
             smoothed = cur
         else:
-            smoothed = alpha * _align_rotation(cur, prev) + (1.0 - alpha) * prev
+            smoothed = alpha * loop_align_rotation(cur, prev) + (1.0 - alpha) * prev
         out[f] = tuple((float(x), float(y)) for x, y in smoothed)
         prev = smoothed
         prev_frame = f

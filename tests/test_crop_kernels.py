@@ -30,7 +30,7 @@ from vidannot.geometry import (
     mask_to_polygon,
     raster_box,
     rasterize_polygon,
-    resample_polygon,
+    resample_outlines,
     shift_mask,
     union_masks,
 )
@@ -190,9 +190,9 @@ class TestKernelsMatchDenseOracles:
             expected = loop_resample_polygon(p, n)
         except ValueError:
             with pytest.raises(ValueError):
-                resample_polygon(p, n)
+                resample_outlines([p], n)
             return
-        assert resample_polygon(p, n).vertices.tolist() == expected.vertices.tolist()
+        assert resample_outlines([p], n)[0].tolist() == expected.vertices.tolist()
 
     def test_rasterize_far_outside_the_frame(self):
         p = Polygon(((-50.0, -50.0), (-40.0, -50.0), (-45.0, -40.0)))

@@ -16,7 +16,7 @@ from vidannot.geometry import (
     mask_to_polygon,
     polygon_to_bbox,
     rasterize_polygon,
-    resample_polygon,
+    resample_outlines,
     shift_mask,
 )
 
@@ -126,14 +126,18 @@ class TestPolygonToBBox:
             assert box.x1 <= x <= box.x2 and box.y1 <= y <= box.y2
 
 
+def resample(p: Polygon, n: int) -> Polygon:
+    return Polygon(resample_outlines([p], n)[0])
+
+
 class TestResample:
     SQUARE = Polygon(((0, 0), (10, 0), (10, 10), (0, 10)))
 
     def test_square_n4_corners(self):
-        assert resample_polygon(self.SQUARE, 4).vertices.tolist() == self.SQUARE.vertices.tolist()
+        assert resample(self.SQUARE, 4).vertices.tolist() == self.SQUARE.vertices.tolist()
 
     def test_square_n8_midpoints(self):
-        assert resample_polygon(self.SQUARE, 8).vertices.tolist() == [
+        assert resample(self.SQUARE, 8).vertices.tolist() == [
             [0.0, 0.0],
             [5.0, 0.0],
             [10.0, 0.0],
@@ -145,18 +149,18 @@ class TestResample:
         ]
 
     def test_uniform_fixed_point(self):
-        uniform = resample_polygon(self.SQUARE, 8)
-        again = resample_polygon(uniform, 8)
+        uniform = resample(self.SQUARE, 8)
+        again = resample(uniform, 8)
         for (x1, y1), (x2, y2) in zip(uniform.vertices, again.vertices):
             assert abs(x1 - x2) < 1e-6 and abs(y1 - y2) < 1e-6
 
     def test_degenerate_perimeter(self):
         with pytest.raises(ValueError):
-            resample_polygon(Polygon(((1, 1), (1, 1), (1, 1))), 4)
+            resample_outlines([self.SQUARE, Polygon(((1, 1), (1, 1), (1, 1)))], 4)
 
     def test_needs_three_vertices(self):
         with pytest.raises(ValueError):
-            resample_polygon(self.SQUARE, 2)
+            resample_outlines([self.SQUARE], 2)
 
     @given(
         st.integers(min_value=24, max_value=64),
@@ -178,7 +182,7 @@ class TestResample:
             for i in range(k)
         )
         p = Polygon(pts)
-        r = resample_polygon(p, n)
+        r = resample(p, n)
         assert abs(perimeter(r) - perimeter(p)) <= 0.01 * perimeter(p)
 
 
@@ -277,7 +281,7 @@ class TestProperties:
         a = mask_to_polygon(m, min_pixels=1)
         if a is None:
             return
-        b = resample_polygon(a, max(3, n))
+        b = resample(a, max(3, n))
         ma, mb = rasterize_polygon(a, 24, 24), rasterize_polygon(b, 24, 24)
         assert iou_mask(ma, mb) == iou_mask(mb, ma)
 

@@ -346,11 +346,14 @@ class TestChunkResume:
 
 
 class TestPinnedOutputBytes:
-    """The annotation and MOT bytes of two oracle runs, pinned by SHA-256: an
-    alpha-1.0 world with fixed velocities and noise-free detections in full
-    mode, run once uninterrupted and once killed after frame 27 and resumed
-    from its checkpoint of frame 19. Outlines are written as traced, so any
-    change to tracing, association, checkpoints or the writers shows here."""
+    """The annotation and MOT bytes of three oracle runs, pinned by SHA-256.
+    Two are of an alpha-1.0 world with fixed velocities and noise-free
+    detections in full mode, run once uninterrupted and once killed after
+    frame 27 and resumed from its checkpoint of frame 19. Outlines are written
+    as traced, so any change to tracing, association, checkpoints or the
+    writers shows here. The third is of a w1-style world at the default
+    alpha, 0.2, where every written outline comes out of smoothing, so any
+    change to resampling, alignment or blending shows too."""
 
     DIGESTS = {
         "p_annotations.jsonl": "2fc948d3e27bb16cd6fce19f87e31ca306095f3d9d3104bfd63e9073aba7c45f",
@@ -385,6 +388,25 @@ class TestPinnedOutputBytes:
         )
         assert report.failures == []
         assert self.digests(tmp_path) == self.DIGESTS
+
+    SMOOTHED_DIGESTS = {
+        "p_annotations.jsonl": "eab055aee3565a1a8e8f0911877407d94820b944557671e3211017339cae2998",
+        "p_track.txt": "740097f97e7e369737326d6652114accc2b0e0eda7183765971c94eaec4bc78b",
+    }
+
+    def test_smoothed_run(self, tmp_path):
+        world = SyntheticWorldConfig(
+            frame_width=320, frame_height=240, num_objects=4, num_frames=40,
+            velocities=((0.9, 0.4), (-0.7, 0.5), (0.5, -0.8), (-0.3, -0.6)),
+            ellipse_axes=(11.0, 8.0), rng_seed=11, occlusion_enabled=False,
+        )
+        cfg = dataclasses.replace(PipelineConfig(), world=world)
+        assert cfg.ash.alpha == 0.2
+        report = run_dataset(
+            {"p": synthetic_source("p", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path, mode="full"
+        )
+        assert report.failures == []
+        assert self.digests(tmp_path) == self.SMOOTHED_DIGESTS
 
     def test_killed_and_resumed_run(self, tmp_path):
         cfg = self.config()
