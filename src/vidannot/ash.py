@@ -1,5 +1,5 @@
-"""Annotation and segmentation handling: batch propagation of new objects
-through the remaining frames, then trailing-empty pruning, temporal polygon
+"""Annotation and segmentation handling: propagation of new objects through
+the remaining frames, then trailing-empty pruning, temporal polygon
 smoothing, and per-frame redundancy merging.
 """
 
@@ -29,24 +29,17 @@ from .geometry import (
 
 
 class PropagationError(RuntimeError):
-    """Propagator failure, tagged with the batch that caused it."""
-
-    def __init__(self, message: str, object_ids: tuple[int, ...]) -> None:
-        super().__init__(message)
-        self.object_ids = object_ids
+    """Propagator failure; the message names the object that failed."""
 
 
 @dataclass(frozen=True)
 class AshConfig:
-    beta: int = 5  # objects propagated per batch
     alpha: float = 0.2  # temporal smoothing factor; 1 disables smoothing
     tau_merge: float = 0.3  # per-frame IoU above which segments merge
     epsilon_mask: int = 3  # min foreground pixels for a valid mask
     resample_n: int = 64  # vertex count used when averaging polygons
 
     def __post_init__(self) -> None:
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1: {self.beta}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha out of [0,1]: {self.alpha}")
         if not 0.0 < self.tau_merge < 1.0:
@@ -100,7 +93,7 @@ class MaskletEntry:
 
     def _trace(self) -> None:
         if self._polygon is _UNTRACED:
-            self._polygon = mask_to_polygon(self._mask, min_pixels=1)
+            self._polygon = mask_to_polygon(self._mask)
 
     @property
     def mask(self) -> BinaryMask:
@@ -150,36 +143,26 @@ class Masklet:
         self.entries[frame] = entry
 
 
-def partition_batches(items: Sequence, beta: int) -> list[list]:
-    """Split into consecutive chunks of size beta, last possibly smaller."""
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1: {beta}")
-    return [list(items[i : i + beta]) for i in range(0, len(items), beta)]
-
-
 def propagate_batch(
-    batch: list[NewObject],
+    new_objects: list[NewObject],
     frames: Sequence[int],
     propagator: PropagatorBackend,
 ) -> list[Masklet]:
-    """Propagate one batch of new objects over the remaining frames.
+    """Propagate the new objects of one frame over the remaining frames.
 
     Each object becomes one masklet covering the given frames; each entry's
-    polygon and box are traced from its mask when first read. Propagator
-    failures are re-raised tagged with the batch's object ids so chunk-mode
-    fallback can react.
+    polygon and box are traced from its mask when first read. A propagator
+    failure is re-raised as a PropagationError naming the object, so that
+    chunk-mode fallback can react.
     """
     masklets = []
-    for obj in batch:
+    for obj in new_objects:
         try:
             masks = propagator.propagate(obj.detection.box, obj.frame_index, frames)
         except PropagationError:
             raise
         except Exception as exc:
-            raise PropagationError(
-                f"propagation failed for objects {[o.object_id for o in batch]}: {exc}",
-                tuple(o.object_id for o in batch),
-            ) from exc
+            raise PropagationError(f"propagation failed for object {obj.object_id}: {exc}") from exc
         m = Masklet(obj.object_id, obj.detection.class_label)
         for f, mask in zip(frames, masks):
             m.add_entry(f, MaskletEntry.from_mask(mask, obj.detection.confidence))

@@ -40,8 +40,6 @@ class AssocConfig:
 class Track:
     id: int
     last_box: BBox
-    last_seen_frame: int
-    class_label: str
     age: int = 0  # frames since last match
 
 
@@ -56,7 +54,6 @@ class NewObject:
 
 @dataclass(frozen=True)
 class AssociationResult:
-    mapping: dict[int, int]  # detection index -> matched track id
     new_objects: list[NewObject]
     tracks: list[Track]  # live tracks after the update
     next_id: int
@@ -84,16 +81,15 @@ def validate_box(
     return True, None
 
 
-def rescale_confidence(
-    scores: list[float], lo: float = 0.7, hi: float = 0.95
-) -> list[float]:
-    """Affine map of [min(scores), max(scores)] onto [lo, hi].
+def rescale_confidence(scores: list[float]) -> list[float]:
+    """Affine map of [min(scores), max(scores)] onto [0.7, 0.95].
 
     Order-preserving; a constant input maps to the midpoint of the target
     range.
     """
     if not scores:
         raise ValueError("scores must be nonempty")
+    lo, hi = 0.7, 0.95
     smin, smax = min(scores), max(scores)
     if smax == smin:
         mid = (lo + hi) / 2.0
@@ -127,7 +123,6 @@ def associate_frame(
                 pairs.append((v, track.id, di, ti))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
 
-    mapping: dict[int, int] = {}
     track_to_det: dict[int, int] = {}
     matched_det: set[int] = set()
     for _, _, di, ti in pairs:
@@ -135,20 +130,11 @@ def associate_frame(
             continue
         track_to_det[ti] = di
         matched_det.add(di)
-        mapping[di] = tracks[ti].id
 
     updated: list[Track] = []
     for ti, track in enumerate(tracks):
         if ti in track_to_det:
-            di = track_to_det[ti]
-            updated.append(
-                replace(
-                    track,
-                    last_box=dets[di].box,
-                    last_seen_frame=frame_index,
-                    age=0,
-                )
-            )
+            updated.append(replace(track, last_box=dets[track_to_det[ti]].box, age=0))
         else:
             aged = replace(track, age=track.age + 1)
             if aged.age <= cfg.track_buffer:
@@ -161,16 +147,8 @@ def associate_frame(
         obj_id = next_id
         next_id += 1
         new_objects.append(NewObject(obj_id, det, frame_index))
-        updated.append(
-            Track(
-                id=obj_id,
-                last_box=det.box,
-                last_seen_frame=frame_index,
-                class_label=det.class_label,
-                age=0,
-            )
-        )
-    return AssociationResult(mapping, new_objects, updated, next_id)
+        updated.append(Track(id=obj_id, last_box=det.box))
+    return AssociationResult(new_objects, updated, next_id)
 
 
 @dataclass
@@ -201,8 +179,6 @@ class Associator:
                 {
                     "id": t.id,
                     "box": [t.last_box.x1, t.last_box.y1, t.last_box.x2, t.last_box.y2],
-                    "last_seen_frame": t.last_seen_frame,
-                    "class_label": t.class_label,
                     "age": t.age,
                 }
                 for t in self.tracks
@@ -211,24 +187,16 @@ class Associator:
 
     def set_state(self, state: dict) -> None:
         """Restore a `get_state` dict. A malformed one raises KeyError,
-        TypeError or ValueError and leaves the associator as it was."""
-        tracks = [
-            Track(
-                id=t["id"],
-                last_box=BBox(*t["box"]),
-                last_seen_frame=t["last_seen_frame"],
-                class_label=t["class_label"],
-                age=t["age"],
-            )
-            for t in state["tracks"]
-        ]
+        TypeError or ValueError and leaves the associator as it was. Other
+        keys on a track, such as the `last_seen_frame` and `class_label` of
+        older versions, are ignored."""
+        tracks = [Track(t["id"], BBox(*t["box"]), t["age"]) for t in state["tracks"]]
         next_id, last_frame = state["next_id"], state["last_frame"]
-        ints = [next_id, *(v for t in tracks for v in (t.id, t.last_seen_frame, t.age))]
+        ints = [next_id, *(v for t in tracks for v in (t.id, t.age))]
         if not (
             isinstance(state["tracks"], list)
             and all(type(v) is int for v in ints)
             and (last_frame is None or type(last_frame) is int)
-            and all(isinstance(t.class_label, str) for t in tracks)
         ):
             raise ValueError(f"malformed associator state: {state!r}")
         self.next_id, self.last_frame, self.tracks = next_id, last_frame, tracks

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class Detection:
             raise ValueError(f"confidence out of [0,1]: {self.confidence}")
 
 
-@runtime_checkable
 class DetectorBackend(Protocol):
     """Open-vocabulary detector over whole frames and sub-frame regions."""
 
@@ -43,7 +42,6 @@ class DetectorBackend(Protocol):
     def detect_region(self, frame_index: int, region: BBox) -> list[Detection]: ...
 
 
-@runtime_checkable
 class PropagatorBackend(Protocol):
     """Memory-based segmenter that extends one object's mask through frames."""
 

@@ -22,7 +22,6 @@ from .ash import (
     Masklet,
     MaskletEntry,
     PropagationError,
-    partition_batches,
     postprocess_masklets,
     propagate_batch,
     remove_trailing_empty,
@@ -54,14 +53,15 @@ class ChunkerConfig:
     full_budget: int | None = None  # max propagated (frame x object) entries
 
     def __post_init__(self) -> None:
-        if self.chi < 1:
-            raise ValueError(f"chi must be >= 1: {self.chi}")
-        if not 0 <= self.omega < self.chi:
-            raise ValueError(f"need 0 <= omega < chi, got omega={self.omega}, chi={self.chi}")
+        chi, omega = self.chi, self.omega
+        if type(chi) is not int or chi < 1:
+            raise ValueError(f"chi must be an int >= 1: {chi!r}")
+        if type(omega) is not int or not 0 <= omega < chi:
+            raise ValueError(f"omega must be an int in [0, chi): omega={omega!r}, chi={chi}")
         if not 0.0 < self.tau_overlap < 1.0:
             raise ValueError(f"tau_overlap out of (0,1): {self.tau_overlap}")
-        if self.window is not None and self.window < 0:
-            raise ValueError(f"window must be None or >= 0: {self.window}")
+        if self.window is not None and (type(self.window) is not int or self.window < 0):
+            raise ValueError(f"window must be None or an int >= 0: {self.window!r}")
         interval, budget = self.checkpoint_interval, self.full_budget
         if type(interval) is not int or interval < 1:
             raise ValueError(f"checkpoint_interval must be an int >= 1: {interval!r}")
@@ -417,14 +417,11 @@ class CheckpointStore:
 
 
 def _prepare_detections(
-    dets: list[Detection],
-    frame_size: tuple[int, int],
-    assoc_cfg: AssocConfig,
-    rescale: bool,
+    dets: list[Detection], frame_size: tuple[int, int], assoc_cfg: AssocConfig
 ) -> list[Detection]:
     w, h = frame_size
     valid = [d for d in dets if validate_box(d.box, w, h, assoc_cfg)[0]]
-    if rescale and valid:
+    if valid:
         new_scores = rescale_confidence([d.confidence for d in valid])
         valid = [replace(d, confidence=c) for d, c in zip(valid, new_scores)]
     return valid
@@ -441,7 +438,6 @@ class _Run:
     ash_cfg: AshConfig
     chunk_cfg: ChunkerConfig
     store: CheckpointStore | None
-    rescale: bool
     on_frame: Callable[[int], None] | None
 
 
@@ -463,7 +459,7 @@ def _track(
     """
     used = sum(len(m.entries) for m in masklets)
     for i, t in enumerate(frames):
-        dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg, run.rescale)
+        dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg)
         result = associator.associate(dets, t)
         if result.new_objects and budget is not None:
             projected = used + len(result.new_objects) * (len(frames) - i)
@@ -471,8 +467,8 @@ def _track(
                 raise ProcessingBudgetExceeded(
                     f"frame {t}: projected {projected} propagated entries > budget {budget}"
                 )
-        for batch in partition_batches(result.new_objects, run.ash_cfg.beta):
-            produced = propagate_batch(batch, frames[i:], run.propagator)
+        if result.new_objects:
+            produced = propagate_batch(result.new_objects, frames[i:], run.propagator)
             masklets.extend(produced)
             used += sum(len(m.entries) for m in produced)
         if run.on_frame is not None and t > reported:
@@ -492,7 +488,6 @@ def run_sequence(
     mode: str = "auto",
     checkpoint_dir: str | Path | None = None,
     sequence_id: str = "seq",
-    rescale: bool = True,
     resume: bool = False,
     on_frame: Callable[[int], None] | None = None,
 ) -> list[Masklet]:
@@ -519,7 +514,6 @@ def run_sequence(
         ash_cfg,
         chunk_cfg,
         store,
-        rescale,
         on_frame,
     )
     if mode in ("full", "auto"):

@@ -50,5 +50,4 @@ class PipelineConfig:
     world: SyntheticWorldConfig | None = None
     noise: DetectionNoise = field(default_factory=DetectionNoise)
     degradation: PropagationDegradation = field(default_factory=PropagationDegradation)
-    rescale_confidences: bool = True
     seed: int = 0

@@ -347,19 +347,19 @@ def _moore_scans(stride: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def mask_to_polygon(m: BinaryMask, min_pixels: int = 3) -> Polygon | None:
+def mask_to_polygon(m: BinaryMask) -> Polygon | None:
     """Outer contour of the largest 4-connected component, or None.
 
-    Returns None when the foreground has fewer than `min_pixels` pixels or the
-    component is too small to form a polygon. Holes and smaller components are
-    ignored. Vertices are (x, y) pixel centers where the boundary turns; a
-    one-pixel-wide straight line keeps every pixel.
+    Returns None when the mask is empty or the component is too small to
+    form a polygon, as every component of fewer than 3 pixels is. Holes and
+    smaller components are ignored. Vertices are (x, y) pixel centers where
+    the boundary turns; a one-pixel-wide straight line keeps every pixel.
 
     A clockwise Moore trace from the uppermost-leftmost pixel, with its West
     neighbor as the backtrack cell, until a (pixel, backtrack) state repeats.
     It reads the crop as bytes and costs one Python step per boundary pixel.
     """
-    if m.count < min_pixels or m.is_empty():
+    if m.is_empty():
         return None
     # Labels and the trace run on the crop; raster order, and so every
     # tie-break, is the same as on the whole frame. A background border makes

@@ -246,7 +246,7 @@ _SECTION_TYPES = {
     "noise": DetectionNoise,
     "degradation": PropagationDegradation,
 }
-_SCALAR_KEYS = {"rescale_confidences", "seed"}
+_SCALAR_KEYS = {"seed"}
 
 _TUPLE_FIELDS = {
     "aspect_range",
@@ -288,10 +288,10 @@ def parse_config(payload: dict) -> PipelineConfig:
         if not isinstance(payload[name], Mapping):
             raise FormatError(f"config section '{name}' must be an object")
         kwargs[name] = _build_section(name, cls, dict(payload[name]))
-    if "rescale_confidences" in payload:
-        kwargs["rescale_confidences"] = bool(payload["rescale_confidences"])
     if "seed" in payload:
-        kwargs["seed"] = int(payload["seed"])
+        if type(payload["seed"]) is not int:
+            raise FormatError(f"seed must be an integer: {payload['seed']!r}")
+        kwargs["seed"] = payload["seed"]
     return PipelineConfig(**kwargs)
 
 
@@ -312,7 +312,6 @@ def serialize_config(cfg: PipelineConfig) -> dict:
     for name in _SECTION_TYPES:
         section = getattr(cfg, name)
         out[name] = None if section is None else dataclasses.asdict(section)
-    out["rescale_confidences"] = cfg.rescale_confidences
     out["seed"] = cfg.seed
     # JSON round trip normalizes tuples to lists at every nesting level.
     return json.loads(json.dumps(out))

@@ -90,10 +90,8 @@ def select_representative(
     return best_seq, best_frame
 
 
-def detection_precision_recall(
-    detections, gt_frame: GroundTruthFrame, iou_threshold: float = 0.5
-) -> tuple[float, float]:
-    return _precision_recall([detections], [gt_frame], iou_threshold)
+def detection_precision_recall(detections, gt_frame: GroundTruthFrame) -> tuple[float, float]:
+    return _precision_recall([detections], [gt_frame])
 
 
 def grid_configs(
@@ -167,22 +165,20 @@ class _Verified(Sequence):
         return dets
 
 
-def sequence_precision_recall(
-    source: SequenceSource, cfg: SmartOdConfig, iou_threshold: float = 0.5
-) -> tuple[float, float]:
+def sequence_precision_recall(source: SequenceSource, cfg: SmartOdConfig) -> tuple[float, float]:
     """Detection precision/recall of the verification stage over a sequence."""
-    return _precision_recall(_Verified(source, cfg), source.ground_truth, iou_threshold)
+    return _precision_recall(_Verified(source, cfg), source.ground_truth)
 
 
 def _precision_recall(
-    verified: Sequence[list[Detection]],
-    ground_truth: list[GroundTruthFrame],
-    iou_threshold: float = 0.5,
+    verified: Sequence[list[Detection]], ground_truth: list[GroundTruthFrame]
 ) -> tuple[float, float]:
+    """Precision and recall of the detections against the visible objects,
+    matched at box IoU 0.5."""
     tp = fp = fn = 0
     for dets, gt_frame in zip(verified, ground_truth):
         gt_boxes = [o.box for o in gt_frame.visible_objects()]
-        matches, fps, fns = match_frame([d.box for d in dets], gt_boxes, iou_threshold)
+        matches, fps, fns = match_frame([d.box for d in dets], gt_boxes)
         tp += len(matches)
         fp += len(fps)
         fn += len(fns)
@@ -276,7 +272,6 @@ def _process_sequence(
         mode=mode,
         checkpoint_dir=checkpoint_dir,
         sequence_id=source.sequence_id,
-        rescale=pipe_cfg.rescale_confidences,
         resume=resume,
     )
     w, h = source.frame_size

@@ -12,7 +12,6 @@ from vidannot.ash import (
     MaskletEntry,
     PropagationError,
     merge_redundant_frame,
-    partition_batches,
     postprocess_masklets,
     propagate_batch,
     remove_trailing_empty,
@@ -65,29 +64,9 @@ def rect_masklet(object_id, frames_and_boxes, w=20, h=20, conf=0.9):
     m = Masklet(object_id, "object")
     for f, (x1, y1, x2, y2) in frames_and_boxes:
         mask = rect_mask(x1, y1, x2, y2, w, h)
-        poly = mask_to_polygon(mask, min_pixels=1)
+        poly = mask_to_polygon(mask)
         m.add_entry(f, MaskletEntry(mask, poly, conf))
     return m
-
-
-class TestPartitionBatches:
-    def test_twelve_by_five(self):
-        assert [len(b) for b in partition_batches(list(range(12)), 5)] == [5, 5, 2]
-
-    def test_small_input_single_batch(self):
-        assert [len(b) for b in partition_batches([1, 2, 3], 5)] == [3]
-
-    def test_empty(self):
-        assert partition_batches([], 5) == []
-
-    @given(st.lists(st.integers(), max_size=40), st.integers(1, 9))
-    @settings(max_examples=1000, deadline=None)
-    def test_order_and_sizes(self, items, beta):
-        batches = partition_batches(items, beta)
-        assert [x for b in batches for x in b] == items
-        assert all(len(b) == beta for b in batches[:-1])
-        if batches:
-            assert 1 <= len(batches[-1]) <= beta
 
 
 class TestPropagateBatch:
@@ -114,16 +93,20 @@ class TestPropagateBatch:
         x0 = m.entries[0].bbox.x1
         assert m.entries[7].bbox.x1 - x0 == 7
 
-    def test_failure_carries_batch_identity(self):
-        class Broken:
+    def test_failure_names_the_object(self):
+        class BreaksOnSecond:
+            calls = 0
+
             def propagate(self, box, start, frames):
-                raise RuntimeError("out of memory")
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("out of memory")
+                return [BinaryMask.zeros(20, 20) for _ in frames]
 
         gt = world(n=2, frames=3)
-        batch = [new_obj(gt, 0), new_obj(gt, 1)]
-        with pytest.raises(PropagationError) as err:
-            propagate_batch(batch, range(3), Broken())
-        assert err.value.object_ids == (0, 1)
+        new_objects = [new_obj(gt, 0), new_obj(gt, 1)]
+        with pytest.raises(PropagationError, match="failed for object 1: out of memory"):
+            propagate_batch(new_objects, range(3), BreaksOnSecond())
 
 
 @st.composite
@@ -141,7 +124,7 @@ class TestLazyOutline:
     @settings(max_examples=1000, deadline=None)
     def test_mask_built_entry_reports_its_traced_outline(self, mask):
         entry = MaskletEntry.from_mask(mask, 0.7)
-        polygon = mask_to_polygon(mask, 1)
+        polygon = mask_to_polygon(mask)
         assert entry.polygon == polygon
         assert entry.bbox == (polygon_to_bbox(polygon) if polygon is not None else None)
         assert entry.polygon is entry.polygon
@@ -159,7 +142,7 @@ class TestLazyOutline:
         entry = MaskletEntry.from_mask(mask, 0.9)
         assert calls == []
         assert entry.bbox == BBox(2, 3, 9, 7)
-        assert entry.polygon == mask_to_polygon(mask, 1)
+        assert entry.polygon == mask_to_polygon(mask)
         assert calls == [mask]
 
     def test_explicit_outline_is_kept(self, monkeypatch):
@@ -170,7 +153,7 @@ class TestLazyOutline:
         mask = rect_mask(2, 3, 9, 7, 20, 20)
         none = MaskletEntry(mask, None, 0.9)
         assert none.polygon is None and none.bbox is None
-        square = mask_to_polygon(rect_mask(0, 0, 4, 4, 20, 20), 1)
+        square = mask_to_polygon(rect_mask(0, 0, 4, 4, 20, 20))
         kept = MaskletEntry(mask, square, 0.9)
         assert kept.polygon is square and kept.bbox == BBox(0, 0, 4, 4)
 
@@ -213,7 +196,7 @@ class TestLazyRaster:
             return real(p, width, height)
 
         monkeypatch.setattr(vidannot.ash, "rasterize_polygon", counted)
-        square = mask_to_polygon(rect_mask(2, 3, 9, 7, 20, 20), 1)
+        square = mask_to_polygon(rect_mask(2, 3, 9, 7, 20, 20))
         entry = MaskletEntry.from_outline(square, (20, 16), 0.9)
         assert entry.polygon is square and entry.bbox == BBox(2, 3, 9, 7)
         assert entry.pixel_box() == (1, 2, 11, 9)
@@ -230,7 +213,7 @@ class TestLazyRaster:
         monkeypatch.setattr(vidannot.ash, "rasterize_polygon", forbidden)
         mask = rect_mask(2, 3, 9, 7, 20, 20)
         for entry in (
-            MaskletEntry(mask, mask_to_polygon(mask, 1), 0.9),
+            MaskletEntry(mask, mask_to_polygon(mask), 0.9),
             MaskletEntry(mask, None, 0.9),
             MaskletEntry.from_mask(mask, 0.9),
         ):
@@ -472,8 +455,8 @@ def run_ash(new_objects_by_frame, frames, propagator, cfg, postprocess=True):
     frames = list(frames)
     masklets = []
     for t in sorted(new_objects_by_frame):
-        for batch in partition_batches(new_objects_by_frame[t], cfg.beta):
-            masklets.extend(propagate_batch(batch, [f for f in frames if f >= t], propagator))
+        remaining = [f for f in frames if f >= t]
+        masklets.extend(propagate_batch(new_objects_by_frame[t], remaining, propagator))
     if postprocess:
         masklets = postprocess_masklets(masklets, frames, cfg)
     return masklets
@@ -531,8 +514,6 @@ class TestRunAsh:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AshConfig(beta=0)
-        with pytest.raises(ValueError):
             AshConfig(alpha=1.5)
         with pytest.raises(ValueError):
             AshConfig(tau_merge=0.0)
@@ -552,7 +533,7 @@ def random_masklets(draw, max_objects=4, max_frames=6, grid=20):
                 x = draw(st.integers(0, grid - 9))
                 y = draw(st.integers(0, grid - 9))
                 mask = rect_mask(x, y, x + 8, y + 8, grid, grid)
-                poly = mask_to_polygon(mask, 1)
+                poly = mask_to_polygon(mask)
                 m.add_entry(f, MaskletEntry(mask, poly, 0.9))
             else:
                 m.add_entry(f, MaskletEntry(BinaryMask.zeros(grid, grid), None, 0.9))

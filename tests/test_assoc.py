@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,13 @@ CFG = AssocConfig()
 
 def det(x1, y1, x2, y2, conf=0.9):
     return Detection(BBox(x1, y1, x2, y2), "object", conf)
+
+
+def matched(result, tracks):
+    """Id -> new box of each of `tracks` that `result` matched to a
+    detection: a matched track's age is reset to 0, an unmatched one's grows."""
+    ids = {t.id for t in tracks}
+    return {t.id: t.last_box for t in result.tracks if t.id in ids and t.age == 0}
 
 
 class TestValidateBox:
@@ -73,36 +82,36 @@ class TestAssociateFrame:
         dets = [det(0, 0, 20, 20), det(50, 0, 70, 20), det(100, 0, 120, 20)]
         r = associate_frame([], dets, 0, CFG, next_id=0)
         assert [n.object_id for n in r.new_objects] == [0, 1, 2]
-        assert r.mapping == {}
+        assert [t.id for t in r.tracks] == [0, 1, 2]
         assert r.next_id == 3
 
     def test_exact_match(self):
-        track = Track(0, BBox(0, 0, 10, 10), 0, "object", 0)
+        track = Track(0, BBox(0, 0, 10, 10), 3)
         r = associate_frame([track], [det(0, 0, 10, 10)], 1, CFG, next_id=1)
-        assert r.mapping == {0: 0}
+        assert matched(r, [track]) == {0: BBox(0, 0, 10, 10)}
         assert r.new_objects == []
-        assert r.tracks[0].last_seen_frame == 1
+        assert r.tracks == [Track(0, BBox(0, 0, 10, 10), 0)]
 
     def test_low_iou_spawns_new_object(self):
         # boxes (0,0,10,10) vs (6,0,16,10): IoU 40/160 = 0.25 < 0.5
         assert iou_box(BBox(0, 0, 10, 10), BBox(6, 0, 16, 10)) == pytest.approx(0.25)
-        track = Track(0, BBox(0, 0, 10, 10), 0, "object", 0)
+        track = Track(0, BBox(0, 0, 10, 10), 0)
         r = associate_frame([track], [det(6, 0, 16, 10)], 1, CFG, next_id=1)
-        assert r.mapping == {}
+        assert matched(r, [track]) == {}
         assert [n.object_id for n in r.new_objects] == [1]
         aged = next(t for t in r.tracks if t.id == 0)
         assert aged.age == 1
 
     def test_track_claimed_once(self):
-        track = Track(0, BBox(0, 0, 10, 10), 0, "object", 0)
+        track = Track(0, BBox(0, 0, 10, 10), 0)
         dets = [det(0, 0, 10, 10), det(0, 0, 10, 9)]
         r = associate_frame([track], dets, 1, CFG, next_id=1)
-        assert list(r.mapping.values()).count(0) == 1
+        assert matched(r, [track]) == {0: BBox(0, 0, 10, 10)}
         assert len(r.new_objects) == 1
 
     def test_retirement_after_buffer(self):
         cfg = AssocConfig(track_buffer=2)
-        tracks = [Track(0, BBox(0, 0, 10, 10), 0, "object", 0)]
+        tracks = [Track(0, BBox(0, 0, 10, 10), 0)]
         for f in range(1, 4):
             r = associate_frame(tracks, [], f, cfg, next_id=1)
             tracks = r.tracks
@@ -110,9 +119,9 @@ class TestAssociateFrame:
 
     def test_tie_breaks_to_lowest_track_id(self):
         shared = BBox(0, 0, 10, 10)
-        tracks = [Track(3, shared, 0, "object", 0), Track(1, shared, 0, "object", 0)]
+        tracks = [Track(3, shared, 0), Track(1, shared, 0)]
         r = associate_frame(tracks, [det(0, 0, 10, 10)], 1, CFG, next_id=4)
-        assert r.mapping == {0: 1}
+        assert matched(r, tracks) == {1: shared}
 
 
 @st.composite
@@ -123,7 +132,7 @@ def frame_scenario(draw):
     for i in range(n_tracks):
         x = draw(st.floats(0, 400))
         y = draw(st.floats(0, 400))
-        tracks.append(Track(i, BBox(x, y, x + 20, y + 20), 0, "object", 0))
+        tracks.append(Track(i, BBox(x, y, x + 20, y + 20), 0))
     dets = []
     for _ in range(n_dets):
         x = draw(st.floats(0, 400))
@@ -135,20 +144,19 @@ def frame_scenario(draw):
 class TestInvariants:
     @given(frame_scenario())
     @settings(max_examples=1000, deadline=None)
-    def test_mapping_injective_on_tracks(self, scenario):
+    def test_matched_tracks_take_distinct_detections(self, scenario):
         tracks, dets = scenario
         r = associate_frame(tracks, dets, 1, CFG, next_id=len(tracks))
-        assigned = list(r.mapping.values())
-        assert len(assigned) == len(set(assigned))
+        taken = Counter(matched(r, tracks).values())
+        assert not taken - Counter(d.box for d in dets)
 
     @given(frame_scenario())
     @settings(max_examples=1000, deadline=None)
-    def test_every_detection_mapped_or_new(self, scenario):
+    def test_every_detection_matched_or_new(self, scenario):
         tracks, dets = scenario
         r = associate_frame(tracks, dets, 1, CFG, next_id=len(tracks))
-        mapped = set(r.mapping.keys())
         new_ids = {n.object_id for n in r.new_objects}
-        assert len(mapped) + len(new_ids) == len(dets)
+        assert len(matched(r, tracks)) + len(new_ids) == len(dets)
         assert not (new_ids & {t.id for t in tracks})
 
     @given(st.lists(frame_scenario(), min_size=1, max_size=5))
@@ -168,9 +176,10 @@ class TestInvariants:
         first = assoc.associate(dets, 0)
         assert len(first.new_objects) == 2
         for f in range(1, 10):
+            before = assoc.tracks
             r = assoc.associate(dets, f)
             assert r.new_objects == []
-            assert set(r.mapping.values()) == {0, 1}
+            assert set(matched(r, before)) == {0, 1}
 
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=6, unique=True), st.integers(2, 6))
     @settings(max_examples=1000, deadline=None)
@@ -193,8 +202,16 @@ class TestAssociatorState:
         assert clone.get_state() == state
         a = assoc.associate([det(14, 10, 44, 40)], 2)
         b = clone.associate([det(14, 10, 44, 40)], 2)
-        assert a.mapping == b.mapping
-        assert a.next_id == b.next_id
+        assert a == b
+
+    def test_older_track_keys_ignored(self):
+        # Logs written while tracks kept a last-seen frame and a class label
+        # still resume.
+        track = {"id": 1, "box": [1, 1, 5, 5], "last_seen_frame": 3, "class_label": "o", "age": 1}
+        assoc = Associator(CFG)
+        assoc.set_state({"next_id": 2, "last_frame": 4, "tracks": [track]})
+        assert assoc.tracks == [Track(1, BBox(1, 1, 5, 5), 1)]
+        assert assoc.get_state()["tracks"] == [{"id": 1, "box": [1, 1, 5, 5], "age": 1}]
 
     def test_frames_strictly_increasing(self):
         assoc = Associator(CFG)

@@ -168,7 +168,7 @@ def masklet_with(object_id: int, frames: dict[int, tuple[int, int, int, int] | N
         else:
             x1, y1, x2, y2 = spec
             mask = rect_mask(x1, y1, x2, y2, w, h)
-            m.add_entry(f, MaskletEntry(mask, mask_to_polygon(mask, 1), 0.9))
+            m.add_entry(f, MaskletEntry(mask, mask_to_polygon(mask), 0.9))
     return m
 
 
@@ -425,12 +425,7 @@ class TestCheckpointProtocol:
             {"next_id": 3, "last_frame": 19.0, "tracks": []},
             {"next_id": 3, "last_frame": 19, "tracks": {}},
             {"next_id": 3, "last_frame": 19, "tracks": [{"id": 0}]},
-            {"next_id": 3, "last_frame": 19, "tracks": [
-                {"id": 0, "box": [1, 1, 5], "last_seen_frame": 19, "class_label": "o", "age": 0}
-            ]},
-            {"next_id": 3, "last_frame": 19, "tracks": [
-                {"id": 0, "box": [1, 1, 5, 5], "last_seen_frame": 19, "class_label": 7, "age": 0}
-            ]},
+            {"next_id": 3, "last_frame": 19, "tracks": [{"id": 0, "box": [1, 1, 5], "age": 0}]},
             [],
             {"next_id": 1, "last_frame": 6, "tracks": []},  # after last completed frame 5
         ],

@@ -111,12 +111,6 @@ class TestCliVerbs:
         assert rc == EXIT_CONFIG
         assert "theta_typo" in capsys.readouterr().err
 
-    def test_chunk_mode_rejects_a_negative_search_window(self, tmp_path, capsys):
-        cfg = write_tiny_config(tmp_path / "c.json", chunker={"chi": 8, "omega": 2, "window": -3})
-        rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / "out"), "--mode", "chunk"])
-        assert rc == EXIT_CONFIG
-        assert "window" in capsys.readouterr().err
-
     @pytest.mark.parametrize("grid", [{"theta_v": 0.1}, {"threshold_method": "kmeans"}])
     def test_deploy_rejects_a_grid_value_that_is_not_a_list(self, tmp_path, capsys, grid):
         cfg = write_tiny_config(tmp_path / "c.json", deploy={"parameter_grid": grid})
@@ -125,13 +119,40 @@ class TestCliVerbs:
         assert next(iter(grid)) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fields", [{"full_budget": "10"}, {"full_budget": -5}, {"checkpoint_interval": 2.5}]
+        "mode, extra, name",
+        [
+            # Once QA 0.000 and exit 0.
+            ("auto", {"smart_od": {"slice_size": 0}}, "slice_size"),
+            # Once "inverted box" and exit 1.
+            ("auto", {"smart_od": {"slice_size": -4}}, "slice_size"),
+            # Once QA 0.000 and exit 0: no box IoU exceeds it.
+            ("auto", {"smart_od": {"theta_v": 1.5}}, "theta_v"),
+            ("auto", {"smart_od": {"theta_n": 2.0}}, "theta_n"),
+            ("auto", {"smart_od": {"theta_min": -1.0}}, "theta_min"),
+            # Once a float-index error and exit 1.
+            ("chunk", {"chunker": {"chi": 4.5, "omega": 2}}, "chi"),
+            ("chunk", {"chunker": {"chi": 4, "omega": 1.5}}, "omega"),
+            ("chunk", {"chunker": {"chi": 4, "omega": 1, "window": 1.5}}, "window"),
+            ("chunk", {"chunker": {"chi": 8, "omega": 2, "window": -3}}, "window"),
+            ("auto", {"chunker": {"chi": 8, "omega": 2, "full_budget": "10"}}, "full_budget"),
+            ("auto", {"chunker": {"chi": 8, "omega": 2, "full_budget": -5}}, "full_budget"),
+            ("auto", {"chunker": {"chi": 8, "omega": 2, "checkpoint_interval": 2.5}},
+             "checkpoint_interval"),
+            # Once a raw TypeError and exit 1.
+            ("auto", {"seed": None}, "seed"),
+            # Once taken as 3 and as 1.
+            ("auto", {"seed": 3.7}, "seed"),
+            ("auto", {"seed": True}, "seed"),
+            # Removed: no value of either changed an output byte.
+            ("auto", {"ash": {"alpha": 1.0, "beta": 5}}, "beta"),
+            ("auto", {"rescale_confidences": False}, "rescale_confidences"),
+        ],
     )
-    def test_annotate_rejects_a_bad_budget_or_interval(self, tmp_path, capsys, fields):
-        cfg = write_tiny_config(tmp_path / "c.json", chunker={"chi": 8, "omega": 2, **fields})
-        rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / "out")])
+    def test_annotate_rejects_a_bad_value_at_load(self, tmp_path, capsys, mode, extra, name):
+        cfg = write_tiny_config(tmp_path / "c.json", **extra)
+        rc = main(["annotate", "--config", cfg, "--out", str(tmp_path / "out"), "--mode", mode])
         assert rc == EXIT_CONFIG
-        assert next(iter(fields)) in capsys.readouterr().err
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

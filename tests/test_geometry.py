@@ -78,11 +78,11 @@ class TestMaskToPolygon:
     def test_empty(self):
         assert mask_to_polygon(BinaryMask.zeros(4, 4)) is None
 
-    def test_below_pixel_floor(self):
+    def test_two_pixels_have_no_outline(self):
         g = np.zeros((5, 5), dtype=bool)
         g[2, 2] = True
         g[2, 3] = True
-        assert mask_to_polygon(BinaryMask(g), min_pixels=3) is None
+        assert mask_to_polygon(BinaryMask(g)) is None
 
     def test_l_shape_hand_traced(self):
         # Columns 0-1 full height plus rows 3-4 full width on a 5x5 grid.
@@ -245,7 +245,7 @@ class TestProperties:
     @given(masks_strategy)
     @settings(max_examples=1000, deadline=None)
     def test_contour_bbox_within_tight_box(self, m):
-        p = mask_to_polygon(m, min_pixels=1)
+        p = mask_to_polygon(m)
         if p is None:
             return
         box = polygon_to_bbox(p)
@@ -278,7 +278,7 @@ class TestProperties:
     @settings(max_examples=1000, deadline=None)
     def test_iou_polygon_symmetry(self, ax, ay, cx, cy, n):
         m = ellipse_mask(cx, cy, ax, ay, 24, 24)
-        a = mask_to_polygon(m, min_pixels=1)
+        a = mask_to_polygon(m)
         if a is None:
             return
         b = resample(a, max(3, n))

@@ -226,7 +226,6 @@ class TestConfig:
         assert cfg.smart_od.epsilon_dbscan == 100.0
         assert cfg.smart_od.mu_dbscan == 1
         assert cfg.ash.tau_merge == 0.3
-        assert cfg.ash.beta == 5
         assert cfg.ash.alpha == 0.2
         assert cfg.ash.epsilon_mask == 3
         assert cfg.chunker.chi == 50
@@ -246,8 +245,9 @@ class TestConfig:
 
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "c.json"
-        # mask_generator was removed; old files naming it are rejected too.
-        for name in ("smartod", "mask_generator"):
+        # mask_generator and rescale_confidences were removed; old files
+        # naming them are rejected too.
+        for name in ("smartod", "mask_generator", "rescale_confidences"):
             p.write_text(json.dumps({name: {}}))
             with pytest.raises(FormatError, match=name):
                 read_config(p)
@@ -257,6 +257,7 @@ class TestConfig:
         # Includes the fields removed as never read: there is no deprecation path.
         for section, name in [
             ("ash", "betta"),
+            ("ash", "beta"),
             ("ash", "adaptive_smoothing"),
             ("smart_od", "theta_c"),
             ("smart_od", "theta_i"),
@@ -286,6 +287,15 @@ class TestConfig:
             ("chunker", {"full_budget": "10"}),
             ("chunker", {"full_budget": -5}),
             ("chunker", {"checkpoint_interval": 2.5}),
+            ("chunker", {"chi": 40.5}),
+            ("chunker", {"omega": 5.5}),
+            ("chunker", {"window": 2.5}),
+            ("smart_od", {"slice_size": 0}),
+            ("smart_od", {"slice_size": 256.0}),
+            ("smart_od", {"theta_v": 1.0}),
+            ("smart_od", {"theta_v": -0.1}),
+            ("smart_od", {"theta_n": 1.5}),
+            ("smart_od", {"theta_min": -0.5}),
             ("assoc", {"aspect_range": [5, 0.2]}),
             ("assoc", {"track_buffer": -3}),
         ],
@@ -293,6 +303,13 @@ class TestConfig:
     def test_out_of_range_fields_rejected_by_name(self, section, fields):
         with pytest.raises(FormatError, match=next(iter(fields))):
             parse_config({section: fields})
+
+    @pytest.mark.parametrize("seed", [None, 3.7, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        # None once raised a raw TypeError; 3.7 became 3 and True became 1.
+        with pytest.raises(FormatError, match="seed"):
+            parse_config({"seed": seed})
+        assert parse_config({"seed": 3}).seed == 3
 
     def test_serialize_parse_normalizes(self):
         cfg = PipelineConfig()

@@ -14,6 +14,7 @@ import vidannot.smart_od
 from vidannot.ash import Masklet, MaskletEntry
 from vidannot.backends import (
     Detection,
+    DetectionNoise,
     GroundTruthFrame,
     GroundTruthObject,
     PropagationDegradation,
@@ -346,14 +347,17 @@ class TestChunkResume:
 
 
 class TestPinnedOutputBytes:
-    """The annotation and MOT bytes of three oracle runs, pinned by SHA-256.
-    Two are of an alpha-1.0 world with fixed velocities and noise-free
-    detections in full mode, run once uninterrupted and once killed after
+    """The annotation and MOT bytes of five runs, pinned by SHA-256. Three
+    are of an alpha-1.0 world with fixed velocities and noise-free
+    detections in full mode, run once uninterrupted and twice killed after
     frame 27 and resumed from its checkpoint of frame 19. Outlines are written
     as traced, so any change to tracing, association, checkpoints or the
-    writers shows here. The third is of a w1-style world at the default
+    writers shows here. The fourth is of a w1-style world at the default
     alpha, 0.2, where every written outline comes out of smoothing, so any
-    change to resampling, alignment or blending shows too."""
+    change to resampling, alignment or blending shows too. The fifth is a
+    noisy chunk-mode run with checkpoints, whose missed, spurious and
+    jittered detections and dropped masks make many births, so any change to
+    association, propagation or stitching shows there."""
 
     DIGESTS = {
         "p_annotations.jsonl": "2fc948d3e27bb16cd6fce19f87e31ca306095f3d9d3104bfd63e9073aba7c45f",
@@ -408,8 +412,34 @@ class TestPinnedOutputBytes:
         assert report.failures == []
         assert self.digests(tmp_path) == self.SMOOTHED_DIGESTS
 
-    def test_killed_and_resumed_run(self, tmp_path):
-        cfg = self.config()
+    NOISY_DIGESTS = {
+        "p_annotations.jsonl": "7e59af95278e08ba72e8640ec24426d17d18ede0c2ec0fc37c3adccdf15ca30b",
+        "p_track.txt": "4a65ebfec3b8762df119d281d8bf7399a51ae6ec9122a1dbc6ec67191889d921",
+    }
+
+    def test_noisy_chunk_run(self, tmp_path):
+        base = PipelineConfig()
+        cfg = dataclasses.replace(
+            base,
+            world=SyntheticWorldConfig(num_objects=5, num_frames=90, rng_seed=2),
+            noise=DetectionNoise(
+                miss_rate=0.3, fp_rate=2.0, jitter_sigma=1.0, fp_confidence_range=(0.3, 0.9),
+                rng_seed=5,
+            ),
+            degradation=PropagationDegradation(dropout_rate=0.05, rng_seed=6),
+            ash=dataclasses.replace(base.ash, alpha=1.0),
+            chunker=dataclasses.replace(base.chunker, chi=20, omega=5),
+        )
+        report = run_dataset(
+            {"p": synthetic_source("p", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path,
+            checkpoint_dir=tmp_path / "ckpt", mode="chunk",
+        )
+        assert report.failures == []
+        assert self.digests(tmp_path) == self.NOISY_DIGESTS
+
+    def kill_after_frame_27(self, tmp_path, cfg) -> None:
+        """Run the pinned world in full mode with checkpoints until it is
+        killed after frame 27."""
         source = synthetic_source("p", cfg, cfg.world)
         dets = [vidannot.smart_od.run_smart_od(t, source.detector, cfg.smart_od) for t in range(40)]
 
@@ -424,6 +454,32 @@ class TestPinnedOutputBytes:
             )
         log = (tmp_path / "ckpt" / "p_ckpt.jsonl").read_text().splitlines()
         assert [json.loads(line)["last_completed_frame"] for line in log] == [9, 19]
+
+    def test_killed_and_resumed_run(self, tmp_path):
+        cfg = self.config()
+        self.kill_after_frame_27(tmp_path, cfg)
+        report = run_dataset(
+            {"p": synthetic_source("p", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "out",
+            checkpoint_dir=tmp_path / "ckpt", mode="full", resume=True,
+        )
+        assert report.failures == []
+        assert self.digests(tmp_path / "out") == self.DIGESTS
+
+    def test_resume_from_a_log_whose_tracks_hold_older_keys(self, tmp_path):
+        # Logs of older versions also held each track's last-seen frame and
+        # class label; such a log still resumes to the uninterrupted bytes.
+        cfg = self.config()
+        self.kill_after_frame_27(tmp_path, cfg)
+        log = tmp_path / "ckpt" / "p_ckpt.jsonl"
+        lines = []
+        for line in log.read_text().splitlines():
+            payload = json.loads(line)
+            state = payload["assoc_state"]
+            for track in state["tracks"]:
+                track["last_seen_frame"] = state["last_frame"] - track["age"]
+                track["class_label"] = "object"
+            lines.append(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+        log.write_text("".join(lines))
         report = run_dataset(
             {"p": synthetic_source("p", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "out",
             checkpoint_dir=tmp_path / "ckpt", mode="full", resume=True,
@@ -490,7 +546,7 @@ class TestQaScore:
             m = Masklet(i, "object")
             for t, frame in enumerate(src.ground_truth):
                 mask = frame.objects[i].mask
-                poly = mask_to_polygon(mask, 1)
+                poly = mask_to_polygon(mask)
                 m.add_entry(t, MaskletEntry(mask, poly, 0.9))
             masklets.append(m)
         assert qa_score(masklets, src.ground_truth, range(12)) == pytest.approx(1.0)
