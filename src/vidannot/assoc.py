@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .backends import Detection
-from .geometry import BBox, iou_box
+from .geometry import BBox, greedy_match, iou_box
 
 
 @dataclass(frozen=True)
@@ -109,37 +109,30 @@ def associate_frame(
 ) -> AssociationResult:
     """Match detections to live tracks by greedy descending IoU.
 
-    Pairs above tau_track_det are claimed in descending-IoU order (ties break
-    toward the lower track id, then the lower detection index), each track and
-    detection at most once. Unmatched detections open new tracks with ids from
-    a strictly monotone counter; tracks unmatched for more than track_buffer
-    frames are retired.
+    Pairs above tau_track_det are claimed by `greedy_match` with the track id
+    as the row, so ties go to the lower track id, then the lower detection
+    index. Unmatched detections open new tracks with ids from a strictly
+    monotone counter; tracks unmatched for more than track_buffer frames are
+    retired.
     """
-    pairs = []
-    for ti, track in enumerate(tracks):
+    candidates = []
+    for track in tracks:
         for di, det in enumerate(dets):
             v = iou_box(track.last_box, det.box)
             if v > cfg.tau_track_det:
-                pairs.append((v, track.id, di, ti))
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-
-    track_to_det: dict[int, int] = {}
-    matched_det: set[int] = set()
-    for _, _, di, ti in pairs:
-        if ti in track_to_det or di in matched_det:
-            continue
-        track_to_det[ti] = di
-        matched_det.add(di)
+                candidates.append((v, track.id, di))
+    track_to_det = {track_id: di for _, track_id, di in greedy_match(candidates)}
 
     updated: list[Track] = []
-    for ti, track in enumerate(tracks):
-        if ti in track_to_det:
-            updated.append(replace(track, last_box=dets[track_to_det[ti]].box, age=0))
+    for track in tracks:
+        if track.id in track_to_det:
+            updated.append(replace(track, last_box=dets[track_to_det[track.id]].box, age=0))
         else:
             aged = replace(track, age=track.age + 1)
             if aged.age <= cfg.track_buffer:
                 updated.append(aged)
 
+    matched_det = set(track_to_det.values())
     new_objects: list[NewObject] = []
     for di, det in enumerate(dets):
         if di in matched_det:

@@ -28,7 +28,7 @@ from .ash import (
 )
 from .assoc import AssocConfig, Associator, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
-from .geometry import BinaryMask, Polygon, iou_mask
+from .geometry import BinaryMask, Polygon, greedy_match, iou_mask
 
 logger = logging.getLogger(__name__)
 
@@ -53,20 +53,18 @@ class ChunkerConfig:
     full_budget: int | None = None  # max propagated (frame x object) entries
 
     def __post_init__(self) -> None:
-        chi, omega = self.chi, self.omega
-        if type(chi) is not int or chi < 1:
-            raise ValueError(f"chi must be an int >= 1: {chi!r}")
-        if type(omega) is not int or not 0 <= omega < chi:
-            raise ValueError(f"omega must be an int in [0, chi): omega={omega!r}, chi={chi}")
+        if self.chi < 1:
+            raise ValueError(f"chi must be >= 1: {self.chi}")
+        if not 0 <= self.omega < self.chi:
+            raise ValueError(f"omega must be in [0, chi): omega={self.omega}, chi={self.chi}")
         if not 0.0 < self.tau_overlap < 1.0:
             raise ValueError(f"tau_overlap out of (0,1): {self.tau_overlap}")
-        if self.window is not None and (type(self.window) is not int or self.window < 0):
-            raise ValueError(f"window must be None or an int >= 0: {self.window!r}")
-        interval, budget = self.checkpoint_interval, self.full_budget
-        if type(interval) is not int or interval < 1:
-            raise ValueError(f"checkpoint_interval must be an int >= 1: {interval!r}")
-        if budget is not None and (type(budget) is not int or budget < 1):
-            raise ValueError(f"full_budget must be None or an int >= 1: {budget!r}")
+        if self.window is not None and self.window < 0:
+            raise ValueError(f"window must be None or >= 0: {self.window}")
+        if self.checkpoint_interval < 1:
+            raise ValueError(f"checkpoint_interval must be >= 1: {self.checkpoint_interval}")
+        if self.full_budget is not None and self.full_budget < 1:
+            raise ValueError(f"full_budget must be None or >= 1: {self.full_budget}")
 
     @property
     def search_window(self) -> int:
@@ -104,13 +102,13 @@ def merge_chunk_overlap(
 
     For every (previous, next) pair, the per-frame mask IoU is averaged over
     the overlap frames where at least one of the two masks is nonempty; pairs
-    where both are absent contribute nothing. Ids are inherited greedily in
-    descending average IoU while above tau_overlap, each previous id claimed
-    at most once; everything else keeps its own (already unique) id.
+    where both are absent contribute nothing. Pairs above tau_overlap are
+    claimed by `greedy_match` with the previous id as the row and the next id
+    as the column; everything else keeps its own (already unique) id.
     """
     if not overlap_frames:
         raise ValueError("overlap_frames must be nonempty")
-    scores = []
+    candidates = []
     for a in prev_masklets:
         for b in next_masklets:
             total = 0.0
@@ -127,18 +125,9 @@ def merge_chunk_overlap(
                 frames_counted += 1
                 if not a_empty and not b_empty:
                     total += iou_mask(ma, mb)
-            if frames_counted:
-                scores.append((total / frames_counted, a.object_id, b.object_id))
-    scores.sort(key=lambda s: (-s[0], s[1], s[2]))
-    mapping: dict[int, int] = {}
-    claimed: set[int] = set()
-    for avg, a_id, b_id in scores:
-        if avg <= tau_overlap:
-            break
-        if b_id in mapping or a_id in claimed:
-            continue
-        mapping[b_id] = a_id
-        claimed.add(a_id)
+            if frames_counted and (avg := total / frames_counted) > tau_overlap:
+                candidates.append((avg, a.object_id, b.object_id))
+    mapping = {b_id: a_id for _, a_id, b_id in greedy_match(candidates)}
     for b in next_masklets:
         mapping.setdefault(b.object_id, b.object_id)
     return mapping

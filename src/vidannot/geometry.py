@@ -1,4 +1,5 @@
-"""Boxes, binary masks, polygons, conversions between them, and IoU.
+"""Boxes, binary masks, polygons, conversions between them, IoU, and greedy
+one-to-one matching by score.
 
 All values are immutable after construction; every operation here is a pure
 function and safe to call concurrently. A mask op costs O(crop area); tracing
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -280,6 +281,25 @@ def iou_mask(a: BinaryMask, b: BinaryMask) -> float:
     if union == 0:
         return 0.0
     return inter / union
+
+
+def greedy_match(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
+    """Claim (score, row, column) candidates one-to-one in descending score.
+
+    Ties go to the lower row, then the lower column. A candidate is claimed
+    when neither its row nor its column is taken yet; the claimed triples are
+    returned in claim order.
+    """
+    rows: set[int] = set()
+    columns: set[int] = set()
+    claimed = []
+    for c in sorted(candidates, key=lambda t: (-t[0], t[1], t[2])):
+        _, row, column = c
+        if row not in rows and column not in columns:
+            rows.add(row)
+            columns.add(column)
+            claimed.append(c)
+    return claimed
 
 
 def box_overlap(

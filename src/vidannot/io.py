@@ -9,20 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ash import AshConfig, Masklet, MaskletEntry
-from .assoc import AssocConfig
-from .backends import (
-    DetectionNoise,
-    PropagationDegradation,
-    SyntheticWorldConfig,
-)
-from .chunker import ChunkerConfig
+from .ash import Masklet, MaskletEntry
 from .config import DeploymentConfig, PipelineConfig
 from .geometry import BBox, Polygon
 from .smart_od import SmartOdConfig
@@ -236,62 +231,70 @@ def masklets_to_document(
     return doc
 
 
-_SECTION_TYPES = {
-    "smart_od": SmartOdConfig,
-    "assoc": AssocConfig,
-    "ash": AshConfig,
-    "chunker": ChunkerConfig,
-    "deploy": DeploymentConfig,
-    "world": SyntheticWorldConfig,
-    "noise": DetectionNoise,
-    "degradation": PropagationDegradation,
-}
-_SCALAR_KEYS = {"seed"}
+def _typed(value, hint, name: str):
+    """`value` as a value of the annotation `hint`, with JSON lists made
+    tuples where a tuple is declared; a FormatError naming `name` when it is
+    not one. An int is a float too, but a bool is neither."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _typed(value, hint, name)
+    if origin is tuple:
+        if args[-1] is Ellipsis and isinstance(value, list):
+            return tuple(_typed(v, args[0], name) for v in value)
+        if isinstance(value, list) and len(value) == len(args):
+            return tuple(_typed(v, a, name) for v, a in zip(value, args))
+    elif origin is dict:
+        if isinstance(value, dict) and all(type(k) is str for k in value):
+            return {k: _typed(v, args[1], f"{name}['{k}']") for k, v in value.items()}
+    elif type(value) is hint or (hint is float and type(value) is int):
+        return value
+    shown = hint.__name__ if typing.get_origin(hint) is None else hint
+    raise FormatError(f"{name} must be of type {shown}, got {value!r}")
 
-_TUPLE_FIELDS = {
-    "aspect_range",
-    "tp_confidence_range",
-    "fp_confidence_range",
-    "ellipse_axes",
-    "drift_px_per_frame",
-}
 
-
-def _build_section(name: str, cls: type, payload: dict):
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - allowed)
+def _build_section(name: str, cls: type, payload: Mapping):
+    if not isinstance(payload, Mapping):
+        raise FormatError(f"config section '{name}' must be an object")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(payload) - set(hints))
     if unknown:
         raise FormatError(f"unknown field(s) in '{name}': {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in payload.items():
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        elif key == "velocities" and isinstance(value, list):
-            value = tuple(tuple(v) for v in value)
-        kwargs[key] = value
+    kwargs = {key: _typed(value, hints[key], f"{name}.{key}") for key, value in payload.items()}
     try:
-        return cls(**kwargs)
+        section = cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid '{name}' config: {exc}") from exc
+    if cls is DeploymentConfig:
+        # Grid values stand in for smart_od fields; keys are checked above.
+        grid_hints = typing.get_type_hints(SmartOdConfig)
+        for key, values in section.parameter_grid.items():
+            for v in values:
+                _typed(v, grid_hints[key], f"{name}.parameter_grid['{key}']")
+    return section
 
 
 def parse_config(payload: dict) -> PipelineConfig:
     """Build a PipelineConfig from a plain dict; missing fields take defaults,
-    unknown fields are rejected by name."""
-    unknown = sorted(set(payload) - set(_SECTION_TYPES) - _SCALAR_KEYS)
+    unknown fields are rejected by name, and every value is checked against
+    its field's annotation. A null section takes its defaults."""
+    hints = typing.get_type_hints(PipelineConfig)
+    unknown = sorted(set(payload) - set(hints))
     if unknown:
         raise FormatError(f"unknown config section(s): {', '.join(unknown)}")
     kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name not in payload or payload[name] is None:
-            continue
-        if not isinstance(payload[name], Mapping):
-            raise FormatError(f"config section '{name}' must be an object")
-        kwargs[name] = _build_section(name, cls, dict(payload[name]))
-    if "seed" in payload:
-        if type(payload["seed"]) is not int:
-            raise FormatError(f"seed must be an integer: {payload['seed']!r}")
-        kwargs["seed"] = payload["seed"]
+    for name, value in payload.items():
+        # A field whose annotation is a dataclass, or one or None, is a section.
+        section = next(
+            (a for a in (hints[name], *typing.get_args(hints[name])) if dataclasses.is_dataclass(a)),
+            None,
+        )
+        if section is None:
+            kwargs[name] = _typed(value, hints[name], name)
+        elif value is not None:
+            kwargs[name] = _build_section(name, section, value)
     return PipelineConfig(**kwargs)
 
 
@@ -304,21 +307,3 @@ def read_config(path: str | Path) -> PipelineConfig:
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: config root must be an object")
     return parse_config(payload)
-
-
-def serialize_config(cfg: PipelineConfig) -> dict:
-    """Normalized plain-dict form; parse_config inverts it."""
-    out: dict = {}
-    for name in _SECTION_TYPES:
-        section = getattr(cfg, name)
-        out[name] = None if section is None else dataclasses.asdict(section)
-    out["seed"] = cfg.seed
-    # JSON round trip normalizes tuples to lists at every nesting level.
-    return json.loads(json.dumps(out))
-
-
-def write_config(cfg: PipelineConfig, path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(serialize_config(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

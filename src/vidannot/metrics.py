@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BBox, iou_box
+from .geometry import BBox, greedy_match, iou_box
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,19 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _overlaps(
+    predictions: Sequence[BBox], ground_truth: Sequence[BBox], iou_threshold: float
+) -> list[tuple[float, int, int]]:
+    """(iou, pred_idx, gt_idx) for every pair with IoU at or above the threshold."""
+    pairs = []
+    for pi, pb in enumerate(predictions):
+        for gi, gb in enumerate(ground_truth):
+            v = iou_box(pb, gb)
+            if v >= iou_threshold:
+                pairs.append((v, pi, gi))
+    return pairs
+
+
 def match_frame(
     predictions: Sequence[BBox],
     ground_truth: Sequence[BBox],
@@ -105,22 +118,10 @@ def match_frame(
     Returns (matches as (pred_idx, gt_idx, iou), unmatched pred indices,
     unmatched gt indices).
     """
-    pairs = []
-    for pi, pb in enumerate(predictions):
-        for gi, gb in enumerate(ground_truth):
-            v = iou_box(pb, gb)
-            if v >= iou_threshold:
-                pairs.append((v, pi, gi))
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    matches: list[tuple[int, int, float]] = []
-    used_p: set[int] = set()
-    used_g: set[int] = set()
-    for v, pi, gi in pairs:
-        if pi in used_p or gi in used_g:
-            continue
-        used_p.add(pi)
-        used_g.add(gi)
-        matches.append((pi, gi, v))
+    claimed = greedy_match(_overlaps(predictions, ground_truth, iou_threshold))
+    matches = [(pi, gi, v) for v, pi, gi in claimed]
+    used_p = {pi for pi, _, _ in matches}
+    used_g = {gi for _, gi, _ in matches}
     fps = [i for i in range(len(predictions)) if i not in used_p]
     fns = [i for i in range(len(ground_truth)) if i not in used_g]
     return matches, fps, fns
@@ -162,28 +163,26 @@ def evaluate(
         gts = list(ground_truth[f])
         scores.gt_total += len(gts)
         scores.pred_total += len(preds)
-        matches, fps, fns = match_frame(
-            [p.box for p in preds], [g.box for g in gts], iou_threshold
-        )
+        # One IoU per pair feeds both the frame matching and the global
+        # identity assignment.
+        overlaps = _overlaps([p.box for p in preds], [g.box for g in gts], iou_threshold)
+        matches = greedy_match(overlaps)
         scores.tp += len(matches)
-        scores.fp += len(fps)
-        scores.fn += len(fns)
-        for pi, gi, _ in matches:
+        scores.fp += len(preds) - len(matches)
+        scores.fn += len(gts) - len(matches)
+        for _, pi, gi in matches:
             pid = preds[pi].track_id
             gid = gts[gi].track_id
             if gid in last_match and last_match[gid] != pid:
                 scores.idsw += 1
             last_match[gid] = pid
-        # Pairwise per-frame overlaps feed the global identity assignment.
         for p in preds:
             pred_ids.setdefault(p.track_id, len(pred_ids))
         for g in gts:
             gt_ids.setdefault(g.track_id, len(gt_ids))
-        for p in preds:
-            for g in gts:
-                if iou_box(p.box, g.box) >= iou_threshold:
-                    key = (gt_ids[g.track_id], pred_ids[p.track_id])
-                    overlap_counts[key] = overlap_counts.get(key, 0) + 1
+        for _, pi, gi in overlaps:
+            key = (gt_ids[gts[gi].track_id], pred_ids[preds[pi].track_id])
+            overlap_counts[key] = overlap_counts.get(key, 0) + 1
     idtp = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
     for (gi, pi), c in overlap_counts.items():
         idtp[gi, pi] = c

@@ -32,7 +32,7 @@ from .chunker import run_sequence
 from .config import PipelineConfig
 from .geometry import box_overlap, iou_mask
 from .io import masklets_to_document, masklets_to_mot, write_annotations, write_mot
-from .metrics import match_frame
+from .metrics import SequenceScores, match_frame
 from .smart_od import SmartOdConfig, run_smart_od
 
 logger = logging.getLogger(__name__)
@@ -175,16 +175,14 @@ def _precision_recall(
 ) -> tuple[float, float]:
     """Precision and recall of the detections against the visible objects,
     matched at box IoU 0.5."""
-    tp = fp = fn = 0
+    scores = SequenceScores()
     for dets, gt_frame in zip(verified, ground_truth):
         gt_boxes = [o.box for o in gt_frame.visible_objects()]
         matches, fps, fns = match_frame([d.box for d in dets], gt_boxes)
-        tp += len(matches)
-        fp += len(fps)
-        fn += len(fns)
-    precision = tp / (tp + fp) if (tp + fp) else 0.0
-    recall = tp / (tp + fn) if (tp + fn) else 0.0
-    return precision, recall
+        scores.tp += len(matches)
+        scores.fp += len(fps)
+        scores.fn += len(fns)
+    return scores.precision, scores.recall
 
 
 def stratified_sample_frames(num_frames: int, fraction: float, seed: int) -> list[int]:

@@ -35,8 +35,8 @@ class SmartOdConfig:
         for name in ("theta_n", "theta_min"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} out of [0,1]: {getattr(self, name)}")
-        if type(self.slice_size) is not int or self.slice_size < 1:
-            raise ValueError(f"slice_size must be an int >= 1: {self.slice_size!r}")
+        if self.slice_size < 1:
+            raise ValueError(f"slice_size must be >= 1: {self.slice_size}")
         if not 0.0 <= self.theta_min_area < self.theta_max_area <= 1.0:
             raise ValueError(
                 f"need 0 <= theta_min_area < theta_max_area <= 1, "

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from scipy import ndimage
 import vidannot.chunker
 from vidannot import geometry
 from vidannot.ash import MaskletEntry
+from vidannot.assoc import AssociationResult, NewObject, Track
 from vidannot.backends import SyntheticWorldConfig, generate_synthetic_sequence
 from vidannot.chunker import next_chunk
 from vidannot.geometry import BBox, BinaryMask, Polygon
@@ -426,3 +428,104 @@ def inject_append_fault(monkeypatch, phase: str) -> None:
 
     monkeypatch.setattr(vidannot.chunker, "open", opened, raising=False)
     monkeypatch.setattr(os, "fsync", fsync)
+
+
+# The three claim loops that association, evaluation and chunk stitching each
+# carried before they shared geometry.greedy_match, kept as reference oracles.
+
+
+def loop_associate_frame(tracks, dets, frame_index, cfg, next_id=0):
+    """associate_frame with its own sort and claim loop."""
+    pairs = []
+    for ti, track in enumerate(tracks):
+        for di, det in enumerate(dets):
+            v = geometry.iou_box(track.last_box, det.box)
+            if v > cfg.tau_track_det:
+                pairs.append((v, track.id, di, ti))
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+
+    track_to_det: dict[int, int] = {}
+    matched_det: set[int] = set()
+    for _, _, di, ti in pairs:
+        if ti in track_to_det or di in matched_det:
+            continue
+        track_to_det[ti] = di
+        matched_det.add(di)
+
+    updated = []
+    for ti, track in enumerate(tracks):
+        if ti in track_to_det:
+            updated.append(dataclasses.replace(track, last_box=dets[track_to_det[ti]].box, age=0))
+        else:
+            aged = dataclasses.replace(track, age=track.age + 1)
+            if aged.age <= cfg.track_buffer:
+                updated.append(aged)
+
+    new_objects = []
+    for di, det in enumerate(dets):
+        if di in matched_det:
+            continue
+        obj_id = next_id
+        next_id += 1
+        new_objects.append(NewObject(obj_id, det, frame_index))
+        updated.append(Track(id=obj_id, last_box=det.box))
+    return AssociationResult(new_objects, updated, next_id)
+
+
+def loop_match_frame(predictions, ground_truth, iou_threshold=0.5):
+    """match_frame with its own sort and claim loop."""
+    pairs = []
+    for pi, pb in enumerate(predictions):
+        for gi, gb in enumerate(ground_truth):
+            v = geometry.iou_box(pb, gb)
+            if v >= iou_threshold:
+                pairs.append((v, pi, gi))
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    matches = []
+    used_p: set[int] = set()
+    used_g: set[int] = set()
+    for v, pi, gi in pairs:
+        if pi in used_p or gi in used_g:
+            continue
+        used_p.add(pi)
+        used_g.add(gi)
+        matches.append((pi, gi, v))
+    fps = [i for i in range(len(predictions)) if i not in used_p]
+    fns = [i for i in range(len(ground_truth)) if i not in used_g]
+    return matches, fps, fns
+
+
+def loop_merge_chunk_overlap(prev_masklets, next_masklets, overlap_frames, tau_overlap=0.7):
+    """merge_chunk_overlap with its own sort and claim loop."""
+    scores = []
+    for a in prev_masklets:
+        for b in next_masklets:
+            total = 0.0
+            frames_counted = 0
+            for f in overlap_frames:
+                ea = a.entries.get(f)
+                eb = b.entries.get(f)
+                ma = ea.mask if ea is not None else None
+                mb = eb.mask if eb is not None else None
+                a_empty = ma is None or ma.is_empty()
+                b_empty = mb is None or mb.is_empty()
+                if a_empty and b_empty:
+                    continue
+                frames_counted += 1
+                if not a_empty and not b_empty:
+                    total += geometry.iou_mask(ma, mb)
+            if frames_counted:
+                scores.append((total / frames_counted, a.object_id, b.object_id))
+    scores.sort(key=lambda s: (-s[0], s[1], s[2]))
+    mapping: dict[int, int] = {}
+    claimed: set[int] = set()
+    for avg, a_id, b_id in scores:
+        if avg <= tau_overlap:
+            break
+        if b_id in mapping or a_id in claimed:
+            continue
+        mapping[b_id] = a_id
+        claimed.add(a_id)
+    for b in next_masklets:
+        mapping.setdefault(b.object_id, b.object_id)
+    return mapping

@@ -143,6 +143,8 @@ class TestCliVerbs:
             # Once taken as 3 and as 1.
             ("auto", {"seed": 3.7}, "seed"),
             ("auto", {"seed": True}, "seed"),
+            # Once taken, and the outlines resampled at 64.5 points.
+            ("auto", {"ash": {"alpha": 1.0, "resample_n": 64.5}}, "resample_n"),
             # Removed: no value of either changed an output byte.
             ("auto", {"ash": {"alpha": 1.0, "beta": 5}}, "beta"),
             ("auto", {"rescale_confidences": False}, "rescale_confidences"),

@@ -20,9 +20,7 @@ from vidannot.io import (
     read_annotations,
     read_config,
     read_mot,
-    serialize_config,
     write_annotations,
-    write_config,
     write_mot,
 )
 
@@ -298,6 +296,22 @@ class TestConfig:
             ("smart_od", {"theta_min": -0.5}),
             ("assoc", {"aspect_range": [5, 0.2]}),
             ("assoc", {"track_buffer": -3}),
+            # Each once accepted: a value of the wrong type for its field.
+            ("world", {"num_frames": 10.5}),
+            ("deploy", {"qa_seed": 1.5}),
+            ("ash", {"resample_n": 64.5}),  # once changed the outlines
+            ("assoc", {"track_buffer": 2.5}),
+            ("smart_od", {"mu_dbscan": 1.5}),
+            ("ash", {"epsilon_mask": 2.5}),
+            ("world", {"occlusion_enabled": "no"}),
+            ("ash", {"alpha": True}),
+            ("deploy", {"parameter_grid": {"mu_dbscan": [1.5]}}),
+            ("noise", {"miss_rate": "0.1"}),
+            ("assoc", {"aspect_range": [0.2]}),
+            ("world", {"velocities": [[1, 0, 0]], "num_objects": 1}),
+            ("ash", {"alpha": None}),
+            ("world", {"class_label": 3}),
+            ("deploy", {"parameter_grid": ["theta_v"]}),  # once a raw AttributeError
         ],
     )
     def test_out_of_range_fields_rejected_by_name(self, section, fields):
@@ -311,26 +325,37 @@ class TestConfig:
             parse_config({"seed": seed})
         assert parse_config({"seed": 3}).seed == 3
 
-    def test_serialize_parse_normalizes(self):
-        cfg = PipelineConfig()
-        once = serialize_config(cfg)
-        twice = serialize_config(parse_config(once))
-        assert once == twice
-
-    def test_write_read_roundtrip(self, tmp_path):
-        import dataclasses
-
-        from vidannot.backends import SyntheticWorldConfig
-
-        cfg = dataclasses.replace(
-            PipelineConfig(),
-            world=SyntheticWorldConfig(num_objects=3, velocities=((1, 0), (0, 1), (1, 1))),
-        )
+    def test_values_parse_to_their_declared_types(self, tmp_path):
         p = tmp_path / "c.json"
-        write_config(cfg, p)
-        back = read_config(p)
-        assert serialize_config(back) == serialize_config(cfg)
-        assert back.world.velocities == ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+        p.write_text(json.dumps({
+            "assoc": {"aspect_range": [0.25, 4]},
+            "noise": {"tp_confidence_range": [0.7, 0.9], "fp_confidence_range": [0, 0.2]},
+            "degradation": {"drift_px_per_frame": [0.5, 0]},
+            "world": {"num_objects": 2, "velocities": [[1, 0], [0, 1.5]], "ellipse_axes": [9, 6]},
+            "chunker": {"window": None, "full_budget": None},
+            "ash": {"alpha": 1},  # an int is a float
+            "seed": 4,
+        }))
+        cfg = read_config(p)
+        tuples = [
+            cfg.assoc.aspect_range,
+            cfg.noise.tp_confidence_range,
+            cfg.noise.fp_confidence_range,
+            cfg.degradation.drift_px_per_frame,
+            cfg.world.ellipse_axes,
+            cfg.world.velocities,
+            *cfg.world.velocities,
+        ]
+        assert all(type(t) is tuple for t in tuples)
+        assert cfg.world.velocities == ((1.0, 0.0), (0.0, 1.5))
+        assert cfg.assoc.aspect_range == (0.25, 4.0)
+        assert (cfg.chunker.window, cfg.chunker.full_budget, cfg.ash.alpha, cfg.seed) == (
+            None, None, 1, 4
+        )
+
+    def test_null_section_takes_its_defaults(self):
+        assert parse_config({"world": None, "ash": None}) == PipelineConfig()
+        assert parse_config({}).world is None
 
     def test_non_object_root(self, tmp_path):
         p = tmp_path / "c.json"
