@@ -147,24 +147,45 @@ def propagate_batch(
     new_objects: list[NewObject],
     frames: Sequence[int],
     propagator: PropagatorBackend,
+    frame_size: tuple[int, int],
 ) -> list[Masklet]:
     """Propagate the new objects of one frame over the remaining frames.
 
     Each object becomes one masklet covering the given frames; each entry's
     polygon and box are traced from its mask when first read. A propagator
-    failure is re-raised as a PropagationError naming the object, so that
-    chunk-mode fallback can react.
+    that fails, or breaks its contract of one `BinaryMask` of the
+    `frame_size` (width, height) per frame, raises a PropagationError naming
+    the object and the frame, so that chunk-mode fallback can react.
     """
     masklets = []
     for obj in new_objects:
         try:
-            masks = propagator.propagate(obj.detection.box, obj.frame_index, frames)
+            masks = list(propagator.propagate(obj.detection.box, obj.frame_index, frames))
         except PropagationError:
             raise
         except Exception as exc:
-            raise PropagationError(f"propagation failed for object {obj.object_id}: {exc}") from exc
+            raise PropagationError(
+                f"propagation failed for object {obj.object_id}: {exc} "
+                f"(from frame {obj.frame_index})"
+            ) from exc
+        where = f"object {obj.object_id}"
+        if len(masks) != len(frames):
+            raise PropagationError(
+                f"propagation of {where} gave {len(masks)} masks for the {len(frames)} "
+                f"frames {frames[0]}..{frames[-1]}"
+            )
         m = Masklet(obj.object_id, obj.detection.class_label)
         for f, mask in zip(frames, masks):
+            if not isinstance(mask, BinaryMask):
+                raise PropagationError(
+                    f"propagation of {where} gave a {type(mask).__name__} at frame {f}, "
+                    "not a BinaryMask"
+                )
+            if (mask.width, mask.height) != frame_size:
+                raise PropagationError(
+                    f"propagation of {where} gave a {mask.width}x{mask.height} mask at frame "
+                    f"{f} of a {frame_size[0]}x{frame_size[1]} sequence"
+                )
             m.add_entry(f, MaskletEntry.from_mask(mask, obj.detection.confidence))
         masklets.append(m)
     return masklets

@@ -457,7 +457,9 @@ def _track(
                     f"frame {t}: projected {projected} propagated entries > budget {budget}"
                 )
         if result.new_objects:
-            produced = propagate_batch(result.new_objects, frames[i:], run.propagator)
+            produced = propagate_batch(
+                result.new_objects, frames[i:], run.propagator, run.frame_size
+            )
             masklets.extend(produced)
             used += sum(len(m.entries) for m in produced)
         if run.on_frame is not None and t > reported:

@@ -1,8 +1,13 @@
 """Dataset deployment: representative-sequence selection, detection parameter
 optimization, cross-validation, the dataset-wide run, and QA sampling.
 
-Sequences are independent and run with bounded parallelism; within a sequence
-the chunker's strictly-ordered contract applies.
+Sequences share nothing. With more than one worker, each runs in its own
+forked child process, at most `workers` at once; the child inherits the
+sources, backends and verified detections, and sends back only its
+SequenceOutcome, which must therefore stay picklable. A child that dies
+before sending becomes that sequence's error. Where `fork` does not exist,
+sequences run one after another. Within a sequence the chunker's
+strictly-ordered contract applies.
 """
 
 from __future__ import annotations
@@ -10,10 +15,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -337,9 +343,8 @@ def _run_dataset(
             return SequenceOutcome(seq_id, None, None, error=str(exc))
 
     seq_ids = sorted(sources)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(worker, seq_ids))
+    if workers > 1 and len(seq_ids) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        outcomes = _run_forked(worker, seq_ids, workers)
     else:
         outcomes = [worker(s) for s in seq_ids]
     for outcome in outcomes:
@@ -348,6 +353,58 @@ def _run_dataset(
             report.flagged.append(outcome.sequence_id)
     report.flagged.sort()
     return report
+
+
+def _run_forked(
+    worker: Callable[[str], SequenceOutcome], seq_ids: list[str], workers: int
+) -> list[SequenceOutcome]:
+    """worker(seq_id) for each sequence in its own forked child, at most
+    `workers` children at once; outcomes in `seq_ids` order.
+
+    A child sends its outcome over a one-way pipe. One that exits without
+    sending gets an error outcome naming its exit code. No child outlives
+    the call, whatever the parent raises.
+    """
+    ctx = multiprocessing.get_context("fork")
+    queued = seq_ids[::-1]
+    running = {}  # receiving end -> (sequence id, child)
+    outcomes: dict[str, SequenceOutcome] = {}
+    try:
+        while queued or running:
+            while queued and len(running) < workers:
+                seq_id = queued.pop()
+                receiver, sender = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_send_outcome, args=(worker, seq_id, sender))
+                # Once the parent's copy of the sending end is closed, the
+                # receiver reads end-of-file when the child exits.
+                with sender:
+                    child.start()
+                running[receiver] = (seq_id, child)
+            for receiver in wait(list(running)):
+                seq_id, child = running[receiver]
+                try:
+                    outcome = receiver.recv()
+                except EOFError:
+                    outcome = None
+                child.join()
+                receiver.close()
+                del running[receiver]
+                if outcome is None:
+                    error = f"sequence {seq_id}: worker process exited with code {child.exitcode}"
+                    outcome = SequenceOutcome(seq_id, None, None, error=error)
+                outcomes[seq_id] = outcome
+    finally:
+        for _, child in running.values():
+            child.terminate()
+        for receiver, (_, child) in running.items():
+            child.join()
+            receiver.close()
+    return [outcomes[s] for s in seq_ids]
+
+
+def _send_outcome(worker: Callable[[str], SequenceOutcome], seq_id: str, sender) -> None:
+    with sender:
+        sender.send(worker(seq_id))
 
 
 def deploy(

@@ -306,6 +306,22 @@ def verify_roi(
     return accepted
 
 
+def _checked(dets, detector: DetectorBackend, call: str, frame_index: int) -> list[Detection]:
+    """`dets` when it is a list of Detection; otherwise a TypeError naming the
+    backend, the call and the frame."""
+    if not isinstance(dets, list):
+        fault = f"a {type(dets).__name__}"
+    else:
+        bad = next((d for d in dets if not isinstance(d, Detection)), None)
+        if bad is None:
+            return dets
+        fault = f"a list holding a {type(bad).__name__}"
+    raise TypeError(
+        f"{type(detector).__name__}.{call} gave {fault} at frame {frame_index}, "
+        "not a list of Detection"
+    )
+
+
 def run_smart_od(
     frame_index: int, detector: DetectorBackend, cfg: SmartOdConfig
 ) -> list[Detection]:
@@ -317,7 +333,7 @@ def run_smart_od(
     original confidences.
     """
     w, h = detector.frame_size
-    dets = detector.detect(frame_index)
+    dets = _checked(detector.detect(frame_index), detector, "detect", frame_index)
     dets = filter_area_ratio(dets, float(w * h), cfg)
     if not dets:
         return []
@@ -330,7 +346,8 @@ def run_smart_od(
         members = [dets[i] for i in roi.member_indices]
         predictions: list[Detection] = []
         for tile in slice_tiles(roi.box, cfg.slice_size, cfg.slice_overlap):
-            predictions.extend(detector.detect_region(frame_index, tile))
+            region = detector.detect_region(frame_index, tile)
+            predictions.extend(_checked(region, detector, "detect_region", frame_index))
         predictions = nms_detections(predictions, cfg.theta_n)
         accepted.extend(verify_roi(roi, members, predictions, theta_final, cfg))
     return accepted

@@ -43,6 +43,9 @@ from vidannot.pipeline import SequenceSource, run_dataset
 from helpers import eager_merge_redundant_frame, rect_mask
 
 
+FRAME_SIZE = (SyntheticWorldConfig().frame_width, SyntheticWorldConfig().frame_height)
+
+
 def world(n=2, frames=10, vel=None, seed=1):
     vel = vel if vel is not None else tuple((0.4, 0.2) for _ in range(n))
     return generate_synthetic_sequence(
@@ -73,7 +76,7 @@ class TestPropagateBatch:
     def test_static_object_identical_entries(self):
         gt = world(n=1, frames=5, vel=((0, 0),))
         prop = SyntheticPropagator(gt)
-        (m,) = propagate_batch([new_obj(gt, 0)], range(5), prop)
+        (m,) = propagate_batch([new_obj(gt, 0)], range(5), prop, FRAME_SIZE)
         assert m.frames() == [0, 1, 2, 3, 4]
         for f in m.frames():
             assert m.entries[f].mask == gt[0].objects[0].mask
@@ -82,14 +85,14 @@ class TestPropagateBatch:
         gt = world(n=1, frames=30, vel=((10.0, 0.0),), seed=0)
         assert gt[-1].objects[0].mask.is_empty()  # object exits the frame
         prop = SyntheticPropagator(gt)
-        (m,) = propagate_batch([new_obj(gt, 0)], range(30), prop)
+        (m,) = propagate_batch([new_obj(gt, 0)], range(30), prop, FRAME_SIZE)
         empties = [f for f in m.frames() if m.entries[f].mask.is_empty()]
         assert empties and empties[-1] == 29  # pre-pruning: entries still there
 
     def test_drift_shifts_boxes(self):
         gt = world(n=1, frames=8, vel=((0, 0),))
         prop = SyntheticPropagator(gt, PropagationDegradation(drift_px_per_frame=(1.0, 0.0)))
-        (m,) = propagate_batch([new_obj(gt, 0)], range(8), prop)
+        (m,) = propagate_batch([new_obj(gt, 0)], range(8), prop, FRAME_SIZE)
         x0 = m.entries[0].bbox.x1
         assert m.entries[7].bbox.x1 - x0 == 7
 
@@ -106,7 +109,24 @@ class TestPropagateBatch:
         gt = world(n=2, frames=3)
         new_objects = [new_obj(gt, 0), new_obj(gt, 1)]
         with pytest.raises(PropagationError, match="failed for object 1: out of memory"):
-            propagate_batch(new_objects, range(3), BreaksOnSecond())
+            propagate_batch(new_objects, range(3), BreaksOnSecond(), (20, 20))
+
+    @pytest.mark.parametrize(
+        "masks,fault",
+        [
+            (lambda n: [BinaryMask.zeros(20, 20)] * (n + 1), "gave 4 masks for the 3 frames 0..2"),
+            (lambda n: ["mask"] * n, "gave a str at frame 0, not a BinaryMask"),
+        ],
+        ids=["one-too-many", "not-a-mask"],
+    )
+    def test_contract_violation_names_object_and_frame(self, masks, fault):
+        class Hostile:
+            def propagate(self, box, start, frames):
+                return masks(len(frames))
+
+        gt = world(n=1, frames=3)
+        with pytest.raises(PropagationError, match=f"object 0 {fault}"):
+            propagate_batch([new_obj(gt, 0)], range(3), Hostile(), (20, 20))
 
 
 @st.composite
@@ -456,7 +476,9 @@ def run_ash(new_objects_by_frame, frames, propagator, cfg, postprocess=True):
     masklets = []
     for t in sorted(new_objects_by_frame):
         remaining = [f for f in frames if f >= t]
-        masklets.extend(propagate_batch(new_objects_by_frame[t], remaining, propagator))
+        masklets.extend(
+            propagate_batch(new_objects_by_frame[t], remaining, propagator, FRAME_SIZE)
+        )
     if postprocess:
         masklets = postprocess_masklets(masklets, frames, cfg)
     return masklets

@@ -3,6 +3,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from vidannot.backends import (
     GroundTruthFrame,
     GroundTruthObject,
     PropagationDegradation,
+    SyntheticPropagator,
     SyntheticWorldConfig,
 )
 from vidannot.config import DeploymentConfig, PipelineConfig
@@ -201,6 +206,34 @@ def tiny_pipe_cfg(**world_kw) -> PipelineConfig:
     )
 
 
+def outputs(report) -> dict:
+    """What a run reports and writes, with output paths read as bytes."""
+
+    def read(path):
+        return path.read_bytes() if path is not None else None
+
+    return {
+        "flagged": report.flagged,
+        "outcomes": {
+            s: (o.qa, o.error, read(o.annotation_path), read(o.mot_path))
+            for s, o in report.outcomes.items()
+        },
+        "deploy": (report.representative, report.optimized_j, report.cross_validated),
+    }
+
+
+def three_sources(cfg) -> dict:
+    sources = {
+        f"s{i}": synthetic_source(f"s{i}", cfg, dataclasses.replace(cfg.world, rng_seed=i))
+        for i in range(3)
+    }
+    # s2 drifts far enough to be flagged, so that the flags are compared too.
+    sources["s2"].propagator = SyntheticPropagator(
+        sources["s2"].ground_truth, PropagationDegradation(drift_px_per_frame=(4.0, 3.0))
+    )
+    return sources
+
+
 class TestRunDataset:
     def test_oracle_passes_qa(self, tmp_path):
         cfg = tiny_pipe_cfg()
@@ -252,17 +285,183 @@ class TestRunDataset:
         ).read_bytes()
 
     def test_workers_match_serial(self, tmp_path):
+        cfg = dataclasses.replace(
+            tiny_pipe_cfg(), deploy=DeploymentConfig(parameter_grid={"theta_min": [0.05, 0.1]})
+        )
+        serial = run_dataset(three_sources(cfg), cfg.smart_od, cfg, tmp_path / "serial", workers=1)
+        parallel = run_dataset(
+            three_sources(cfg), cfg.smart_od, cfg, tmp_path / "parallel", workers=3
+        )
+        assert serial.flagged == ["s2"]
+        assert outputs(parallel) == outputs(serial)
+        serial = deploy(three_sources(cfg), cfg, tmp_path / "deploy-serial", workers=1)
+        parallel = deploy(three_sources(cfg), cfg, tmp_path / "deploy-parallel", workers=2)
+        assert serial.failures == [] and serial.flagged == ["s2"]
+        assert outputs(parallel) == outputs(serial)
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerProcesses:
+    """With workers > 1, each sequence runs in a forked child process."""
+
+    def test_single_sequence_starts_no_child(self, tmp_path, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("started a child process")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
         cfg = tiny_pipe_cfg()
-        srcs = lambda: {
-            f"s{i}": synthetic_source(f"s{i}", cfg, dataclasses.replace(cfg.world, rng_seed=i))
-            for i in range(3)
-        }
-        run_dataset(srcs(), cfg.smart_od, cfg, tmp_path / "serial", workers=1)
-        run_dataset(srcs(), cfg.smart_od, cfg, tmp_path / "parallel", workers=3)
-        for i in range(3):
-            a = (tmp_path / "serial" / f"s{i}_annotations.jsonl").read_bytes()
-            b = (tmp_path / "parallel" / f"s{i}_annotations.jsonl").read_bytes()
-            assert a == b
+        sources = {"s": synthetic_source("s", cfg, cfg.world)}
+        report = run_dataset(sources, cfg.smart_od, cfg, tmp_path, workers=4)
+        assert report.failures == []
+
+    @pytest.mark.parametrize(
+        "die,code",
+        [(lambda: os._exit(3), 3), (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+        ids=["exit-3", "sigkill"],
+    )
+    def test_worker_death_isolated(self, tmp_path, die, code):
+        cfg = tiny_pipe_cfg()
+        serial = run_dataset(three_sources(cfg), cfg.smart_od, cfg, tmp_path / "serial")
+        parent = os.getpid()
+
+        class Dies:
+            def propagate(self, box, start, frames):
+                if os.getpid() == parent:
+                    raise AssertionError("propagated in the parent process")
+                die()
+
+        sources = three_sources(cfg)
+        sources["s1"].propagator = Dies()
+        report = run_dataset(sources, cfg.smart_od, cfg, tmp_path / "parallel", workers=2)
+        assert report.failures == ["s1"]
+        assert f"s1: worker process exited with code {code}" in report.outcomes["s1"].error
+        got, want = outputs(report)["outcomes"], outputs(serial)["outcomes"]
+        assert got["s0"] == want["s0"] and got["s2"] == want["s2"]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_isolated(self, tmp_path):
+        cfg = tiny_pipe_cfg()
+        serial = run_dataset(three_sources(cfg), cfg.smart_od, cfg, tmp_path / "serial")
+
+        class Broken:
+            def propagate(self, box, start, frames):
+                raise RuntimeError("boom")
+
+        sources = three_sources(cfg)
+        sources["s1"].propagator = Broken()
+        report = run_dataset(sources, cfg.smart_od, cfg, tmp_path / "parallel", workers=2)
+        assert report.failures == ["s1"]
+        assert "boom" in report.outcomes["s1"].error
+        got, want = outputs(report)["outcomes"], outputs(serial)["outcomes"]
+        assert got["s0"] == want["s0"] and got["s2"] == want["s2"]
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_terminates_children(self, tmp_path, monkeypatch):
+        class Sleeps:
+            def propagate(self, box, start, frames):
+                time.sleep(60)
+
+        def interrupted(connections):
+            raise KeyboardInterrupt
+
+        cfg = tiny_pipe_cfg()
+        sources = three_sources(cfg)
+        for source in sources.values():
+            source.propagator = Sleeps()
+        monkeypatch.setattr(vidannot.pipeline, "wait", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_dataset(sources, cfg.smart_od, cfg, tmp_path, workers=2)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 30
+
+
+class TestBackendContract:
+    """A backend that breaks its contract gives its sequence an error naming
+    the object or backend call and the frame, or makes auto mode fall back;
+    it never changes the output silently."""
+
+    @staticmethod
+    def run(tmp_path, source, mode="auto"):
+        cfg = tiny_pipe_cfg()
+        report = run_dataset({"s": source}, cfg.smart_od, cfg, tmp_path, mode=mode)
+        return report.outcomes["s"]
+
+    def test_one_mask_short_is_an_error(self, tmp_path):
+        source = synthetic_source("s", tiny_pipe_cfg(), tiny_pipe_cfg().world)
+        inner = source.propagator
+
+        class OneShort:
+            def propagate(self, box, start, frames):
+                return inner.propagate(box, start, frames)[:-1]
+
+        source.propagator = OneShort()
+        error = self.run(tmp_path, source, "full").error
+        assert error is not None and "object 0 gave 11 masks for the 12 frames 0..11" in error
+
+    def test_masks_of_another_frame_size_are_an_error(self, tmp_path):
+        source = synthetic_source("s", tiny_pipe_cfg(), tiny_pipe_cfg().world)
+
+        class Tiny:
+            def propagate(self, box, start, frames):
+                return [BinaryMask.zeros(10, 10) for _ in frames]
+
+        source.propagator = Tiny()
+        error = self.run(tmp_path, source, "full").error
+        assert error is not None
+        assert "object 0 gave a 10x10 mask at frame 0 of a 160x120 sequence" in error
+
+    def test_none_makes_auto_mode_fall_back(self, tmp_path):
+        cfg = tiny_pipe_cfg()
+        source = synthetic_source("s", cfg, cfg.world)
+        inner = source.propagator
+
+        class NoneOnce:
+            calls = 0
+
+            def propagate(self, box, start, frames):
+                self.calls += 1
+                return None if self.calls == 1 else inner.propagate(box, start, frames)
+
+        source.propagator = NoneOnce()
+        outcome = self.run(tmp_path / "auto", source)
+        chunked = self.run(tmp_path / "chunk", synthetic_source("s", cfg, cfg.world), "chunk")
+        assert outcome.error is None
+        assert outcome.annotation_path.read_bytes() == chunked.annotation_path.read_bytes()
+        assert outcome.mot_path.read_bytes() == chunked.mot_path.read_bytes()
+
+    def test_detect_none_names_backend_and_frame(self, tmp_path):
+        source = synthetic_source("s", tiny_pipe_cfg(), tiny_pipe_cfg().world)
+        inner = source.detector
+
+        class NoneAtFive:
+            frame_size = inner.frame_size
+            detect_region = inner.detect_region
+
+            def detect(self, t):
+                return None if t == 5 else inner.detect(t)
+
+        source.detector = NoneAtFive()
+        error = self.run(tmp_path, source).error
+        assert error == "NoneAtFive.detect gave a NoneType at frame 5, not a list of Detection"
+
+    def test_detect_region_non_detection_names_backend_and_frame(self, tmp_path):
+        source = synthetic_source("s", tiny_pipe_cfg(), tiny_pipe_cfg().world)
+        inner = source.detector
+
+        class StringAtFive:
+            frame_size = inner.frame_size
+            detect = inner.detect
+
+            def detect_region(self, t, region):
+                return inner.detect_region(t, region) + (["box"] if t == 5 else [])
+
+        source.detector = StringAtFive()
+        error = self.run(tmp_path, source).error
+        assert error == (
+            "StringAtFive.detect_region gave a list holding a str at frame 5, "
+            "not a list of Detection"
+        )
 
 
 class Killed(Exception):
