@@ -3,6 +3,8 @@ checkpoints as one append-only log per sequence, and automatic
 full-vs-chunk fallback.
 
 Chunks are processed strictly in order; checkpoint writes are single-writer.
+`run_sequence` alone reads a sequence's checkpoint, once, and picks the pass
+and the frame a resume continues from; each pass only loops.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,6 +185,8 @@ class Checkpoint:
                     f"associator state has seen frame {state['last_frame']}, "
                     f"after last completed frame {last!r}"
                 )
+        elif payload["mode"] != "chunk":
+            raise ValueError(f"mode {payload['mode']!r} is neither full nor chunk")
         elif not (isinstance(state, dict) and type(state.get("next_id")) is int):
             raise ValueError(f"chunk-mode associator state {state!r} has no integer next_id")
         header = payload["header"]
@@ -436,15 +440,13 @@ def _track(
     associator: Associator,
     masklets: list[Masklet],
     budget: int | None = None,
-    after_frame: Callable[[int], None] | None = None,
-    reported: int = -1,
-) -> list[Masklet]:
+) -> Iterator[int]:
     """Associate each frame's verified detections, then propagate every new
     object through the rest of `frames`; the masklets are appended in place.
+    Yields each frame once its new objects are propagated.
 
     A budget caps the propagated (frame x object) entries, those already in
-    `masklets` included. Frames up to `reported` were already passed to the
-    run's `on_frame` hook and are not passed again.
+    `masklets` included.
     """
     used = sum(len(m.entries) for m in masklets)
     for i, t in enumerate(frames):
@@ -462,11 +464,7 @@ def _track(
             )
             masklets.extend(produced)
             used += sum(len(m.entries) for m in produced)
-        if run.on_frame is not None and t > reported:
-            run.on_frame(t)
-        if after_frame is not None:
-            after_frame(t)
-    return masklets
+        yield t
 
 
 def run_sequence(
@@ -487,16 +485,43 @@ def run_sequence(
     "full" runs association and propagation over the entire span in one pass;
     "chunk" uses overlapping chunks with identity reconciliation; "auto"
     attempts full processing and falls back to chunk mode on a propagation
-    failure or a blown processing budget. Full-mode checkpoints do not carry
-    over into chunk mode, so the fallback restarts from frame 0. A run that
-    does not resume first deletes the sequence's old checkpoints.
+    failure or a blown processing budget. The fallback starts chunk mode
+    from frame 0 on a new checkpoint log.
+
+    A run that does not resume first deletes the sequence's old checkpoints.
+    A resume reads the log once and continues its state in the log's mode:
+    in auto mode a chunk-mode log, which only a fallback writes, resumes
+    chunk mode. A "full" or "chunk" run over a log of the other mode warns
+    and starts over.
     """
     if mode not in ("full", "chunk", "auto"):
         raise ValueError(f"mode must be full|chunk|auto, got {mode!r}")
     store = CheckpointStore(checkpoint_dir, sequence_id) if checkpoint_dir is not None else None
-    if store is not None and not resume:
+    ckpt = None
+    if store is not None and resume:
+        ckpt = store.load_latest()
+    elif store is not None:
         # A fresh run's checkpoints must not compete with an older run's.
         store.clear()
+    if ckpt is not None and mode == "auto" and ckpt.mode == "chunk":
+        mode = "chunk"
+    elif ckpt is not None and mode != "auto" and ckpt.mode != mode:
+        logger.warning(
+            "checkpoint %s is of %s mode; %s mode starts over", store.path, ckpt.mode, mode
+        )
+        store.restart()
+        ckpt = None
+    if ckpt is not None:
+        if (ckpt.num_frames, ckpt.frame_size) != (len(detections_per_frame), frame_size):
+            raise CheckpointError(
+                f"checkpoint of {ckpt.sequence_id} has {ckpt.num_frames} frames of "
+                f"{ckpt.frame_size[0]}x{ckpt.frame_size[1]}, the sequence "
+                f"{len(detections_per_frame)} of {frame_size[0]}x{frame_size[1]}"
+            )
+        logger.info(
+            "resuming %s (%s mode) after frame %d",
+            ckpt.sequence_id, ckpt.mode, ckpt.last_completed_frame,
+        )
     run = _Run(
         detections_per_frame,
         propagator,
@@ -509,41 +534,21 @@ def run_sequence(
     )
     if mode in ("full", "auto"):
         try:
-            return _run_full(run, resume)
+            return _run_full(run, ckpt)
         except (PropagationError, ProcessingBudgetExceeded) as exc:
             if mode == "full":
                 raise
             logger.warning("full-sequence processing failed (%s); falling back to chunk mode", exc)
+        if store is not None:
+            store.restart()
+        ckpt = None
     try:
-        return _run_chunked(run, resume)
+        return _run_chunked(run, ckpt)
     except (PropagationError, ProcessingBudgetExceeded) as exc:
         written = store is not None and store.path.exists()
         ref = f"; last checkpoint: {store.path}" if written else "; no checkpoint written"
-        raise RuntimeError(f"both processing modes failed: {exc}{ref}") from exc
-
-
-def _resume(run: _Run, resume: bool, mode: str) -> Checkpoint | None:
-    """The checkpointed state a run in `mode` continues from, if any.
-
-    The store's next save extends that state's log; without one, it starts
-    a new log. A state saved for frames of another size or count raises.
-    """
-    if run.store is None:
-        return None
-    ckpt = run.store.load_latest() if resume else None
-    if ckpt is None or ckpt.mode != mode:
-        run.store.restart()
-        return None
-    if (ckpt.num_frames, ckpt.frame_size) != (len(run.detections), run.frame_size):
-        raise CheckpointError(
-            f"checkpoint of {ckpt.sequence_id} has {ckpt.num_frames} frames of "
-            f"{ckpt.frame_size[0]}x{ckpt.frame_size[1]}, the sequence {len(run.detections)} "
-            f"of {run.frame_size[0]}x{run.frame_size[1]}"
-        )
-    logger.info(
-        "resuming %s (%s mode) after frame %d", ckpt.sequence_id, mode, ckpt.last_completed_frame
-    )
-    return ckpt
+        ran = "both processing modes" if mode == "auto" else "chunk mode"
+        raise RuntimeError(f"{ran} failed: {exc}{ref}") from exc
 
 
 def _save(run: _Run, t: int, masklets: list[Masklet], assoc_state: dict, mode: str) -> None:
@@ -554,29 +559,22 @@ def _save(run: _Run, t: int, masklets: list[Masklet], assoc_state: dict, mode: s
     )
 
 
-def _run_full(run: _Run, resume: bool) -> list[Masklet]:
+def _run_full(run: _Run, ckpt: Checkpoint | None) -> list[Masklet]:
     num_frames = len(run.detections)
     associator = Associator(run.assoc_cfg)
     masklets: list[Masklet] = []
     start = 0
-    ckpt = _resume(run, resume, "full")
     if ckpt is not None:
         associator.set_state(ckpt.assoc_state)
         masklets = ckpt.masklets
         start = ckpt.last_completed_frame + 1
-
-    def save(t: int) -> None:
-        if (t + 1) % run.chunk_cfg.checkpoint_interval == 0 or t == num_frames - 1:
+    frames = list(range(start, num_frames))
+    for t in _track(run, frames, associator, masklets, run.chunk_cfg.full_budget):
+        if run.on_frame is not None:
+            run.on_frame(t)
+        last = t == num_frames - 1
+        if run.store is not None and ((t + 1) % run.chunk_cfg.checkpoint_interval == 0 or last):
             _save(run, t, masklets, associator.get_state(), "full")
-
-    _track(
-        run,
-        list(range(start, num_frames)),
-        associator,
-        masklets,
-        budget=run.chunk_cfg.full_budget,
-        after_frame=save if run.store is not None else None,
-    )
     return postprocess_masklets(masklets, range(num_frames), run.ash_cfg)
 
 
@@ -645,7 +643,7 @@ def _stitch(
     return stitched
 
 
-def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
+def _run_chunked(run: _Run, ckpt: Checkpoint | None) -> list[Masklet]:
     # Each chunk follows from the previous chunk's end alone, so a resume
     # continues after its checkpoint's last completed frame and verifies
     # only the frames it reads.
@@ -654,19 +652,20 @@ def _run_chunked(run: _Run, resume: bool) -> list[Masklet]:
     stitched: list[Masklet] = []
     next_id = 0
     prev_end = -1
-    ckpt = _resume(run, resume, "chunk")
     if ckpt is not None:
         stitched = ckpt.masklets
-        next_id = ckpt.assoc_state.get("next_id", 0)
+        next_id = ckpt.assoc_state["next_id"]
         prev_end = ckpt.last_completed_frame
 
     while prev_end < num_frames - 1:
         start, end = next_chunk(counts, prev_end, run.chunk_cfg)
         associator = Associator(run.assoc_cfg, next_id=next_id)
+        tracked: list[Masklet] = []
+        for t in _track(run, list(range(start, end + 1)), associator, tracked):
+            if run.on_frame is not None and t > prev_end:
+                run.on_frame(t)
         chunk_masklets = []
-        # No name holds the unpruned list: its trailing empty masks are freed
-        # before the next chunk is tracked.
-        for m in _track(run, list(range(start, end + 1)), associator, [], reported=prev_end):
+        for m in tracked:
             kept = remove_trailing_empty(m, run.ash_cfg.epsilon_mask)
             if kept is not None:
                 chunk_masklets.append(kept)

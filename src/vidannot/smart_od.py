@@ -282,7 +282,6 @@ def slice_tiles(box: BBox, slice_size: int, overlap: float) -> list[BBox]:
 
 
 def verify_roi(
-    roi: Roi,
     dets: list[Detection],
     sliced_predictions: list[Detection],
     theta_final: float,
@@ -306,9 +305,17 @@ def verify_roi(
     return accepted
 
 
-def _checked(dets, detector: DetectorBackend, call: str, frame_index: int) -> list[Detection]:
-    """`dets` when it is a list of Detection; otherwise a TypeError naming the
-    backend, the call and the frame."""
+def _detections(
+    detector: DetectorBackend, call: str, frame_index: int, *args
+) -> list[Detection]:
+    """`detector.<call>(frame_index, *args)` when it gives a list of
+    Detection. An exception the call raises, or anything else it gives, is
+    an error naming the backend, the call and the frame."""
+    where = f"{type(detector).__name__}.{call}"
+    try:
+        dets = getattr(detector, call)(frame_index, *args)
+    except Exception as exc:
+        raise RuntimeError(f"{where} raised at frame {frame_index}: {exc}") from exc
     if not isinstance(dets, list):
         fault = f"a {type(dets).__name__}"
     else:
@@ -316,10 +323,7 @@ def _checked(dets, detector: DetectorBackend, call: str, frame_index: int) -> li
         if bad is None:
             return dets
         fault = f"a list holding a {type(bad).__name__}"
-    raise TypeError(
-        f"{type(detector).__name__}.{call} gave {fault} at frame {frame_index}, "
-        "not a list of Detection"
-    )
+    raise TypeError(f"{where} gave {fault} at frame {frame_index}, not a list of Detection")
 
 
 def run_smart_od(
@@ -333,7 +337,7 @@ def run_smart_od(
     original confidences.
     """
     w, h = detector.frame_size
-    dets = _checked(detector.detect(frame_index), detector, "detect", frame_index)
+    dets = _detections(detector, "detect", frame_index)
     dets = filter_area_ratio(dets, float(w * h), cfg)
     if not dets:
         return []
@@ -346,8 +350,7 @@ def run_smart_od(
         members = [dets[i] for i in roi.member_indices]
         predictions: list[Detection] = []
         for tile in slice_tiles(roi.box, cfg.slice_size, cfg.slice_overlap):
-            region = detector.detect_region(frame_index, tile)
-            predictions.extend(_checked(region, detector, "detect_region", frame_index))
+            predictions.extend(_detections(detector, "detect_region", frame_index, tile))
         predictions = nms_detections(predictions, cfg.theta_n)
-        accepted.extend(verify_roi(roi, members, predictions, theta_final, cfg))
+        accepted.extend(verify_roi(members, predictions, theta_final, cfg))
     return accepted

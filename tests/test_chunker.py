@@ -46,7 +46,7 @@ from vidannot.geometry import Polygon, iou_mask, mask_to_polygon
 from helpers import inject_append_fault, plan_chunks, rect_mask
 
 
-class TestPlanChunks:
+class TestChunkSequence:
     def test_recurrence_120_50_10(self):
         # A density peak at each nominal boundary gives the fixed-stride
         # recurrence: every chunk starts omega frames before the previous end.
@@ -454,7 +454,7 @@ class TestCheckpointProtocol:
 
 
 class TestCheckpointStore:
-    def test_latest_prefers_final_then_frames(self, tmp_path):
+    def test_latest_is_the_last_whole_line(self, tmp_path):
         # The save of the sequence's final frame is the log's last line; cut
         # short, the newest frame before it is the checkpoint.
         store = CheckpointStore(tmp_path, "s")
@@ -477,7 +477,7 @@ class TestCheckpointStore:
         edit_line(store.path, 2, lambda p: p["masklets"][0]["entries"]["11"].update(runs=[1, 2]))
         assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(10))
 
-    def test_save_appends_only_entries_no_earlier_link_holds(self, tmp_path):
+    def test_save_appends_only_entries_no_earlier_line_holds(self, tmp_path):
         store = CheckpointStore(tmp_path, "s")
         for f in (10, 20, 30):
             assert store.save(grown_checkpoint(f)) == tmp_path / "s_ckpt.jsonl"
@@ -497,7 +497,7 @@ class TestCheckpointStore:
         assert state_signature(loaded) == state_signature(grown_checkpoint(30))
         assert (loaded.frame_size, loaded.num_frames) == ((24, 24), 200)
 
-    def test_prune_keeps_only_what_the_head_reaches(self, tmp_path):
+    def test_load_cuts_a_torn_last_line_off_the_log(self, tmp_path):
         # A resume cuts the torn line 3 off the log before it appends; other
         # sequences' logs are left alone.
         store = CheckpointStore(tmp_path, "s")
@@ -514,7 +514,7 @@ class TestCheckpointStore:
         assert [p["last_completed_frame"] for p in log_payloads(store.path)] == [10, 20, 40]
         assert state_signature(resumed.load_latest()) == state_signature(grown_checkpoint(40))
 
-    def test_restart_starts_a_new_chain(self, tmp_path):
+    def test_restart_starts_a_new_log(self, tmp_path):
         store = CheckpointStore(tmp_path, "s")
         store.save(grown_checkpoint(10, mode="full"))
         store.restart()
@@ -542,24 +542,21 @@ LINE_DAMAGE = {
     "without its newline": lambda text: text[:-1],
     "of another sequence": lambda p: p.update(sequence_id="t"),
     "of another mode": lambda p: p.update(mode="chunk"),
+    "of an unknown mode": lambda p: p.update(mode="other"),
     "of another frame size": lambda p: p["header"].update(width=32),
     "of another frame count": lambda p: p["header"].update(num_frames=300),
     "repeating earlier frames": repeat_first_frame,
     "ten frames earlier": ten_frames_earlier,
 }
 TEXT_DAMAGE = {"corrupt", "without its newline"}
-# (line, damage) cases with a test of their own in TestDamagedChain.
-NAMED_DAMAGE = {
-    (3, "without its newline"), (3, "corrupt"), (2, "without its newline"), (2, "corrupt"),
-    (2, "of another sequence"), (2, "of another mode"), (3, "repeating earlier frames"),
-}
 
 
-class TestDamagedChain:
+class TestDamagedLog:
     """A log of the lines of frames 10, 20 and 30, one of them damaged. Cut
     short, it ends in the middle of that line. A damaged line 2 or 3 loads
-    the lines before it and is cut off the log with the lines after it; a
-    bad line 1 raises a CheckpointError naming the file."""
+    the lines before it and is cut off the log with the lines after it (a
+    line 2 without its newline runs into line 3, so neither loads); a bad
+    line 1 raises a CheckpointError naming the file."""
 
     @staticmethod
     def damaged(tmp_path, line: int, damage: str) -> tuple[CheckpointStore, list[str]]:
@@ -585,41 +582,15 @@ class TestDamagedChain:
         assert state_signature(loaded) == state_signature(grown_checkpoint(10 * (line - 1)))
         assert store.path.read_text() == "".join(lines[: line - 1])
 
-    def test_head_missing(self, tmp_path):
-        self.check(tmp_path, 3, "without its newline")
-
-    def test_head_corrupt(self, tmp_path):
-        self.check(tmp_path, 3, "corrupt")
-
-    def test_middle_link_missing(self, tmp_path):
-        # Line 2 runs into line 3, so neither loads.
-        self.check(tmp_path, 2, "without its newline")
-
-    def test_middle_link_corrupt(self, tmp_path):
-        self.check(tmp_path, 2, "corrupt")
-
-    def test_middle_link_of_another_sequence(self, tmp_path):
-        self.check(tmp_path, 2, "of another sequence")
-
-    def test_middle_link_of_another_mode(self, tmp_path):
-        self.check(tmp_path, 2, "of another mode")
-
-    def test_link_repeating_its_base_frames(self, tmp_path):
-        self.check(tmp_path, 3, "repeating earlier frames")
-
     @pytest.mark.parametrize(
-        "line, damage",
-        [
-            (line, damage)
-            for line in (2, 3)
-            for damage in ["cut short", *LINE_DAMAGE]
-            if (line, damage) not in NAMED_DAMAGE
-        ],
+        "line, damage", [(line, damage) for line in (2, 3) for damage in ["cut short", *LINE_DAMAGE]]
     )
     def test_damaged_line_loads_the_lines_before_it(self, tmp_path, line, damage):
         self.check(tmp_path, line, damage)
 
-    @pytest.mark.parametrize("damage", ["corrupt", "without its newline", "of another sequence"])
+    @pytest.mark.parametrize(
+        "damage", ["corrupt", "without its newline", "of another sequence", "of an unknown mode"]
+    )
     def test_bad_first_line_raises_naming_the_file(self, tmp_path, damage):
         store, _ = self.damaged(tmp_path, 1, damage)
         with pytest.raises(CheckpointError, match=re.escape(f"checkpoint {store.path} line 1")):
@@ -662,6 +633,28 @@ def masklets_signature(masklets):
 
 
 RUN_KW = dict(assoc_cfg=AssocConfig(), ash_cfg=AshConfig(alpha=1.0))
+
+
+def late_birth_sequence():
+    """A 60-frame sequence whose object 2 goes undetected before frame 12,
+    and a factory of propagators that fail on any request of more than 20
+    frames from frame 10 on, each recording its requests' frames in the
+    list it is given."""
+    gt, det, prop, dets = build_sequence(num_frames=60)
+    dets = [[d for d in ds if t >= 12 or d.box != gt[t].objects[2].box] for t, ds in enumerate(dets)]
+
+    def span_limited(requests=None):
+        class SpanLimited:
+            def propagate(self, box, start, frames):
+                if requests is not None:
+                    requests.append(list(frames))
+                if start >= 10 and len(frames) > 20:
+                    raise RuntimeError("request longer than a chunk")
+                return prop.propagate(box, start, frames)
+
+        return SpanLimited()
+
+    return dets, span_limited, det.frame_size
 
 
 def postprocess(masklets, num_frames):
@@ -723,6 +716,27 @@ class TestRunSequence:
                 checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
             )
         assert "both processing modes failed" in str(err.value)
+
+    def test_chunk_mode_failure_names_only_chunk_mode(self, tmp_path):
+        # Chunks (0, 29) and (25, 54): the second chunk's births fail after
+        # the first chunk's line is written.
+        gt, det, prop, dets = build_sequence(num_frames=60)
+
+        class FailsLate:
+            def propagate(self, box, start, frames):
+                if frames[-1] >= 40:
+                    raise RuntimeError("fails late")
+                return prop.propagate(box, start, frames)
+
+        cfg = ChunkerConfig(chi=30, omega=5)
+        with pytest.raises(RuntimeError) as err:
+            run_sequence(
+                dets, FailsLate(), det.frame_size, chunk_cfg=cfg, mode="chunk",
+                checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
+            )
+        message = str(err.value)
+        assert message.startswith("chunk mode failed: FailsLate.propagate failed for object")
+        assert message.endswith(f"; last checkpoint: {tmp_path / 's_ckpt.jsonl'}")
 
     @pytest.mark.parametrize("kill_at", [9, 27, 45])
     def test_kill_and_resume_bit_identical_full(self, tmp_path, kill_at):
@@ -957,19 +971,97 @@ class TestRunSequence:
         assert [p.name for p in tmp_path.iterdir()] == ["s_ckpt.jsonl"]
         assert {p["schema_version"] for p in log_payloads(tmp_path / "s_ckpt.jsonl")} == {3}
 
-    def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path):
+    def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path, caplog):
+        # A chunk-mode resume over a finished full-mode log starts over, and
+        # so does a full-mode resume over the chunk-mode log it leaves.
         gt, det, prop, dets = build_sequence(num_frames=60)
         cfg = ChunkerConfig(chi=30, omega=5, checkpoint_interval=10)
-        run_sequence(
-            dets, prop, det.frame_size, chunk_cfg=cfg, mode="full",
-            checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
+        kw = dict(chunk_cfg=cfg, checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW)
+        run_sequence(dets, prop, det.frame_size, mode="full", **kw)
+        log = tmp_path / "s_ckpt.jsonl"
+        for logged, mode in [("full", "chunk"), ("chunk", "full")]:
+            fresh = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode, **RUN_KW)
+            seen = []
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="vidannot.chunker"):
+                out = run_sequence(
+                    dets, prop, det.frame_size, mode=mode, resume=True, on_frame=seen.append, **kw
+                )
+            assert seen == list(range(60))
+            assert masklets_signature(out) == masklets_signature(fresh)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"checkpoint {log} is of {logged} mode; {mode} mode starts over"
+            ]
+            assert {p["mode"] for p in log_payloads(log)} == {mode}
+
+    def test_auto_resume_continues_a_fallback_chunk_log(self, tmp_path):
+        # Object 2 is first detected at frame 12, and requests of more than
+        # a chunk fail from frame 10 on, so full mode writes its frame-9 line
+        # and falls back. Chunks (0, 19), (12, 31), (24, 43), (36, 55) and
+        # (48, 59): the kill at frame 50 leaves the lines of 19, 31 and 43.
+        dets, span_limited, frame_size = late_birth_sequence()
+        cfg = ChunkerConfig(chi=20, omega=4, checkpoint_interval=10)
+        ref = run_sequence(dets, span_limited(), frame_size, chunk_cfg=cfg, mode="auto", **RUN_KW)
+        kw = dict(chunk_cfg=cfg, mode="auto", checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW)
+
+        class Killed(Exception):
+            pass
+
+        def bomb(t):
+            if t == 50:
+                raise Killed()
+
+        with pytest.raises(Killed):
+            run_sequence(dets, span_limited(), frame_size, on_frame=bomb, **kw)
+        log = tmp_path / "s_ckpt.jsonl"
+        before = log_payloads(log)
+        assert [(p["mode"], p["last_completed_frame"]) for p in before] == [
+            ("chunk", 19), ("chunk", 31), ("chunk", 43)
+        ]
+        requests, seen = [], []
+        resumed = run_sequence(
+            dets, span_limited(requests), frame_size, resume=True, on_frame=seen.append, **kw
         )
-        # Chunk mode must ignore the full-mode checkpoints and start over.
-        out = run_sequence(
-            dets, prop, det.frame_size, chunk_cfg=cfg, mode="chunk",
-            checkpoint_dir=tmp_path / "other", sequence_id="s", resume=True, **RUN_KW
-        )
-        assert sorted(m.object_id for m in out) == [0, 1, 2]
+        assert max(len(frames) for frames in requests) <= cfg.chi
+        assert min(frames[0] for frames in requests) == 36
+        assert seen == list(range(44, 60))
+        after = log_payloads(log)
+        assert after[:3] == before
+        assert [(p["mode"], p["last_completed_frame"]) for p in after[3:]] == [
+            ("chunk", 55), ("chunk", 59)
+        ]
+        assert masklets_signature(resumed) == masklets_signature(ref)
+
+    def test_auto_resume_reads_the_log_once(self, tmp_path, monkeypatch):
+        # The resumed full attempt fails again at frame 12; its fallback
+        # starts chunk mode over without reading the log a second time.
+        dets, span_limited, frame_size = late_birth_sequence()
+        cfg = ChunkerConfig(chi=20, omega=4, checkpoint_interval=10)
+        ref = run_sequence(dets, span_limited(), frame_size, chunk_cfg=cfg, mode="auto", **RUN_KW)
+        kw = dict(chunk_cfg=cfg, mode="auto", checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW)
+
+        class Killed(Exception):
+            pass
+
+        def bomb(t):
+            if t == 10:
+                raise Killed()
+
+        with pytest.raises(Killed):
+            run_sequence(dets, span_limited(), frame_size, on_frame=bomb, **kw)
+        log = tmp_path / "s_ckpt.jsonl"
+        assert [(p["mode"], p["last_completed_frame"]) for p in log_payloads(log)] == [("full", 9)]
+        loaded = []
+        real_load = vidannot.chunker.load_checkpoint
+
+        def load(path):
+            loaded.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(vidannot.chunker, "load_checkpoint", load)
+        resumed = run_sequence(dets, span_limited(), frame_size, resume=True, **kw)
+        assert loaded == [log]
+        assert masklets_signature(resumed) == masklets_signature(ref)
 
     def resume_past_bad_assoc_state(self, tmp_path, mode, cfg, bad_line, state):
         """Kill a 30-frame run at frame 25, replace the associator state of
@@ -1102,7 +1194,7 @@ class TestCheckpointFaultProperties:
             assert state_signature(reloaded) == state_signature(grown_checkpoint(45))
 
 
-class TestDeriveAdjustedPlan:
+class TestChunkStartsNearDenseFrames:
     def test_uniform_counts_pull_starts_back(self):
         chunks = plan_chunks([4] * 120, ChunkerConfig(chi=50, omega=10))
         # Ties resolve to the lowest frame in the search window, so each

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
+import re
 import signal
+import tempfile
 import time
 
 import pytest
@@ -462,6 +465,156 @@ class TestBackendContract:
             "StringAtFive.detect_region gave a list holding a str at frame 5, "
             "not a list of Detection"
         )
+
+    @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
+    def test_detect_exception_names_backend_and_frame(self, tmp_path, mode):
+        source = synthetic_source("s", tiny_pipe_cfg(), tiny_pipe_cfg().world)
+        inner = source.detector
+
+        class RaisesAtFive:
+            frame_size = inner.frame_size
+            detect_region = inner.detect_region
+
+            def detect(self, t):
+                if t == 5:
+                    raise RuntimeError("boom")
+                return inner.detect(t)
+
+        source.detector = RaisesAtFive()
+        error = self.run(tmp_path, source, mode).error
+        assert error == "RaisesAtFive.detect raised at frame 5: boom"
+
+    def test_propagate_exception_names_backend_and_frame(self, tmp_path):
+        source = synthetic_source("s", tiny_pipe_cfg(), tiny_pipe_cfg().world)
+
+        class Boom:
+            def propagate(self, box, start, frames):
+                raise RuntimeError("boom")
+
+        source.propagator = Boom()
+        error = self.run(tmp_path, source, "full").error
+        assert error == "Boom.propagate failed for object 0: boom (from frame 0)"
+
+
+class HostilePropagator:
+    """A propagator that breaks its contract at one frame: it leaves out or
+    repeats that frame's mask, gives a mask of another size or a string in
+    its place, gives None or raises, for every request that holds the frame."""
+
+    def __init__(self, inner, fault: str, frame: int, frame_size: tuple[int, int]) -> None:
+        self.inner, self.fault, self.frame, self.frame_size = inner, fault, frame, frame_size
+
+    def propagate(self, box, start, frames):
+        if self.frame not in frames:
+            return self.inner.propagate(box, start, frames)
+        if self.fault == "raise":
+            raise RuntimeError("hostile")
+        if self.fault == "none":
+            return None
+        masks = list(self.inner.propagate(box, start, frames))
+        i = list(frames).index(self.frame)
+        if self.fault == "short":
+            del masks[i]
+        elif self.fault == "long":
+            masks.insert(i, masks[i])
+        elif self.fault == "wrong size":
+            masks[i] = BinaryMask.zeros(self.frame_size[0] + 1, self.frame_size[1])
+        else:
+            masks[i] = "mask"
+        return masks
+
+
+class HostileDetector:
+    """A detector whose `call` gives None or a list holding a string, or
+    raises, at one frame."""
+
+    def __init__(self, inner, call: str, fault: str, frame: int) -> None:
+        self.inner, self.call, self.fault, self.frame = inner, call, fault, frame
+        self.frame_size = inner.frame_size
+
+    def hostile(self, call: str, t: int, dets):
+        if call != self.call or t != self.frame:
+            return dets
+        if self.fault == "raise":
+            raise RuntimeError("hostile")
+        return None if self.fault == "none" else dets + ["box"]
+
+    def detect(self, t):
+        return self.hostile("detect", t, self.inner.detect(t))
+
+    def detect_region(self, t, region):
+        return self.hostile("detect_region", t, self.inner.detect_region(t, region))
+
+
+def hostile_outputs(mode: str, wrap=None) -> tuple[bytes | None, bytes | None, str | None]:
+    """Annotation and MOT bytes and error of one run_dataset run over the
+    tiny world, its backends first passed through `wrap`."""
+    cfg = tiny_pipe_cfg()
+    source = synthetic_source("s", cfg, cfg.world)
+    if wrap is not None:
+        wrap(source)
+    with tempfile.TemporaryDirectory() as out:
+        o = run_dataset({"s": source}, cfg.smart_od, cfg, out, mode=mode).outcomes["s"]
+        if o.error is not None:
+            return None, None, o.error
+        return o.annotation_path.read_bytes(), o.mot_path.read_bytes(), None
+
+
+clean_outputs = functools.cache(hostile_outputs)
+
+
+def names_frame(error: str, frame: int) -> bool:
+    """Whether `error` names `frame`: at that frame, in a range of frames
+    holding it, or as the first frame of a request that holds it."""
+    if f"at frame {frame}" in error:
+        return True
+    span = re.search(r"frames (\d+)\.\.(\d+)", error)
+    start = re.search(r"\(from frame (\d+)\)", error)
+    return bool(
+        (span and int(span[1]) <= frame <= int(span[2])) or (start and int(start[1]) <= frame)
+    )
+
+
+class TestHostileBackends:
+    """Backends wrapped to break their contract at a drawn frame. Each run
+    writes the clean run's bytes in its mode, or fails with an error that
+    names the backend and the frame; it never changes the output silently."""
+
+    @given(
+        st.sampled_from(["full", "chunk"]),
+        st.one_of(
+            st.tuples(
+                st.just("propagator"),
+                st.sampled_from(["short", "long", "wrong size", "none", "non-mask", "raise"]),
+            ),
+            st.tuples(
+                st.sampled_from(["detect", "detect_region"]),
+                st.sampled_from(["none", "non-detection", "raise"]),
+            ),
+        ),
+        st.integers(0, 11),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_hostile_backend_is_a_named_error_or_no_change(self, mode, fault, frame):
+        side, kind = fault
+        if side == "propagator":
+            backend = "HostilePropagator.propagate"
+
+            def wrap(source):
+                source.propagator = HostilePropagator(
+                    source.propagator, kind, frame, source.frame_size
+                )
+        else:
+            backend = f"HostileDetector.{side}"
+
+            def wrap(source):
+                source.detector = HostileDetector(source.detector, side, kind, frame)
+
+        ann, mot, error = hostile_outputs(mode, wrap)
+        if error is None:
+            assert (ann, mot, error) == clean_outputs(mode)
+        else:
+            assert backend in error and names_frame(error, frame), error
 
 
 class Killed(Exception):

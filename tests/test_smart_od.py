@@ -17,7 +17,6 @@ from vidannot.backends import (
 )
 from vidannot.geometry import BBox, iou_box
 from vidannot.smart_od import (
-    Roi,
     SmartOdConfig,
     cluster_and_build_rois,
     dynamic_threshold,
@@ -218,26 +217,22 @@ class TestVerifyRoi:
     def test_both_criteria_pass(self):
         d = det(0, 0, 10, 10, conf=0.9)
         pred = det(0, 0, 10, 12, conf=0.5)
-        roi = Roi(d.box, (0,))
-        assert verify_roi(roi, [d], [pred], 0.3, self.CFG) == [d]
+        assert verify_roi([d], [pred], 0.3, self.CFG) == [d]
 
     def test_confidence_criterion_rejects(self):
         d = det(0, 0, 10, 10, conf=0.2)
         pred = det(0, 0, 10, 12, conf=0.5)
-        roi = Roi(d.box, (0,))
-        assert verify_roi(roi, [d], [pred], 0.3, self.CFG) == []
+        assert verify_roi([d], [pred], 0.3, self.CFG) == []
 
     def test_iou_criterion_rejects(self):
         d = det(0, 0, 10, 10, conf=0.9)
-        roi = Roi(d.box, (0,))
-        assert verify_roi(roi, [d], [], 0.3, self.CFG) == []
+        assert verify_roi([d], [], 0.3, self.CFG) == []
 
     def test_never_fabricates_and_idempotent(self):
         dets = [det(0, 0, 10, 10, conf=c) for c in (0.9, 0.4, 0.7)]
         preds = [det(0, 0, 10, 11)]
-        roi = Roi(BBox(0, 0, 10, 10), (0, 1, 2))
-        once = verify_roi(roi, dets, preds, 0.5, self.CFG)
-        twice = verify_roi(roi, once, preds, 0.5, self.CFG)
+        once = verify_roi(dets, preds, 0.5, self.CFG)
+        twice = verify_roi(once, preds, 0.5, self.CFG)
         assert set(once) <= set(dets)
         assert once == twice
 
@@ -340,6 +335,33 @@ class TestRunSmartOd:
             sizes.append(len(run_smart_od(0, detector, cfg)))
         assert sizes == sorted(sizes, reverse=True)
 
+    @pytest.mark.parametrize("call", ["detect", "detect_region"])
+    def test_backend_exception_names_the_call_and_frame(self, call):
+        inner = SyntheticDetector(generate_synthetic_sequence(_world()), DetectionNoise())
+
+        class Raises:
+            frame_size = inner.frame_size
+            exc: BaseException = RuntimeError("boom")
+
+            def detect(self, t):
+                if call == "detect":
+                    raise self.exc
+                return inner.detect(t)
+
+            def detect_region(self, t, region):
+                raise self.exc
+
+        detector = Raises()
+        with pytest.raises(RuntimeError) as err:
+            run_smart_od(2, detector, SmartOdConfig())
+        assert str(err.value) == f"Raises.{call} raised at frame 2: boom"
+        assert err.value.__cause__ is detector.exc
+        # An interrupt is not the backend's fault and passes as it is.
+        detector.exc = KeyboardInterrupt()
+        with pytest.raises(KeyboardInterrupt) as err:
+            run_smart_od(2, detector, SmartOdConfig())
+        assert err.value is detector.exc
+
 
 class TestConfigValidation:
     def test_area_band(self):
@@ -374,18 +396,16 @@ class TestVerifyProperties:
     def test_subset_and_idempotent(self, scenario, theta):
         dets, preds = scenario
         cfg = SmartOdConfig()
-        roi = Roi(BBox(0, 0, 200, 200), tuple(range(len(dets))))
-        once = verify_roi(roi, dets, preds, theta, cfg)
+        once = verify_roi(dets, preds, theta, cfg)
         assert all(d in dets for d in once)
-        assert verify_roi(roi, once, preds, theta, cfg) == once
+        assert verify_roi(once, preds, theta, cfg) == once
 
     @given(verify_scenario(), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=1000, deadline=None)
     def test_accepted_set_shrinks_with_threshold(self, scenario, t1, t2):
         dets, preds = scenario
         cfg = SmartOdConfig()
-        roi = Roi(BBox(0, 0, 200, 200), tuple(range(len(dets))))
         lo, hi = min(t1, t2), max(t1, t2)
-        at_hi = verify_roi(roi, dets, preds, hi, cfg)
-        at_lo = verify_roi(roi, dets, preds, lo, cfg)
+        at_hi = verify_roi(dets, preds, hi, cfg)
+        at_lo = verify_roi(dets, preds, lo, cfg)
         assert all(d in at_lo for d in at_hi)
