@@ -50,7 +50,7 @@ class AshConfig:
             raise ValueError(f"resample_n must be >= 3: {self.resample_n}")
 
 
-_UNTRACED = object()  # the polygon of an entry whose outline is not traced yet
+_UNSET = object()  # an entry's outline, box or raster box not derived yet
 
 
 class MaskletEntry:
@@ -63,20 +63,22 @@ class MaskletEntry:
     stitching or pruning discard never pay for a contour. One built from an
     outline alone (`from_outline`) rasterizes it at the entry's frame size,
     so smoothed entries whose mask nothing reads never pay for a raster. One
-    built with both keeps them, a None outline included.
+    built with both keeps them, a None outline included. The outline's box
+    and raster box are likewise derived once, when first read.
     """
 
-    __slots__ = ("confidence", "_mask", "_polygon", "_size")
+    __slots__ = ("confidence", "_mask", "_polygon", "_size", "_bbox", "_raster_box")
 
     def __init__(self, mask: BinaryMask, polygon: Polygon | None, confidence: float) -> None:
         self._mask: BinaryMask | None = mask
         self._polygon = polygon
         self.confidence = confidence
         self._size = (mask.width, mask.height)
+        self._bbox = self._raster_box = _UNSET
 
     @classmethod
     def from_mask(cls, mask: BinaryMask, confidence: float) -> MaskletEntry:
-        return cls(mask, _UNTRACED, confidence)
+        return cls(mask, _UNSET, confidence)
 
     @classmethod
     def from_outline(
@@ -89,10 +91,11 @@ class MaskletEntry:
         entry._polygon = polygon
         entry.confidence = confidence
         entry._size = frame_size
+        entry._bbox = entry._raster_box = _UNSET
         return entry
 
     def _trace(self) -> None:
-        if self._polygon is _UNTRACED:
+        if self._polygon is _UNSET:
             self._polygon = mask_to_polygon(self._mask)
 
     @property
@@ -113,8 +116,10 @@ class MaskletEntry:
 
     @property
     def bbox(self) -> BBox | None:
-        polygon = self.polygon
-        return polygon_to_bbox(polygon) if polygon is not None else None
+        if self._bbox is _UNSET:
+            polygon = self.polygon
+            self._bbox = polygon_to_bbox(polygon) if polygon is not None else None
+        return self._bbox
 
     def pixel_box(self) -> tuple[int, int, int, int] | None:
         """A frame box (x0, y0, x1, y1), end-exclusive, that holds every pixel
@@ -122,7 +127,9 @@ class MaskletEntry:
         mask exists, the outline's raster box before. None when the mask is
         empty or the box is."""
         if self._mask is None:
-            return raster_box(self._polygon, *self._size)
+            if self._raster_box is _UNSET:
+                self._raster_box = raster_box(self._polygon, *self._size)
+            return self._raster_box
         return None if self._mask.is_empty() else self._mask.crop_box
 
 
@@ -151,13 +158,15 @@ def propagate_batch(
 ) -> list[Masklet]:
     """Propagate the new objects of one frame over the remaining frames.
 
-    Each object becomes one masklet covering the given frames; each entry's
-    polygon and box are traced from its mask when first read. A propagator
-    that fails, or breaks its contract of one `BinaryMask` of the
-    `frame_size` (width, height) per frame, raises a PropagationError naming
-    the propagator, the object and the frame, so that chunk-mode fallback
-    can react.
+    Each object becomes one masklet covering the given frames, which must
+    strictly increase; each entry's polygon and box are traced from its mask
+    when first read. A propagator that fails, or breaks its contract of one
+    `BinaryMask` of the `frame_size` (width, height) per frame, raises a
+    PropagationError naming the propagator, the object and the frame, so
+    that chunk-mode fallback can react.
     """
+    if any(a >= b for a, b in zip(frames, frames[1:])):
+        raise ValueError(f"frames must strictly increase: {list(frames)}")
     masklets = []
     call = f"{type(propagator).__name__}.propagate"
     for obj in new_objects:
@@ -176,7 +185,7 @@ def propagate_batch(
                 f"{where} gave {len(masks)} masks for the {len(frames)} "
                 f"frames {frames[0]}..{frames[-1]}"
             )
-        m = Masklet(obj.object_id, obj.detection.class_label)
+        entries = {}
         for f, mask in zip(frames, masks):
             if not isinstance(mask, BinaryMask):
                 raise PropagationError(
@@ -187,8 +196,8 @@ def propagate_batch(
                     f"{where} gave a {mask.width}x{mask.height} mask at frame "
                     f"{f} of a {frame_size[0]}x{frame_size[1]} sequence"
                 )
-            m.add_entry(f, MaskletEntry.from_mask(mask, obj.detection.confidence))
-        masklets.append(m)
+            entries[f] = MaskletEntry.from_mask(mask, obj.detection.confidence)
+        masklets.append(Masklet(obj.object_id, obj.detection.class_label, entries))
     return masklets
 
 

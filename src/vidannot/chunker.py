@@ -416,7 +416,7 @@ def _prepare_detections(
     valid = [d for d in dets if validate_box(d.box, w, h, assoc_cfg)[0]]
     if valid:
         new_scores = rescale_confidence([d.confidence for d in valid])
-        valid = [replace(d, confidence=c) for d, c in zip(valid, new_scores)]
+        valid = [Detection(d.box, d.class_label, c) for d, c in zip(valid, new_scores)]
     return valid
 
 

@@ -4,7 +4,9 @@ one-to-one matching by score.
 All values are immutable after construction; every operation here is a pure
 function and safe to call concurrently. A mask op costs O(crop area); tracing
 an outline costs one Python step per boundary pixel and makes no Python object
-per crop pixel.
+per crop pixel. The largest 4-connected component of a mask is found by
+run-based connected-component labelling (Rosenfeld & Pfaltz 1966): a union-find
+over the crop's row runs.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 # Clockwise Moore neighborhood as (dy, dx), starting at West.
 _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
@@ -263,7 +262,7 @@ def iou_box(a: BBox, b: BBox) -> float:
     iw = max(0.0, ix2 - ix1)
     ih = max(0.0, iy2 - iy1)
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -341,13 +340,66 @@ def polygon_to_bbox(p: Polygon) -> BBox:
     return BBox(x1, y1, x2, y2)
 
 
+def _row_runs(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The foreground runs of a 2-D grid in raster order, as (row, start,
+    end) arrays; each run covers columns start..end-1 of its row."""
+    h, w = data.shape
+    # Column c of a row's edges is set where pixel c differs from pixel c-1,
+    # the pixels off either end being background: a row's edges alternate
+    # run start, run end.
+    edges = np.zeros((h, w + 1), dtype=bool)
+    edges[:, :w] = data
+    edges[:, 1:] ^= data
+    rows, cols = np.nonzero(edges)
+    return rows[::2], cols[::2], cols[1::2]
+
+
 def _largest_component(data: np.ndarray) -> np.ndarray:
-    labels, count = ndimage.label(data, structure=_FOUR_CONNECTED)
-    if count == 1:
+    """The largest 4-connected component of a non-empty grid; of equal sizes,
+    the one whose first pixel comes first in raster order.
+
+    A grid whose every row is one run sharing a column with the next row's
+    is one component and is returned as it is. Otherwise runs of adjacent
+    rows that share a column are joined in a union-find whose root is the
+    component's first run.
+    """
+    rows, starts, ends = _row_runs(data)
+    h, w = data.shape
+    if (
+        len(rows) == h
+        and (rows == np.arange(h)).all()
+        and (starts[1:] < ends[:-1]).all()
+        and (starts[:-1] < ends[1:]).all()
+    ):
         return data
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    return labels == int(sizes.argmax())
+    # Runs in raster order of (row, column) keys: the runs of the next row
+    # that share a column with run i are those from the first whose end lies
+    # past its start up to the last whose start lies before its end.
+    stride = w + 1
+    below = (rows + 1) * stride
+    first = np.searchsorted(rows * stride + ends, below + starts, side="right")
+    last = np.searchsorted(rows * stride + starts, below + ends, side="left")
+    parent = list(range(len(rows)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, (lo, hi) in enumerate(zip(first.tolist(), last.tolist())):
+        for j in range(lo, hi):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    roots = np.array([find(i) for i in range(len(rows))])
+    # argmax keeps the first of equal sizes: the component of the lowest root.
+    sizes = np.bincount(roots, weights=ends - starts)
+    keep = roots == int(sizes.argmax())
+    marks = np.zeros(h * stride, dtype=np.int8)
+    marks[rows[keep] * stride + starts[keep]] = 1
+    marks[rows[keep] * stride + ends[keep]] = -1
+    return np.cumsum(marks).reshape(h, stride)[:, :w] > 0
 
 
 # After a step in direction d, the backtrack cell (the last background cell

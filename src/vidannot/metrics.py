@@ -1,5 +1,8 @@
 """Tracking evaluation: frame-level matching, precision/recall, MOTA, IDF1.
 
+IDF1's optimal identity assignment is solved exactly by the Hungarian method
+(Kuhn 1955) with shortest augmenting paths, on integer counts.
+
 All functions are pure; per-sequence evaluation can run in parallel.
 """
 
@@ -9,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox, greedy_match, iou_box
 
@@ -128,10 +130,48 @@ def match_frame(
 
 
 def _max_idtp(idtp: np.ndarray) -> int:
+    """The largest total of a one-to-one assignment between the rows and the
+    columns of a non-negative integer matrix.
+
+    Each row of the narrower side is added by a shortest augmenting path
+    over reduced costs, with dual potentials u (rows) and v (columns) kept
+    such that every assigned pair is tight; minimising the negated counts
+    maximises their total.
+    """
     if idtp.size == 0:
         return 0
-    rows, cols = linear_sum_assignment(-idtp)
-    return int(idtp[rows, cols].sum())
+    cost = -(idtp if idtp.shape[0] <= idtp.shape[1] else idtp.T).astype(np.int64)
+    n, m = cost.shape
+    unset = np.iinfo(np.int64).max
+    u = np.zeros(n, dtype=np.int64)
+    # Column m is the path's virtual root; owner[j] is column j's row, -1 if free.
+    v = np.zeros(m + 1, dtype=np.int64)
+    owner = np.full(m + 1, -1)
+    for row in range(n):
+        owner[m] = row
+        col = m
+        dist = np.full(m, unset, dtype=np.int64)
+        via = np.full(m, m)  # the column before each column on its shortest path
+        done = np.zeros(m + 1, dtype=bool)
+        while owner[col] != -1:
+            done[col] = True
+            i = owner[col]
+            reduced = cost[i] - u[i] - v[:m]
+            closer = ~done[:m] & (reduced < dist)
+            dist[closer] = reduced[closer]
+            via[closer] = col
+            nearest = int(np.where(done[:m], unset, dist).argmin())
+            step = dist[nearest]
+            u[owner[done]] += step
+            v[done] -= step
+            dist[~done[:m]] -= step
+            col = nearest
+        while col != m:  # flip the path's pairs back to its root
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    assigned = np.flatnonzero(owner[:m] >= 0)
+    return int(-cost[owner[assigned], assigned].sum())
 
 
 def _frame_union(preds: Mapping[int, Sequence[LabeledBox]], gts: Mapping[int, Sequence[LabeledBox]]) -> list[int]:

@@ -146,16 +146,23 @@ def _dense_collapse(points):
     return out if len(out) >= 3 else deduped
 
 
+def dense_largest_component(grid: np.ndarray) -> np.ndarray:
+    """The largest 4-connected component of a non-empty grid by
+    scipy.ndimage.label, which numbers components in the raster order of
+    their first pixels; the first of equal sizes wins."""
+    labels, _ = ndimage.label(grid, structure=_FOUR)
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    return labels == int(sizes.argmax())
+
+
 def _dense_outline(grid: np.ndarray, min_pixels: int) -> tuple[tuple[float, float], ...] | None:
     """The outline's (x, y) vertices as float tuples, traced on the whole frame."""
     if int(grid.sum()) < min_pixels:
         return None
-    labels, n = ndimage.label(grid, structure=_FOUR)
-    if n == 0:
+    if not grid.any():
         return None
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    pts = _dense_collapse(_dense_trace(labels == int(sizes.argmax())))
+    pts = _dense_collapse(_dense_trace(dense_largest_component(grid)))
     if len(pts) < 3:
         return None
     return tuple((float(x), float(y)) for y, x in pts)

@@ -96,6 +96,19 @@ class TestPropagateBatch:
         x0 = m.entries[0].bbox.x1
         assert m.entries[7].bbox.x1 - x0 == 7
 
+    @pytest.mark.parametrize("frames", [[0, 2, 1], [0, 1, 1]], ids=["backwards", "repeated"])
+    def test_frames_out_of_order_are_rejected(self, frames):
+        gt = world(n=1, frames=3)
+        with pytest.raises(ValueError, match="strictly increase"):
+            propagate_batch([new_obj(gt, 0)], frames, SyntheticPropagator(gt), FRAME_SIZE)
+
+    def test_add_entry_rejects_a_frame_not_after_the_last(self):
+        m = rect_masklet(0, [(f, (2, 2, 8, 8)) for f in (3, 5)])
+        for frame in (4, 5):
+            with pytest.raises(ValueError, match=f"frame {frame} not after 5"):
+                m.add_entry(frame, MaskletEntry(BinaryMask.zeros(20, 20), None, 0.9))
+        assert m.frames() == [3, 5]
+
     def test_failure_names_the_object(self):
         class BreaksOnSecond:
             calls = 0
@@ -176,6 +189,27 @@ class TestLazyOutline:
         square = mask_to_polygon(rect_mask(0, 0, 4, 4, 20, 20))
         kept = MaskletEntry(mask, square, 0.9)
         assert kept.polygon is square and kept.bbox == BBox(0, 0, 4, 4)
+
+    def test_boxes_derived_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(vidannot.ash, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(vidannot.ash, name, call)
+
+        counted("polygon_to_bbox")
+        counted("raster_box")
+        square = mask_to_polygon(rect_mask(2, 3, 9, 7, 20, 20))
+        entry = MaskletEntry.from_outline(square, (20, 16), 0.9)
+        for _ in range(3):
+            assert entry.bbox == BBox(2, 3, 9, 7)
+            assert entry.pixel_box() == (1, 2, 11, 9)
+        assert calls == ["polygon_to_bbox", "raster_box"]
 
 
 @st.composite

@@ -25,6 +25,7 @@ from vidannot.config import PipelineConfig
 from vidannot.geometry import (
     BinaryMask,
     Polygon,
+    _largest_component,
     box_overlap,
     iou_mask,
     mask_to_polygon,
@@ -38,6 +39,7 @@ from vidannot.pipeline import SequenceSource, run_dataset
 
 from helpers import (
     dense_iou,
+    dense_largest_component,
     dense_polygon,
     dense_rasterize,
     dense_runs,
@@ -63,6 +65,42 @@ def grids(draw, w=None, h=None):
         y0, y1 = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2)))
         x0, x1 = sorted(draw(st.lists(st.integers(0, w - 1), min_size=2, max_size=2)))
         g[y0 : y1 + 1, x0 : x1 + 1] = True
+    return g
+
+
+@st.composite
+def component_grids(draw):
+    """Non-empty grids up to 12x12 of several components: random fill, equal
+    rectangles (size ties), a ring around a hole, one-pixel lines or single
+    pixels, over random noise half the time."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "rects", "ring", "lines", "pixels"]))
+    g = np.zeros((h, w), dtype=bool)
+    if kind == "random" or draw(st.booleans()):
+        density = draw(st.sampled_from([0.2, 0.45, 0.6, 0.8]))
+        bits = draw(st.lists(st.floats(0.0, 1.0), min_size=w * h, max_size=w * h))
+        g[:] = np.array(bits).reshape(h, w) < density
+    if kind == "rects":
+        rw, rh = draw(st.integers(1, max(1, w // 2))), draw(st.integers(1, max(1, h // 2)))
+        for _ in range(draw(st.integers(2, 4))):
+            x, y = draw(st.integers(0, w - rw)), draw(st.integers(0, h - rh))
+            g[y : y + rh, x : x + rw] = True
+    elif kind == "ring" and w >= 3 and h >= 3:
+        x0, x1 = sorted(draw(st.lists(st.integers(0, w - 1), min_size=2, max_size=2, unique=True)))
+        y0, y1 = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2, unique=True)))
+        g[y0 : y1 + 1, x0 : x1 + 1] = True
+        g[y0 + 1 : y1, x0 + 1 : x1] = False
+    elif kind == "lines":
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                g[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)) :] = True
+            else:
+                g[draw(st.integers(0, h - 1)) :, draw(st.integers(0, w - 1))] = True
+    elif kind == "pixels":
+        for _ in range(draw(st.integers(1, 6))):
+            g[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    if not g.any():
+        g[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
     return g
 
 
@@ -167,6 +205,28 @@ class TestKernelsMatchDenseOracles:
     def test_contour(self, g, min_pixels):
         # The oracle's pixel floor changes no outline up to 3.
         assert mask_to_polygon(BinaryMask(g)) == dense_polygon(g, min_pixels)
+
+    @given(component_grids())
+    @settings(max_examples=2000, deadline=None)
+    def test_largest_component(self, g):
+        assert np.array_equal(_largest_component(g), dense_largest_component(g))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["#.#"],  # single pixels of equal size: the first wins
+            ["#..", "..#"],  # diagonal neighbours are apart
+            ["##.", "...", ".##"],  # equal pairs, the first on top
+            [".##", "...", "##."],
+            ["#.##", "#..#", "####"],  # one component around a notch
+            ["#####", "#...#", "#.#.#", "#...#", "#####"],  # an island in a hole
+            ["#.", ".#", "##"],  # a lone pixel, then a larger L below
+            ["..#", "...", "###"],
+        ],
+    )
+    def test_largest_component_cases(self, rows):
+        g = np.array([[c == "#" for c in row] for row in rows])
+        assert np.array_equal(_largest_component(g), dense_largest_component(g))
 
     @given(polygons())
     @settings(max_examples=1000, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from vidannot.geometry import BBox, iou_box
 from vidannot.metrics import LabeledBox, _max_idtp, evaluate, evaluate_dataset, match_frame
@@ -162,6 +163,20 @@ class TestInvariants:
     @settings(max_examples=1000, deadline=None)
     def test_max_idtp_matches_permutation_oracle(self, idtp):
         assert _max_idtp(idtp) == brute_max_idtp(idtp)
+
+    @given(
+        st.tuples(st.integers(1, 15), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_max_idtp_matches_scipy_on_larger_matrices(self, case):
+        rows, cols, transpose, seed = case
+        rng = np.random.default_rng(seed)
+        top = int(rng.choice([1, 3, 30, 5000]))
+        idtp = rng.integers(0, top + 1, (rows, cols)) * (rng.random((rows, cols)) < rng.random())
+        if transpose:
+            idtp = idtp.T
+        r, c = linear_sum_assignment(-idtp)
+        assert _max_idtp(idtp) == int(idtp[r, c].sum())
 
     @given(tracking_scenario())
     @settings(max_examples=1000, deadline=None)
