@@ -18,6 +18,7 @@ from .geometry import (
     BinaryMask,
     Polygon,
     box_overlap,
+    component_roots,
     iou_mask,
     mask_to_polygon,
     polygon_to_bbox,
@@ -276,15 +277,7 @@ def _merge_pass(
     present: list[Masklet], boxes: list[tuple], frame: int, tau_merge: float
 ) -> bool:
     n = len(present)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    merged_any = False
+    overlapping = []
     for i in range(n):
         for j in range(i + 1, n):
             # Masks in disjoint boxes share no pixel: their IoU is 0, never
@@ -293,13 +286,12 @@ def _merge_pass(
                 continue
             v = iou_mask(present[i].entries[frame].mask, present[j].entries[frame].mask)
             if v > tau_merge:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+                overlapping.append((i, j))
 
+    merged_any = False
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(component_roots(n, overlapping)):
+        groups.setdefault(root, []).append(i)
     for root, members in groups.items():
         if len(members) < 2:
             continue

@@ -50,7 +50,6 @@ class ChunkerConfig:
     chi: int = 50  # chunk size, frames
     omega: int = 10  # overlap between consecutive chunks, frames
     tau_overlap: float = 0.7  # average mask IoU needed to inherit an id
-    window: int | None = None  # optimal-frame search radius; omega when None
     checkpoint_interval: int = 25  # frames between saves in full mode
     full_budget: int | None = None  # max propagated (frame x object) entries
 
@@ -61,16 +60,10 @@ class ChunkerConfig:
             raise ValueError(f"omega must be in [0, chi): omega={self.omega}, chi={self.chi}")
         if not 0.0 < self.tau_overlap < 1.0:
             raise ValueError(f"tau_overlap out of (0,1): {self.tau_overlap}")
-        if self.window is not None and self.window < 0:
-            raise ValueError(f"window must be None or >= 0: {self.window}")
         if self.checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1: {self.checkpoint_interval}")
         if self.full_budget is not None and self.full_budget < 1:
             raise ValueError(f"full_budget must be None or >= 1: {self.full_budget}")
-
-    @property
-    def search_window(self) -> int:
-        return self.omega if self.window is None else self.window
 
 
 def find_optimal_frame(
@@ -98,7 +91,7 @@ def merge_chunk_overlap(
     prev_masklets: list[Masklet],
     next_masklets: list[Masklet],
     overlap_frames: Sequence[int],
-    tau_overlap: float = 0.7,
+    tau_overlap: float,
 ) -> dict[int, int]:
     """Map next-chunk object ids onto previous-chunk ids via overlap mask IoU.
 
@@ -195,10 +188,13 @@ class Checkpoint:
             width >= 1 and height >= 1 and 0 <= last < num_frames
         ):
             raise ValueError(f"header {header} does not fit last completed frame {last!r}")
+        # A chunk-mode entry after the last completed frame would be kept by
+        # the stitch over the entry of the chunk that tracks that frame.
+        frames = range(num_frames if payload["mode"] == "full" else last + 1)
         return cls(
             payload["sequence_id"],
             last,
-            [_masklet_from_payload(p, width, height) for p in payload["masklets"]],
+            [_masklet_from_payload(p, width, height, frames) for p in payload["masklets"]],
             payload["assoc_state"],
             payload["mode"],
             (width, height),
@@ -234,16 +230,28 @@ def _whole_pixels(polygon: Polygon) -> list[int]:
     return ints.ravel().tolist()
 
 
-def _masklet_from_payload(payload: dict, width: int, height: int) -> Masklet:
+def _masklet_from_payload(payload: dict, width: int, height: int, frames: range) -> Masklet:
+    """The masklet a line holds; every entry must be of one of `frames`."""
+    object_id, label = payload["object_id"], payload["class_label"]
+    if type(object_id) is not int or object_id < 0 or type(label) is not str:
+        raise ValueError(f"object id {object_id!r} or class label {label!r} is malformed")
     entries = {}
     for key in sorted(payload["entries"], key=int):
-        e = payload["entries"][key]
-        entries[int(key)] = MaskletEntry(
+        e, frame = payload["entries"][key], int(key)
+        if frame not in frames:
+            raise ValueError(
+                f"object {object_id} has an entry at frame {frame}, "
+                f"outside frames {frames.start}..{frames.stop - 1}"
+            )
+        confidence = e["confidence"]
+        if type(confidence) not in (int, float) or not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"object {object_id} frame {frame}: confidence {confidence!r}")
+        entries[frame] = MaskletEntry(
             BinaryMask.from_crop_runs(*e["box"], e["runs"], width, height),
             _polygon_from_ints(e["polygon"]),
-            e["confidence"],
+            confidence,
         )
-    return Masklet(payload["object_id"], payload["class_label"], entries)
+    return Masklet(object_id, label, entries)
 
 
 def _polygon_from_ints(flat: list | None) -> Polygon | None:
@@ -284,10 +292,12 @@ def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
 
     The state is that of the longest prefix of newline-terminated lines that
     each parse, validate (header, associator state, mask runs, boxes,
-    polygons) and follow the lines before them: the same sequence, mode,
-    frame size and frame count, a later last completed frame, and masklets
-    that continue their objects' earlier frames. A whole first line that
-    does not load raises a CheckpointError naming the file.
+    polygons, object ids, class labels, confidences and entry frames) and
+    follow the lines before them: the same sequence, mode, frame size and
+    frame count, a later last completed frame, masklets that continue their
+    objects' earlier frames, and a next_id above every object id and, in
+    full mode, every track id, with no track id repeated. A whole first line
+    that does not load raises a CheckpointError naming the file.
     """
     try:
         data = Path(path).read_bytes()
@@ -333,6 +343,14 @@ def _follow(state: Checkpoint | None, line: Checkpoint) -> Checkpoint:
         ):
             raise CheckpointError(f"object {m.object_id} does not continue its earlier frames")
         by_id[m.object_id] = Masklet(m.object_id, m.class_label, {**have.entries, **m.entries})
+    # A resume numbers the objects it finds from next_id on, so an id at or
+    # above it would be given out twice.
+    next_id = line.assoc_state["next_id"]
+    track_ids = [t["id"] for t in line.assoc_state["tracks"]] if line.mode == "full" else []
+    if len(set(track_ids)) < len(track_ids):
+        raise CheckpointError(f"track ids {track_ids} repeat")
+    if max([*by_id, *track_ids], default=-1) >= next_id:
+        raise CheckpointError(f"next_id {next_id} does not exceed every object and track id")
     return replace(line, masklets=list(by_id.values()))
 
 
@@ -586,15 +604,15 @@ def next_chunk(
 
     The start is pulled toward object-dense frames near `prev_end + 1`, but
     stays at or before `prev_end`, so consecutive chunks share at least one
-    frame to stitch identities over. Only the counts of the search window
-    around `prev_end + 1` are read.
+    frame to stitch identities over. Only the counts within `omega` frames
+    of `prev_end + 1` are read.
     """
     num_frames = len(object_counts)
     if num_frames > cfg.chi and cfg.chi - cfg.omega < 2:
         raise ValueError(f"chunking cannot advance with chi={cfg.chi}, omega={cfg.omega}")
     if prev_end < 0:
         return 0, min(num_frames - 1, cfg.chi - 1)
-    optimal = find_optimal_frame(object_counts, prev_end + 1, cfg.search_window)
+    optimal = find_optimal_frame(object_counts, prev_end + 1, cfg.omega)
     start = min(max(0, optimal - cfg.omega), prev_end)  # share a frame with the previous chunk
     end = min(num_frames - 1, start + cfg.chi - 1)
     if end <= prev_end:

@@ -47,10 +47,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _world(cfg: PipelineConfig, seed_offset: int = 0) -> SyntheticWorldConfig:
-    world = cfg.world if cfg.world is not None else SyntheticWorldConfig()
-    if seed_offset:
-        world = dataclasses.replace(world, rng_seed=world.rng_seed + seed_offset)
-    return world
+    return dataclasses.replace(cfg.world, rng_seed=cfg.world.rng_seed + seed_offset)
 
 
 def _gt_mot_records(gt_frames) -> list[MotRecord]:

@@ -47,7 +47,7 @@ class PipelineConfig:
     ash: AshConfig = field(default_factory=AshConfig)
     chunker: ChunkerConfig = field(default_factory=ChunkerConfig)
     deploy: DeploymentConfig = field(default_factory=DeploymentConfig)
-    world: SyntheticWorldConfig | None = None
+    world: SyntheticWorldConfig = field(default_factory=SyntheticWorldConfig)
     noise: DetectionNoise = field(default_factory=DetectionNoise)
     degradation: PropagationDegradation = field(default_factory=PropagationDegradation)
     seed: int = 0

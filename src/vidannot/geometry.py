@@ -340,6 +340,25 @@ def polygon_to_bbox(p: Polygon) -> BBox:
     return BBox(x1, y1, x2, y2)
 
 
+def component_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Each of the items 0..n-1's component once every pair is joined, named
+    by its root: the component's lowest item. Components do not depend on
+    the order of the pairs."""
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(n)]
+
+
 def _row_runs(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The foreground runs of a 2-D grid in raster order, as (row, start,
     end) arrays; each run covers columns start..end-1 of its row."""
@@ -360,8 +379,8 @@ def _largest_component(data: np.ndarray) -> np.ndarray:
 
     A grid whose every row is one run sharing a column with the next row's
     is one component and is returned as it is. Otherwise runs of adjacent
-    rows that share a column are joined in a union-find whose root is the
-    component's first run.
+    rows that share a column are joined by `component_roots`, so each
+    component's root is its first run.
     """
     rows, starts, ends = _row_runs(data)
     h, w = data.shape
@@ -379,20 +398,10 @@ def _largest_component(data: np.ndarray) -> np.ndarray:
     below = (rows + 1) * stride
     first = np.searchsorted(rows * stride + ends, below + starts, side="right")
     last = np.searchsorted(rows * stride + starts, below + ends, side="left")
-    parent = list(range(len(rows)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, (lo, hi) in enumerate(zip(first.tolist(), last.tolist())):
-        for j in range(lo, hi):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(len(rows))])
+    touching = (
+        (i, j) for i, (lo, hi) in enumerate(zip(first.tolist(), last.tolist())) for j in range(lo, hi)
+    )
+    roots = np.array(component_roots(len(rows), touching))
     # argmax keeps the first of equal sizes: the component of the lowest root.
     sizes = np.bincount(roots, weights=ends - starts)
     keep = roots == int(sizes.argmax())

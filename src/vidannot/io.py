@@ -286,15 +286,11 @@ def parse_config(payload: dict) -> PipelineConfig:
         raise FormatError(f"unknown config section(s): {', '.join(unknown)}")
     kwargs = {}
     for name, value in payload.items():
-        # A field whose annotation is a dataclass, or one or None, is a section.
-        section = next(
-            (a for a in (hints[name], *typing.get_args(hints[name])) if dataclasses.is_dataclass(a)),
-            None,
-        )
-        if section is None:
+        # A field whose annotation is a dataclass is a section.
+        if not dataclasses.is_dataclass(hints[name]):
             kwargs[name] = _typed(value, hints[name], name)
         elif value is not None:
-            kwargs[name] = _build_section(name, section, value)
+            kwargs[name] = _build_section(name, hints[name], value)
     return PipelineConfig(**kwargs)
 
 

@@ -8,7 +8,7 @@ All functions are pure; per-sequence evaluation can run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,39 +61,33 @@ class EvalReport:
     sequences: dict[str, SequenceScores] = field(default_factory=dict)
     per_class: dict[str, SequenceScores] = field(default_factory=dict)
 
+    def rows(self) -> list[tuple[str, SequenceScores]]:
+        """The report's rows in order: each sequence, then ALL, then each class."""
+        return [
+            *((name, self.sequences[name]) for name in sorted(self.sequences)),
+            ("ALL", self.aggregate),
+            *((f"class:{label}", self.per_class[label]) for label in sorted(self.per_class)),
+        ]
+
     def to_csv_rows(self) -> list[tuple[str, str, float]]:
-        rows: list[tuple[str, str, float]] = []
-
-        def emit(name: str, s: SequenceScores) -> None:
-            rows.append((name, "TP", float(s.tp)))
-            rows.append((name, "FP", float(s.fp)))
-            rows.append((name, "FN", float(s.fn)))
-            rows.append((name, "IDSW", float(s.idsw)))
-            rows.append((name, "precision", s.precision))
-            rows.append((name, "recall", s.recall))
-            rows.append((name, "MOTA", s.mota))
-            rows.append((name, "IDF1", s.idf1))
-
-        for name in sorted(self.sequences):
-            emit(name, self.sequences[name])
-        emit("ALL", self.aggregate)
-        for label in sorted(self.per_class):
-            emit(f"class:{label}", self.per_class[label])
-        return rows
+        return [
+            (name, metric, float(value))
+            for name, s in self.rows()
+            for metric, value in (
+                ("TP", s.tp), ("FP", s.fp), ("FN", s.fn), ("IDSW", s.idsw),
+                ("precision", s.precision), ("recall", s.recall), ("MOTA", s.mota),
+                ("IDF1", s.idf1),
+            )
+        ]
 
     def format_text(self) -> str:
         lines = [f"{'sequence':<16} {'TP':>6} {'FP':>6} {'FN':>6} {'IDSW':>5} "
                  f"{'prec':>7} {'recall':>7} {'MOTA':>7} {'IDF1':>7}"]
-
-        def fmt(name: str, s: SequenceScores) -> str:
-            return (f"{name:<16} {s.tp:>6} {s.fp:>6} {s.fn:>6} {s.idsw:>5} "
-                    f"{s.precision:>7.3f} {s.recall:>7.3f} {s.mota:>7.3f} {s.idf1:>7.3f}")
-
-        for name in sorted(self.sequences):
-            lines.append(fmt(name, self.sequences[name]))
-        lines.append(fmt("ALL", self.aggregate))
-        for label in sorted(self.per_class):
-            lines.append(fmt(f"class:{label}", self.per_class[label]))
+        for name, s in self.rows():
+            lines.append(
+                f"{name:<16} {s.tp:>6} {s.fp:>6} {s.fn:>6} {s.idsw:>5} "
+                f"{s.precision:>7.3f} {s.recall:>7.3f} {s.mota:>7.3f} {s.idf1:>7.3f}"
+            )
         return "\n".join(lines)
 
 
@@ -231,13 +225,8 @@ def evaluate(
 
 
 def _merge(into: SequenceScores, other: SequenceScores) -> None:
-    into.tp += other.tp
-    into.fp += other.fp
-    into.fn += other.fn
-    into.idsw += other.idsw
-    into.gt_total += other.gt_total
-    into.idtp += other.idtp
-    into.pred_total += other.pred_total
+    for f in fields(SequenceScores):
+        setattr(into, f.name, getattr(into, f.name) + getattr(other, f.name))
 
 
 def _filter_class(

@@ -104,8 +104,6 @@ def grid_configs(
     base: SmartOdConfig, grid: Mapping[str, Sequence]
 ) -> list[SmartOdConfig]:
     """Cartesian product of candidate values over the base config, in grid order."""
-    if not grid:
-        return [base]
     names = list(grid.keys())
     configs = []
     for combo in itertools.product(*(grid[n] for n in names)):

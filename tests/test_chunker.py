@@ -67,11 +67,6 @@ class TestChunkSequence:
         with pytest.raises(ValueError):
             ChunkerConfig(chi=50, omega=50)
 
-    def test_negative_search_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            ChunkerConfig(chi=30, omega=5, window=-3)
-        assert ChunkerConfig(chi=30, omega=5, window=0).search_window == 0
-
     @given(
         st.data(),
         st.integers(1, 400),
@@ -121,20 +116,19 @@ class TestNextChunk:
         st.integers(1, 400),
         st.integers(2, 60),
         st.integers(0, 30),
-        st.none() | st.integers(0, 40),
     )
     @settings(max_examples=1000, deadline=None)
-    def test_reads_only_the_search_window(self, data, num_frames, chi, omega, window):
+    def test_reads_only_the_search_window(self, data, num_frames, chi, omega):
         if omega >= chi or (num_frames > chi and chi - omega < 2):
             return
-        cfg = ChunkerConfig(chi=chi, omega=omega, window=window)
+        cfg = ChunkerConfig(chi=chi, omega=omega)
         counts = data.draw(st.lists(st.integers(0, 5), min_size=num_frames, max_size=num_frames))
         chunks = plan_chunks(counts, cfg)
         first = RecordedCounts(counts)
         assert next_chunk(first, -1, cfg) == chunks[0] and not first.read
         for (_, prev_end), following in zip(chunks, chunks[1:]):
-            lo = prev_end + 1 - cfg.search_window
-            hi = prev_end + 1 + cfg.search_window
+            lo = prev_end + 1 - omega
+            hi = prev_end + 1 + omega
             # Counts outside the window do not matter, and are not read.
             changed = [c if lo <= t <= hi else 9 - c for t, c in enumerate(counts)]
             recorded = RecordedCounts(changed)
@@ -222,7 +216,7 @@ class TestMergeChunkOverlap:
 
     def test_empty_overlap_rejected(self):
         with pytest.raises(ValueError):
-            merge_chunk_overlap([], [], [])
+            merge_chunk_overlap([], [], [], tau_overlap=0.7)
 
 
 def small_checkpoint(seq="s", frame=5) -> Checkpoint:
@@ -390,12 +384,33 @@ class TestCheckpointProtocol:
             ("box", [20, 20, 9, 9]),  # the crop leaves the 24x24 frame
             ("polygon", [0, 0, 1, 1]),
             ("polygon", [1, 1, 9, 1, 9.5, 9]),
+            # Each once loaded. A string id or confidence then failed the
+            # sequence with a raw TypeError; a label of 7, a confidence of
+            # 7.5 and an entry past the last frame were written out.
+            ("object_id", "0"),
+            ("object_id", True),
+            ("object_id", -1),
+            ("class_label", 7),
+            ("confidence", "high"),
+            ("confidence", 7.5),
+            ("confidence", True),
+            ("frame", 200),  # of a 200-frame sequence
+            ("frame", -1),
+            ("chunk-mode frame", 6),  # after last completed frame 5
         ],
     )
     def test_invalid_v2_payload_is_corruption(self, tmp_path, field, value):
         path = tmp_path / "p.jsonl"
         payload = small_checkpoint().to_payload()
-        payload["masklets"][0]["entries"]["0"][field] = value
+        masklet = payload["masklets"][0]
+        if field in ("object_id", "class_label"):
+            masklet[field] = value
+        elif field.endswith("frame"):
+            masklet["entries"][str(value)] = masklet["entries"]["0"]
+            if field.startswith("chunk"):
+                payload.update(mode="chunk", assoc_state={"next_id": 1})
+        else:
+            masklet["entries"]["0"][field] = value
         write_log(path, payload)
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
@@ -428,6 +443,12 @@ class TestCheckpointProtocol:
             {"next_id": 3, "last_frame": 19, "tracks": [{"id": 0, "box": [1, 1, 5], "age": 0}]},
             [],
             {"next_id": 1, "last_frame": 6, "tracks": []},  # after last completed frame 5
+            # Each once loaded. The masklet holds object 0, so next_id must be
+            # at least 1, and above every track id too.
+            {"next_id": 0, "last_frame": 5, "tracks": []},
+            {"next_id": 1, "last_frame": 5, "tracks": [{"id": 1, "box": [1, 1, 5, 5], "age": 0}]},
+            {"next_id": 2, "last_frame": 5, "tracks": [{"id": 0, "box": [1, 1, 5, 5], "age": 0},
+                                                       {"id": 0, "box": [9, 1, 13, 5], "age": 1}]},
         ],
     )
     def test_malformed_full_mode_assoc_state_is_corruption(self, tmp_path, state):
@@ -535,6 +556,16 @@ def ten_frames_earlier(payload: dict) -> None:
     payload["assoc_state"]["last_frame"] -= 10
 
 
+def repeat_a_track(payload: dict) -> None:
+    track = {"id": 0, "box": [1, 1, 5, 5], "age": 0}
+    payload["assoc_state"]["tracks"] = [track, track]
+
+
+def entry_past_the_last_frame(payload: dict) -> None:
+    entries = payload["masklets"][0]["entries"]
+    entries[str(payload["header"]["num_frames"])] = entries[max(entries, key=int)]
+
+
 # How a line of a log is damaged: a function of the line's text, newline
 # included, or of its payload.
 LINE_DAMAGE = {
@@ -547,6 +578,13 @@ LINE_DAMAGE = {
     "of another frame count": lambda p: p["header"].update(num_frames=300),
     "repeating earlier frames": repeat_first_frame,
     "ten frames earlier": ten_frames_earlier,
+    "with next_id not above its ids": lambda p: p["assoc_state"].update(next_id=0),
+    "with a track id repeated": repeat_a_track,
+    "with a string object id": lambda p: p["masklets"][0].update(object_id="0"),
+    "with a confidence above 1": lambda p: next(iter(p["masklets"][0]["entries"].values())).update(
+        confidence=7.5
+    ),
+    "with an entry past the last frame": entry_past_the_last_frame,
 }
 TEXT_DAMAGE = {"corrupt", "without its newline"}
 
@@ -589,7 +627,18 @@ class TestDamagedLog:
         self.check(tmp_path, line, damage)
 
     @pytest.mark.parametrize(
-        "damage", ["corrupt", "without its newline", "of another sequence", "of an unknown mode"]
+        "damage",
+        [
+            "corrupt",
+            "without its newline",
+            "of another sequence",
+            "of an unknown mode",
+            "with next_id not above its ids",
+            "with a track id repeated",
+            "with a string object id",
+            "with a confidence above 1",
+            "with an entry past the last frame",
+        ],
     )
     def test_bad_first_line_raises_naming_the_file(self, tmp_path, damage):
         store, _ = self.damaged(tmp_path, 1, damage)

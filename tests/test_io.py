@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vidannot.backends import SyntheticWorldConfig
 from vidannot.config import PipelineConfig
 from vidannot.geometry import BBox, Polygon, polygon_to_bbox
 from vidannot.io import (
@@ -261,6 +262,7 @@ class TestConfig:
             ("smart_od", "theta_i"),
             ("assoc", "track_thresh"),
             ("assoc", "match_thresh"),
+            ("chunker", "window"),
         ]:
             p.write_text(json.dumps({section: {name: 5}}))
             with pytest.raises(FormatError, match=name):
@@ -287,7 +289,6 @@ class TestConfig:
             ("chunker", {"checkpoint_interval": 2.5}),
             ("chunker", {"chi": 40.5}),
             ("chunker", {"omega": 5.5}),
-            ("chunker", {"window": 2.5}),
             ("smart_od", {"slice_size": 0}),
             ("smart_od", {"slice_size": 256.0}),
             ("smart_od", {"theta_v": 1.0}),
@@ -332,7 +333,7 @@ class TestConfig:
             "noise": {"tp_confidence_range": [0.7, 0.9], "fp_confidence_range": [0, 0.2]},
             "degradation": {"drift_px_per_frame": [0.5, 0]},
             "world": {"num_objects": 2, "velocities": [[1, 0], [0, 1.5]], "ellipse_axes": [9, 6]},
-            "chunker": {"window": None, "full_budget": None},
+            "chunker": {"full_budget": None},
             "ash": {"alpha": 1},  # an int is a float
             "seed": 4,
         }))
@@ -349,13 +350,11 @@ class TestConfig:
         assert all(type(t) is tuple for t in tuples)
         assert cfg.world.velocities == ((1.0, 0.0), (0.0, 1.5))
         assert cfg.assoc.aspect_range == (0.25, 4.0)
-        assert (cfg.chunker.window, cfg.chunker.full_budget, cfg.ash.alpha, cfg.seed) == (
-            None, None, 1, 4
-        )
+        assert (cfg.chunker.full_budget, cfg.ash.alpha, cfg.seed) == (None, 1, 4)
 
     def test_null_section_takes_its_defaults(self):
         assert parse_config({"world": None, "ash": None}) == PipelineConfig()
-        assert parse_config({}).world is None
+        assert parse_config({}).world == SyntheticWorldConfig()
 
     def test_non_object_root(self, tmp_path):
         p = tmp_path / "c.json"

@@ -217,6 +217,39 @@ class TestDataset:
         text = report.format_text()
         assert "ALL" in text and "class:car" in text
 
+    def test_report_layout(self):
+        # Sequences in name order, then ALL, then classes in name order; the
+        # values are those recorded before both layouts came from one list.
+        gt_b = {0: [LabeledBox(0, box(0), "person"), LabeledBox(1, box(40), "car")],
+                1: [LabeledBox(0, box(2), "person"), LabeledBox(1, box(42), "car")]}
+        pred_b = {0: [LabeledBox(5, box(0), "person"), LabeledBox(6, box(80), "car")],
+                  1: [LabeledBox(7, box(2), "person"), LabeledBox(6, box(43), "car")]}
+        gt_a = {0: [LabeledBox(0, box(0), "car")], 1: [LabeledBox(0, box(1), "car")]}
+        pred_a = {0: [LabeledBox(0, box(0), "car")], 1: []}
+        report = evaluate_dataset({"b": (pred_b, gt_b), "a": (pred_a, gt_a)})
+        metrics = ("TP", "FP", "FN", "IDSW", "precision", "recall", "MOTA", "IDF1")
+        values = {
+            "a": (1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5, 0.6666666666666666),
+            "b": (3.0, 1.0, 1.0, 1.0, 0.75, 0.75, 0.25, 0.5),
+            "ALL": (4.0, 1.0, 2.0, 1.0, 0.8, 0.6666666666666666, 0.33333333333333337,
+                    0.5454545454545454),
+            "class:car": (2.0, 1.0, 2.0, 0.0, 0.6666666666666666, 0.5, 0.25, 0.5714285714285714),
+            "class:person": (2.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5),
+        }
+        assert report.to_csv_rows() == [
+            (name, metric, value)
+            for name, row in values.items()
+            for metric, value in zip(metrics, row)
+        ]
+        assert report.format_text() == (
+            "sequence             TP     FP     FN  IDSW    prec  recall    MOTA    IDF1\n"
+            "a                     1      0      1     0   1.000   0.500   0.500   0.667\n"
+            "b                     3      1      1     1   0.750   0.750   0.250   0.500\n"
+            "ALL                   4      1      2     1   0.800   0.667   0.333   0.545\n"
+            "class:car             2      1      2     0   0.667   0.500   0.250   0.571\n"
+            "class:person          2      0      0     1   1.000   1.000   0.500   0.500"
+        )
+
     def test_empty_gt_scores(self):
         s = evaluate({0: []}, {0: []})
         assert s.mota == 1.0 and s.idf1 == 1.0

@@ -839,6 +839,25 @@ class TestPinnedOutputBytes:
         assert report.failures == []
         assert self.digests(tmp_path / "out") == self.DIGESTS
 
+    def test_resume_from_a_log_with_an_entry_past_the_last_frame_fails(self, tmp_path):
+        # An entry copied to frame 999 of the 40-frame sequence was once
+        # written to the MOT file as frame 1000, with no error and QA 1.0.
+        cfg = self.config()
+        self.kill_after_frame_27(tmp_path, cfg)
+        log = tmp_path / "ckpt" / "p_ckpt.jsonl"
+        first, *rest = log.read_text().splitlines(keepends=True)
+        payload = json.loads(first)
+        entries = payload["masklets"][0]["entries"]
+        entries["999"] = entries["0"]
+        log.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n" + "".join(rest))
+        report = run_dataset(
+            {"p": synthetic_source("p", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "out",
+            checkpoint_dir=tmp_path / "ckpt", mode="full", resume=True,
+        )
+        assert report.failures == ["p"]
+        assert f"checkpoint {log} line 1 unreadable" in report.outcomes["p"].error
+        assert not (tmp_path / "out" / "p_track.txt").exists()
+
 
 class TestDeploy:
     def test_end_to_end(self, tmp_path):
