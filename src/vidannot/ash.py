@@ -145,11 +145,6 @@ class Masklet:
     def frames(self) -> list[int]:
         return sorted(self.entries)
 
-    def add_entry(self, frame: int, entry: MaskletEntry) -> None:
-        if self.entries and frame <= max(self.entries):
-            raise ValueError(f"frame {frame} not after {max(self.entries)}")
-        self.entries[frame] = entry
-
 
 def propagate_batch(
     new_objects: list[NewObject],

@@ -7,7 +7,7 @@ before the next begins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .backends import Detection
 from .geometry import BBox, greedy_match, iou_box
@@ -103,6 +103,7 @@ def rescale_confidence(scores: list[float]) -> list[float]:
 def associate_frame(
     tracks: list[Track],
     dets: list[Detection],
+    live: list[tuple[int, BBox]],
     frame_index: int,
     cfg: AssocConfig,
     next_id: int = 0,
@@ -111,8 +112,14 @@ def associate_frame(
 
     Pairs above tau_track_det are claimed by `greedy_match` with the track id
     as the row, so ties go to the lower track id, then the lower detection
-    index. Unmatched detections open new tracks with ids from a strictly
-    monotone counter; tracks unmatched for more than track_buffer frames are
+    index. An unmatched detection whose IoU with one of the `live` (object
+    id, box) pairs, the boxes of the masks that live masklets hold at this
+    frame, exceeds tau_track_det is covered: it is that object seen again,
+    so it opens no track. The covering object is the one of highest IoU,
+    ties to the lower id; when its track is given and unmatched, the first
+    such detection matches it, and otherwise the detection is dropped. Every
+    other unmatched detection opens a new track with an id from a strictly
+    monotone counter. Tracks unmatched for more than track_buffer frames are
     retired.
     """
     candidates = []
@@ -123,24 +130,30 @@ def associate_frame(
                 candidates.append((v, track.id, di))
     track_to_det = {track_id: di for _, track_id, di in greedy_match(candidates)}
 
-    updated: list[Track] = []
-    for track in tracks:
-        if track.id in track_to_det:
-            updated.append(replace(track, last_box=dets[track_to_det[track.id]].box, age=0))
-        else:
-            aged = replace(track, age=track.age + 1)
-            if aged.age <= cfg.track_buffer:
-                updated.append(aged)
-
     matched_det = set(track_to_det.values())
+    track_ids = {track.id for track in tracks}
     new_objects: list[NewObject] = []
     for di, det in enumerate(dets):
         if di in matched_det:
             continue
-        obj_id = next_id
-        next_id += 1
-        new_objects.append(NewObject(obj_id, det, frame_index))
-        updated.append(Track(id=obj_id, last_box=det.box))
+        # The highest IoU, ties to the lower id.
+        v, neg_id = max(((iou_box(det.box, box), -i) for i, box in live), default=(0.0, 0))
+        if v <= cfg.tau_track_det:
+            new_objects.append(NewObject(next_id, det, frame_index))
+            next_id += 1
+        elif -neg_id in track_ids and -neg_id not in track_to_det:
+            track_to_det[-neg_id] = di
+
+    # The constructor, not dataclasses.replace: this runs for every live
+    # track on every frame, and replace costs over twice as much.
+    updated: list[Track] = []
+    for track in tracks:
+        di = track_to_det.get(track.id)
+        if di is not None:
+            updated.append(Track(track.id, dets[di].box, 0))
+        elif track.age < cfg.track_buffer:
+            updated.append(Track(track.id, track.last_box, track.age + 1))
+    updated.extend(Track(n.object_id, n.detection.box) for n in new_objects)
     return AssociationResult(new_objects, updated, next_id)
 
 
@@ -153,12 +166,15 @@ class Associator:
     next_id: int = 0
     last_frame: int | None = None
 
-    def associate(self, dets: list[Detection], frame_index: int) -> AssociationResult:
+    def associate(
+        self, dets: list[Detection], live: list[tuple[int, BBox]], frame_index: int
+    ) -> AssociationResult:
         if self.last_frame is not None and frame_index <= self.last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: {frame_index} after {self.last_frame}"
             )
-        result = associate_frame(self.tracks, dets, frame_index, self.cfg, self.next_id)
+        # Positional: the benchmark's tracer hooks take positional arguments only.
+        result = associate_frame(self.tracks, dets, live, frame_index, self.cfg, self.next_id)
         self.tracks = result.tracks
         self.next_id = result.next_id
         self.last_frame = frame_index

@@ -30,7 +30,7 @@ from .ash import (
 )
 from .assoc import AssocConfig, Associator, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
-from .geometry import BinaryMask, Polygon, greedy_match, iou_mask
+from .geometry import BBox, BinaryMask, Polygon, greedy_match, iou_mask
 
 logger = logging.getLogger(__name__)
 
@@ -452,6 +452,18 @@ class _Run:
     on_frame: Callable[[int], None] | None
 
 
+def _live_boxes(masklets: list[Masklet], t: int, epsilon_mask: int) -> list[tuple[int, BBox]]:
+    """(object id, box) of each masklet whose mask at frame `t` has more than
+    `epsilon_mask` pixels; the box is inclusive, as detector boxes are."""
+    live = []
+    for m in masklets:
+        e = m.entries.get(t)
+        if e is not None and e.mask.count > epsilon_mask:
+            x0, y0, x1, y1 = e.pixel_box()
+            live.append((m.object_id, BBox(x0, y0, x1 - 1, y1 - 1)))
+    return live
+
+
 def _track(
     run: _Run,
     frames: list[int],
@@ -463,13 +475,16 @@ def _track(
     object through the rest of `frames`; the masklets are appended in place.
     Yields each frame once its new objects are propagated.
 
-    A budget caps the propagated (frame x object) entries, those already in
-    `masklets` included.
+    A detection that the mask of one of `masklets` covers at its frame is
+    that object, and starts no propagation; in full mode `masklets` holds
+    those a resume restored too, so a resume decides as the uninterrupted
+    run did. A budget caps the propagated (frame x object) entries, those
+    already in `masklets` included.
     """
     used = sum(len(m.entries) for m in masklets)
     for i, t in enumerate(frames):
         dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg)
-        result = associator.associate(dets, t)
+        result = associator.associate(dets, _live_boxes(masklets, t, run.ash_cfg.epsilon_mask), t)
         if result.new_objects and budget is not None:
             projected = used + len(result.new_objects) * (len(frames) - i)
             if projected > budget:

@@ -94,7 +94,6 @@ def _annotate(args: argparse.Namespace, resume: bool) -> int:
         args.out,
         checkpoint_dir=args.checkpoint_dir,
         mode=args.mode,
-        workers=args.workers,
         resume=resume,
     )
     outcome = report.outcomes[args.seq]
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if with_pipeline:
             p.add_argument("--checkpoint-dir", default=None)
-            p.add_argument("--workers", type=int, default=1)
             p.add_argument("--mode", choices=("full", "chunk", "auto"), default="auto")
 
     p = sub.add_parser("simulate", help="emit synthetic ground truth")
@@ -213,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deploy", help="dataset deployment procedure")
     common(p)
     p.add_argument("--sequences", type=int, default=3, help="synthetic sequence count")
+    p.add_argument("--workers", type=int, default=1, help="sequences run at once")
     p.set_defaults(func=cmd_deploy)
 
     return parser

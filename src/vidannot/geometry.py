@@ -55,6 +55,10 @@ class BBox:
         return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
 
 
+_EMPTY_CROP = np.zeros((0, 0), dtype=bool)  # every empty mask's crop, read-only
+_EMPTY_CROP.flags.writeable = False
+
+
 class BinaryMask:
     """Boolean pixel grid of size width x height, stored as the tight crop of
     its foreground.
@@ -98,7 +102,7 @@ class BinaryMask:
     def _place(self, arr: np.ndarray, x0: int, y0: int, width: int, height: int) -> None:
         rows = np.flatnonzero(arr.any(axis=1))
         if rows.size == 0:
-            crop = np.zeros((0, 0), dtype=bool)
+            crop = _EMPTY_CROP
             x0 = y0 = 0
         else:
             cols = np.flatnonzero(arr.any(axis=0))
@@ -115,7 +119,16 @@ class BinaryMask:
 
     @classmethod
     def zeros(cls, width: int, height: int) -> BinaryMask:
-        return cls.from_crop(np.zeros((0, 0), dtype=bool), 0, 0, width, height)
+        # Built directly: a propagator returns one for every frame an object
+        # is not seen, and from_crop's trimming would cost several times more.
+        if width < 1 or height < 1:
+            raise ValueError(f"frame must be at least 1x1, got {width}x{height}")
+        m = cls.__new__(cls)
+        m._crop = _EMPTY_CROP
+        m._x0 = m._y0 = m._count = 0
+        m._width = int(width)
+        m._height = int(height)
+        return m
 
     @property
     def data(self) -> np.ndarray:

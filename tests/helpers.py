@@ -441,8 +441,9 @@ def inject_append_fault(monkeypatch, phase: str) -> None:
 # carried before they shared geometry.greedy_match, kept as reference oracles.
 
 
-def loop_associate_frame(tracks, dets, frame_index, cfg, next_id=0):
-    """associate_frame with its own sort and claim loop."""
+def loop_associate_frame(tracks, dets, live, frame_index, cfg, next_id=0):
+    """associate_frame with its own sort and claim loop, and its own scan for
+    the live object that covers a detection."""
     pairs = []
     for ti, track in enumerate(tracks):
         for di, det in enumerate(dets):
@@ -459,6 +460,23 @@ def loop_associate_frame(tracks, dets, frame_index, cfg, next_id=0):
         track_to_det[ti] = di
         matched_det.add(di)
 
+    new_objects = []
+    for di, det in enumerate(dets):
+        if di in matched_det:
+            continue
+        cover, best = None, cfg.tau_track_det
+        for obj_id, box in live:
+            v = geometry.iou_box(det.box, box)
+            if v > best or (cover is not None and v == best and obj_id < cover):
+                cover, best = obj_id, v
+        if cover is None:
+            new_objects.append(NewObject(next_id, det, frame_index))
+            next_id += 1
+            continue
+        for ti, track in enumerate(tracks):
+            if track.id == cover and ti not in track_to_det:
+                track_to_det[ti] = di
+
     updated = []
     for ti, track in enumerate(tracks):
         if ti in track_to_det:
@@ -467,15 +485,7 @@ def loop_associate_frame(tracks, dets, frame_index, cfg, next_id=0):
             aged = dataclasses.replace(track, age=track.age + 1)
             if aged.age <= cfg.track_buffer:
                 updated.append(aged)
-
-    new_objects = []
-    for di, det in enumerate(dets):
-        if di in matched_det:
-            continue
-        obj_id = next_id
-        next_id += 1
-        new_objects.append(NewObject(obj_id, det, frame_index))
-        updated.append(Track(id=obj_id, last_box=det.box))
+    updated += [Track(id=n.object_id, last_box=n.detection.box) for n in new_objects]
     return AssociationResult(new_objects, updated, next_id)
 
 

@@ -5,17 +5,22 @@ lines; the whole suite is also part of the default pytest run.
 
 from __future__ import annotations
 
+import functools
 import math
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vidannot.ash import AshConfig
 from vidannot.assoc import AssocConfig
 from vidannot.backends import (
     DetectionNoise,
+    PropagationDegradation,
     SyntheticDetector,
     SyntheticPropagator,
     SyntheticWorldConfig,
@@ -29,7 +34,7 @@ from vidannot.smart_od import SmartOdConfig, dynamic_threshold, filter_area_rati
 
 from test_metrics import brute_idf1
 from test_smart_od import brute_threshold
-from test_chunker import grown_checkpoint, state_signature
+from test_chunker import RecordedStarts, grown_checkpoint, state_signature
 from helpers import inject_append_fault
 
 EIGHT_WAY_VELOCITIES = tuple(
@@ -279,6 +284,72 @@ class TestCriterion4ChunkFullEquivalence:
         print(
             f"\n[acceptance] criterion 4 (chunk/full equivalence): PASS "
             f"{len(full)} tracks, min cross-mode IoU {worst:.4f}"
+        )
+
+    @given(chi=st.integers(12, 80), omega=st.integers(0, 20))
+    @settings(max_examples=10, deadline=None)
+    def test_oracle_mot_records_do_not_depend_on_the_chunk_plan(self, chi, omega):
+        """On oracle input every detection matches its own track, so no
+        detection is ever covered and chunking changes no record."""
+        assume(chi - omega >= 2)
+        gt = oracle_world(120)
+        _, chunk = run_full_pipeline(
+            gt, DetectionNoise(), mode="chunk", chunk_cfg=ChunkerConfig(chi=chi, omega=omega)
+        )
+        assert masklets_to_mot(chunk) == oracle_full_mot_records()
+
+
+@functools.cache
+def oracle_full_mot_records() -> list:
+    _, full = run_full_pipeline(oracle_world(120), DetectionNoise(), mode="full")
+    return masklets_to_mot(full)
+
+
+# Chunk-mode propagations of each W2-style world, by (world seed, noise
+# seed), when a covered detection still started one. Each world has 6
+# ground-truth tracks.
+PARENT_CHUNK_BIRTHS = {(1, 5): 122, (1, 7): 85, (2, 5): 111, (2, 7): 97, (3, 5): 122, (3, 7): 135}
+
+
+class TestChunkFullGapUnderNoise:
+    """Criterion 4 holds on oracle input only. Under W2's noise, chunk mode
+    loses identities at chunk boundaries; this bounds how far its IDF1 falls
+    below full mode's."""
+
+    @staticmethod
+    def run(world_seed: int, noise_seed: int, mode: str) -> tuple[float, int, int]:
+        """IDF1, propagations and ground-truth tracks of one run."""
+        gt = generate_synthetic_sequence(
+            SyntheticWorldConfig(num_objects=6, num_frames=150, rng_seed=world_seed)
+        )
+        noise = DetectionNoise(miss_rate=0.3, fp_rate=2.0, jitter_sigma=1.0, rng_seed=noise_seed)
+        detector = SyntheticDetector(gt, noise)
+        detections = [run_smart_od(t, detector, SmartOdConfig()) for t in range(len(gt))]
+        degradation = PropagationDegradation(dropout_rate=0.05, rng_seed=noise_seed + 1)
+        propagator = RecordedStarts(SyntheticPropagator(gt, degradation))
+        masklets = run_sequence(
+            detections, propagator, detector.frame_size, AssocConfig(), AshConfig(alpha=1.0),
+            ChunkerConfig(), mode=mode,
+        )
+        scores = evaluate(masklet_label_frames(masklets, len(gt)), gt_label_frames(gt), 0.5)
+        tracks = {o.identity for f in gt for o in f.visible_objects()}
+        return scores.idf1, len(propagator.starts), len(tracks)
+
+    def test_idf1_gap_is_bounded(self):
+        gaps = []
+        for (world_seed, noise_seed), parent_births in PARENT_CHUNK_BIRTHS.items():
+            full_idf1, _, _ = self.run(world_seed, noise_seed, "full")
+            chunk_idf1, births, tracks = self.run(world_seed, noise_seed, "chunk")
+            assert tracks == 6
+            assert births < parent_births
+            gaps.append(full_idf1 - chunk_idf1)
+        # Measured: median 0.125 and largest 0.303, against 0.251 and 0.348
+        # when covered detections were propagated.
+        assert statistics.median(gaps) < 0.15
+        assert max(gaps) < 0.32
+        print(
+            f"\n[acceptance] full/chunk IDF1 gap under noise: median "
+            f"{statistics.median(gaps):.3f}, largest {max(gaps):.3f}"
         )
 
 

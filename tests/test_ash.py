@@ -68,7 +68,7 @@ def rect_masklet(object_id, frames_and_boxes, w=20, h=20, conf=0.9):
     for f, (x1, y1, x2, y2) in frames_and_boxes:
         mask = rect_mask(x1, y1, x2, y2, w, h)
         poly = mask_to_polygon(mask)
-        m.add_entry(f, MaskletEntry(mask, poly, conf))
+        m.entries[f] = MaskletEntry(mask, poly, conf)
     return m
 
 
@@ -101,13 +101,6 @@ class TestPropagateBatch:
         gt = world(n=1, frames=3)
         with pytest.raises(ValueError, match="strictly increase"):
             propagate_batch([new_obj(gt, 0)], frames, SyntheticPropagator(gt), FRAME_SIZE)
-
-    def test_add_entry_rejects_a_frame_not_after_the_last(self):
-        m = rect_masklet(0, [(f, (2, 2, 8, 8)) for f in (3, 5)])
-        for frame in (4, 5):
-            with pytest.raises(ValueError, match=f"frame {frame} not after 5"):
-                m.add_entry(frame, MaskletEntry(BinaryMask.zeros(20, 20), None, 0.9))
-        assert m.frames() == [3, 5]
 
     def test_failure_names_the_object(self):
         class BreaksOnSecond:
@@ -221,7 +214,7 @@ def smoothed_masklets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     m = Masklet(0, "object")
     for f in range(draw(st.integers(1, 4))):
-        m.add_entry(f, MaskletEntry.from_mask(BinaryMask(rng.random((h, w)) < density), 0.8))
+        m.entries[f] = MaskletEntry.from_mask(BinaryMask(rng.random((h, w)) < density), 0.8)
     alpha = draw(st.sampled_from([0.2, 0.5, 0.9]))
     return smooth_polygons(m, alpha, draw(st.integers(3, 24))), w, h
 
@@ -370,13 +363,13 @@ def merge_masklets(w, h, spec, lazy):
     for object_id, outline, later in spec:
         m = Masklet(object_id, "object")
         if isinstance(outline, BinaryMask):
-            m.add_entry(0, MaskletEntry.from_mask(outline, 0.5))
+            m.entries[0] = MaskletEntry.from_mask(outline, 0.5)
         elif lazy:
-            m.add_entry(0, MaskletEntry.from_outline(outline, (w, h), 0.5))
+            m.entries[0] = MaskletEntry.from_outline(outline, (w, h), 0.5)
         else:
-            m.add_entry(0, MaskletEntry(rasterize_polygon(outline, w, h), outline, 0.5))
+            m.entries[0] = MaskletEntry(rasterize_polygon(outline, w, h), outline, 0.5)
         if later:
-            m.add_entry(1, MaskletEntry.from_mask(rect_mask(0, 0, 0, 0, w, h), 0.5))
+            m.entries[1] = MaskletEntry.from_mask(rect_mask(0, 0, 0, 0, w, h), 0.5)
         masklets.append(m)
     return masklets
 
@@ -402,7 +395,7 @@ class TestRemoveTrailingEmpty:
     def test_trailing_removed(self):
         m = rect_masklet(0, [(f, (2, 2, 8, 8)) for f in range(5)])
         for f in range(5, 10):
-            m.add_entry(f, MaskletEntry(BinaryMask.zeros(20, 20), None, 0.9))
+            m.entries[f] = MaskletEntry(BinaryMask.zeros(20, 20), None, 0.9)
         out = remove_trailing_empty(m, 3)
         assert out.frames() == [0, 1, 2, 3, 4]
 
@@ -416,13 +409,13 @@ class TestRemoveTrailingEmpty:
         m = rect_masklet(0, [(f, (2, 2, 8, 8)) for f in range(7)])
         g = np.zeros((20, 20), dtype=bool)
         g[0, 0] = g[0, 1] = True
-        m.add_entry(7, MaskletEntry(BinaryMask(g), None, 0.9))
+        m.entries[7] = MaskletEntry(BinaryMask(g), None, 0.9)
         out = remove_trailing_empty(m, 3)
         assert out.frames() == list(range(7))
 
     def test_entirely_below_floor_dropped(self):
         m = Masklet(0, "object")
-        m.add_entry(0, MaskletEntry(BinaryMask.zeros(10, 10), None, 0.5))
+        m.entries[0] = MaskletEntry(BinaryMask.zeros(10, 10), None, 0.5)
         assert remove_trailing_empty(m, 3) is None
 
 
@@ -590,9 +583,9 @@ def random_masklets(draw, max_objects=4, max_frames=6, grid=20):
                 y = draw(st.integers(0, grid - 9))
                 mask = rect_mask(x, y, x + 8, y + 8, grid, grid)
                 poly = mask_to_polygon(mask)
-                m.add_entry(f, MaskletEntry(mask, poly, 0.9))
+                m.entries[f] = MaskletEntry(mask, poly, 0.9)
             else:
-                m.add_entry(f, MaskletEntry(BinaryMask.zeros(grid, grid), None, 0.9))
+                m.entries[f] = MaskletEntry(BinaryMask.zeros(grid, grid), None, 0.9)
         masklets.append(m)
     return masklets
 

@@ -21,6 +21,7 @@ import vidannot.chunker
 from vidannot.ash import AshConfig, Masklet, MaskletEntry
 from vidannot.assoc import AssocConfig
 from vidannot.backends import (
+    Detection,
     DetectionNoise,
     PropagationDegradation,
     SyntheticDetector,
@@ -41,7 +42,7 @@ from vidannot.chunker import (
     run_sequence,
     save_checkpoint,
 )
-from vidannot.geometry import Polygon, iou_mask, mask_to_polygon
+from vidannot.geometry import BBox, BinaryMask, Polygon, iou_mask, mask_to_polygon
 
 from helpers import inject_append_fault, plan_chunks, rect_mask
 
@@ -158,11 +159,11 @@ def masklet_with(object_id: int, frames: dict[int, tuple[int, int, int, int] | N
         if spec is None:
             mask = rect_mask(0, 0, 0, 0, w, h)
             mask = type(mask)(np.zeros((h, w), dtype=bool))
-            m.add_entry(f, MaskletEntry(mask, None, 0.9))
+            m.entries[f] = MaskletEntry(mask, None, 0.9)
         else:
             x1, y1, x2, y2 = spec
             mask = rect_mask(x1, y1, x2, y2, w, h)
-            m.add_entry(f, MaskletEntry(mask, mask_to_polygon(mask), 0.9))
+            m.entries[f] = MaskletEntry(mask, mask_to_polygon(mask), 0.9)
     return m
 
 
@@ -671,6 +672,23 @@ def build_sequence(num_frames=60, n=3, seed=14, size=(320, 240)):
     return gt, det, prop, dets
 
 
+def noisy_sequence(num_frames=60, seed=3):
+    """A W2-style sequence: occlusion, missed, spurious and jittered
+    detections, and 5 % propagation dropout, so covered detections are
+    common."""
+    gt = generate_synthetic_sequence(
+        SyntheticWorldConfig(
+            num_objects=6, num_frames=num_frames, rng_seed=seed, occlusion_enabled=True
+        )
+    )
+    det = SyntheticDetector(
+        gt, DetectionNoise(miss_rate=0.3, fp_rate=2.0, jitter_sigma=1.0, rng_seed=5)
+    )
+    prop = SyntheticPropagator(gt, PropagationDegradation(dropout_rate=0.05, rng_seed=6))
+    dets = [det.detect(t) for t in range(num_frames)]
+    return gt, det, prop, dets
+
+
 def masklets_signature(masklets):
     return {
         m.object_id: [
@@ -708,6 +726,72 @@ def late_birth_sequence():
 
 def postprocess(masklets, num_frames):
     return vidannot.ash.postprocess_masklets(masklets, range(num_frames), RUN_KW["ash_cfg"])
+
+
+class RecordedStarts:
+    """A propagator that records each request's start frame, and gives the
+    object whose request starts at `blank_start` with box `blank_box` an
+    empty mask at frame `blank_frame`."""
+
+    def __init__(self, inner, blank_start=None, blank_box=None, blank_frame=None):
+        self.inner, self.starts = inner, []
+        self.blank = (blank_start, blank_box, blank_frame)
+
+    def propagate(self, box, start, frames):
+        self.starts.append(start)
+        masks = self.inner.propagate(box, start, frames)
+        blank_start, blank_box, blank_frame = self.blank
+        if (start, box) == (blank_start, blank_box):
+            masks[list(frames).index(blank_frame)] = BinaryMask.zeros(masks[0].width, masks[0].height)
+        return masks
+
+
+class TestCoveredDetections:
+    """A detection that a live masklet's mask covers is that object seen
+    again: it starts no propagation."""
+
+    @pytest.mark.parametrize("mode", ["full", "chunk"])
+    def test_a_second_box_of_a_live_object_starts_no_propagation(self, mode):
+        # Object 0 gets a second box, shifted by (3, 2) px, at frame 10: its
+        # IoU with the object's own box is about 0.6. Its masklet loses
+        # frame 20, which a duplicate propagated from frame 10 would fill
+        # under an id of its own.
+        gt, det, prop, dets = build_sequence(num_frames=40)
+        b = gt[10].objects[0].box
+        dets[10] = [*dets[10], Detection(BBox(b.x1 + 3, b.y1 + 2, b.x2 + 3, b.y2 + 2), "object", 0.8)]
+        recorded = RecordedStarts(prop, 0, gt[0].objects[0].box, 20)
+        out = run_sequence(
+            dets, recorded, det.frame_size, chunk_cfg=ChunkerConfig(chi=30, omega=5),
+            mode=mode, **RUN_KW
+        )
+        assert recorded.starts == [0, 0, 0] if mode == "full" else [0, 0, 0, 25, 25, 25]
+        assert sorted(m.object_id for m in out) == [0, 1, 2]
+
+    def test_a_covered_detection_moves_its_unmatched_track(self, tmp_path):
+        # Object 0 moves 2 px a frame and goes undetected over frames 5-9, so
+        # its frame-10 box has IoU 1/3 with the box its track last took, at
+        # frame 4: no track matches it. Its masklet covers it, so the track
+        # takes the box and is matched from then on; a track left unmatched
+        # would be retired after 20 more frames.
+        gt = generate_synthetic_sequence(
+            SyntheticWorldConfig(
+                num_objects=3, num_frames=30, velocities=((2.0, 0.0), (0.3, 0.2), (-0.3, 0.0)),
+                rng_seed=14, occlusion_enabled=False,
+            )
+        )
+        det = SyntheticDetector(gt, DetectionNoise())
+        dets = [det.detect(t) for t in range(30)]
+        for t in range(5, 10):
+            dets[t] = [d for d in dets[t] if d.box != gt[t].objects[0].box]
+        recorded = RecordedStarts(SyntheticPropagator(gt))
+        run_sequence(
+            dets, recorded, det.frame_size, chunk_cfg=ChunkerConfig(), mode="full",
+            checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
+        )
+        assert recorded.starts == [0, 0, 0]
+        state, _ = load_checkpoint(tmp_path / "s_ckpt.jsonl")
+        box = gt[29].objects[0].box
+        assert {"id": 0, "box": [box.x1, box.y1, box.x2, box.y2], "age": 0} in state.assoc_state["tracks"]
 
 
 class TestRunSequence:
@@ -788,8 +872,11 @@ class TestRunSequence:
         assert message.endswith(f"; last checkpoint: {tmp_path / 's_ckpt.jsonl'}")
 
     @pytest.mark.parametrize("kill_at", [9, 27, 45])
-    def test_kill_and_resume_bit_identical_full(self, tmp_path, kill_at):
-        gt, det, prop, dets = build_sequence(num_frames=60)
+    @pytest.mark.parametrize("build", [build_sequence, noisy_sequence], ids=["oracle", "noisy"])
+    def test_kill_and_resume_bit_identical_full(self, tmp_path, kill_at, build):
+        """Under noise, a resume covers detections by the masks the log
+        restored, as the uninterrupted run covered them."""
+        gt, det, prop, dets = build(num_frames=60)
         cfg = ChunkerConfig(checkpoint_interval=10)
         ref = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode="full", **RUN_KW)
 

@@ -175,11 +175,20 @@ class TestCliVerbs:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(missing) in err
 
-    @pytest.mark.parametrize("verb,workers", [("annotate", "0"), ("annotate", "-2"), ("deploy", "0")])
+    @pytest.mark.parametrize(
+        "verb,workers", [("annotate", "0"), ("annotate", "2"), ("resume", "2"), ("deploy", "0")]
+    )
     def test_fewer_than_one_worker_is_a_usage_error(self, tmp_path, capsys, verb, workers):
+        """annotate and resume run one sequence, so they take no --workers at
+        all; deploy takes it, but not below 1."""
         cfg = write_tiny_config(tmp_path / "c.json")
-        rc = main([verb, "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers])
-        assert rc == EXIT_CONFIG
+        argv = [verb, "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]
+        if verb == "deploy":
+            assert main(argv) == EXIT_CONFIG
+        else:
+            with pytest.raises(SystemExit) as exit_:
+                main(argv + ["--checkpoint-dir", str(tmp_path / "ck")])
+            assert exit_.value.code == EXIT_CONFIG
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

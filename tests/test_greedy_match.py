@@ -53,17 +53,22 @@ class TestGreedyMatch:
     ages=st.lists(st.integers(0, 3), min_size=5, max_size=5),
     track_boxes=st.lists(boxes, min_size=5, max_size=5),
     det_boxes=st.lists(boxes, max_size=5),
+    live_ids=ids,
+    live_boxes=st.lists(boxes, min_size=5, max_size=5),
     tau=thresholds,
     track_buffer=st.integers(0, 3),
 )
 def test_association_matches_its_claim_loop(
-    track_ids, ages, track_boxes, det_boxes, tau, track_buffer
+    track_ids, ages, track_boxes, det_boxes, live_ids, live_boxes, tau, track_buffer
 ):
+    """Live objects are drawn from the same ids as tracks, so a covering
+    object may have a track, matched or not, or none."""
     tracks = [Track(i, b, a) for i, b, a in zip(track_ids, track_boxes, ages)]
     dets = [Detection(b, "object", 0.9) for b in det_boxes]
+    live = list(zip(live_ids, live_boxes))
     cfg = AssocConfig(tau_track_det=tau, track_buffer=track_buffer)
-    got = associate_frame(tracks, dets, 7, cfg, next_id=13)
-    assert got == loop_associate_frame(tracks, dets, 7, cfg, next_id=13)
+    got = associate_frame(tracks, dets, live, 7, cfg, next_id=13)
+    assert got == loop_associate_frame(tracks, dets, live, 7, cfg, next_id=13)
 
 
 @settings(max_examples=1000, deadline=None)

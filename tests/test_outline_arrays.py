@@ -77,7 +77,7 @@ def check_smooth(by_frame: dict, alpha: float, n: int) -> None:
     entry's mask is its outline's raster."""
     m = Masklet(0, "object")
     for f, v in by_frame.items():
-        m.add_entry(f, MaskletEntry(BinaryMask.zeros(40, 30), Polygon(v) if v else None, 0.9))
+        m.entries[f] = MaskletEntry(BinaryMask.zeros(40, 30), Polygon(v) if v else None, 0.9)
     try:
         expected = tuple_smooth(by_frame, alpha, n)
     except ValueError:

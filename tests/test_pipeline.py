@@ -765,8 +765,8 @@ class TestPinnedOutputBytes:
         assert self.digests(tmp_path) == self.SMOOTHED_DIGESTS
 
     NOISY_DIGESTS = {
-        "p_annotations.jsonl": "7e59af95278e08ba72e8640ec24426d17d18ede0c2ec0fc37c3adccdf15ca30b",
-        "p_track.txt": "4a65ebfec3b8762df119d281d8bf7399a51ae6ec9122a1dbc6ec67191889d921",
+        "p_annotations.jsonl": "3f2d0e5134d8927e6f55e100991e04c04a3782473bfed4d77e1592819c03f045",
+        "p_track.txt": "2eb86f95de926d216410697c0f9280ac83fdd33783741b133196172d8818d230",
     }
 
     def test_noisy_chunk_run(self, tmp_path):
@@ -918,7 +918,7 @@ class TestQaScore:
             for t, frame in enumerate(src.ground_truth):
                 mask = frame.objects[i].mask
                 poly = mask_to_polygon(mask)
-                m.add_entry(t, MaskletEntry(mask, poly, 0.9))
+                m.entries[t] = MaskletEntry(mask, poly, 0.9)
             masklets.append(m)
         assert qa_score(masklets, src.ground_truth, range(12)) == pytest.approx(1.0)
 
