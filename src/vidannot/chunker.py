@@ -1,6 +1,6 @@
-"""Long-sequence processing: chunk selection, overlap-based identity handoff,
-checkpoints as one append-only log per sequence, and automatic
-full-vs-chunk fallback.
+"""Long-sequence processing: chunk selection, chunks that continue the
+objects live before them, checkpoints as one append-only log per sequence,
+and automatic full-vs-chunk fallback.
 
 Chunks are processed strictly in order; checkpoint writes are single-writer.
 `run_sequence` alone reads a sequence's checkpoint, once, and picks the pass
@@ -28,9 +28,11 @@ from .ash import (
     propagate_batch,
     remove_trailing_empty,
 )
-from .assoc import AssocConfig, Associator, rescale_confidence, validate_box
+from .assoc import AssocConfig, Associator, NewObject, Track, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
-from .geometry import BBox, BinaryMask, Polygon, greedy_match, iou_mask
+from .geometry import BBox, BinaryMask, Polygon
+# Unused here; the benchmark's tracer rebinds chunker.iou_mask and fails without it.
+from .geometry import iou_mask  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +50,7 @@ class CheckpointError(RuntimeError):
 @dataclass(frozen=True)
 class ChunkerConfig:
     chi: int = 50  # chunk size, frames
-    omega: int = 10  # overlap between consecutive chunks, frames
-    tau_overlap: float = 0.7  # average mask IoU needed to inherit an id
+    omega: int = 10  # frames searched around a chunk boundary; bounds the seed window
     checkpoint_interval: int = 25  # frames between saves in full mode
     full_budget: int | None = None  # max propagated (frame x object) entries
 
@@ -58,8 +59,6 @@ class ChunkerConfig:
             raise ValueError(f"chi must be >= 1: {self.chi}")
         if not 0 <= self.omega < self.chi:
             raise ValueError(f"omega must be in [0, chi): omega={self.omega}, chi={self.chi}")
-        if not 0.0 < self.tau_overlap < 1.0:
-            raise ValueError(f"tau_overlap out of (0,1): {self.tau_overlap}")
         if self.checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1: {self.checkpoint_interval}")
         if self.full_budget is not None and self.full_budget < 1:
@@ -87,45 +86,21 @@ def find_optimal_frame(
     return best
 
 
-def merge_chunk_overlap(
-    prev_masklets: list[Masklet],
-    next_masklets: list[Masklet],
-    overlap_frames: Sequence[int],
-    tau_overlap: float,
-) -> dict[int, int]:
-    """Map next-chunk object ids onto previous-chunk ids via overlap mask IoU.
+def merge_chunk_overlap(stitched: list[Masklet], chunk_masklets: list[Masklet]) -> list[Masklet]:
+    """Append a chunk's masklets to the stitched ones, in place: each extends
+    the stitched masklet of its id, or joins the list when its id is new.
 
-    For every (previous, next) pair, the per-frame mask IoU is averaged over
-    the overlap frames where at least one of the two masks is nonempty; pairs
-    where both are absent contribute nothing. Pairs above tau_overlap are
-    claimed by `greedy_match` with the previous id as the row and the next id
-    as the column; everything else keeps its own (already unique) id.
+    Every entry of a chunk masklet lies after the stitched frames, so an
+    extended masklet keeps its entries in frame order.
     """
-    if not overlap_frames:
-        raise ValueError("overlap_frames must be nonempty")
-    candidates = []
-    for a in prev_masklets:
-        for b in next_masklets:
-            total = 0.0
-            frames_counted = 0
-            for f in overlap_frames:
-                ea = a.entries.get(f)
-                eb = b.entries.get(f)
-                ma = ea.mask if ea is not None else None
-                mb = eb.mask if eb is not None else None
-                a_empty = ma is None or ma.is_empty()
-                b_empty = mb is None or mb.is_empty()
-                if a_empty and b_empty:
-                    continue
-                frames_counted += 1
-                if not a_empty and not b_empty:
-                    total += iou_mask(ma, mb)
-            if frames_counted and (avg := total / frames_counted) > tau_overlap:
-                candidates.append((avg, a.object_id, b.object_id))
-    mapping = {b_id: a_id for _, a_id, b_id in greedy_match(candidates)}
-    for b in next_masklets:
-        mapping.setdefault(b.object_id, b.object_id)
-    return mapping
+    by_id = {m.object_id: m for m in stitched}
+    for m in chunk_masklets:
+        have = by_id.get(m.object_id)
+        if have is None:
+            stitched.append(m)
+        else:
+            have.entries.update(m.entries)
+    return stitched
 
 
 @dataclass
@@ -188,8 +163,8 @@ class Checkpoint:
             width >= 1 and height >= 1 and 0 <= last < num_frames
         ):
             raise ValueError(f"header {header} does not fit last completed frame {last!r}")
-        # A chunk-mode entry after the last completed frame would be kept by
-        # the stitch over the entry of the chunk that tracks that frame.
+        # A chunk-mode entry after the last completed frame would sit among
+        # the frames that the next chunk appends.
         frames = range(num_frames if payload["mode"] == "full" else last + 1)
         return cls(
             payload["sequence_id"],
@@ -452,16 +427,13 @@ class _Run:
     on_frame: Callable[[int], None] | None
 
 
-def _live_boxes(masklets: list[Masklet], t: int, epsilon_mask: int) -> list[tuple[int, BBox]]:
-    """(object id, box) of each masklet whose mask at frame `t` has more than
-    `epsilon_mask` pixels; the box is inclusive, as detector boxes are."""
-    live = []
-    for m in masklets:
-        e = m.entries.get(t)
-        if e is not None and e.mask.count > epsilon_mask:
-            x0, y0, x1, y1 = e.pixel_box()
-            live.append((m.object_id, BBox(x0, y0, x1 - 1, y1 - 1)))
-    return live
+def _live_box(e: MaskletEntry | None, epsilon_mask: int) -> BBox | None:
+    """The box of the mask of `e` when it has more than `epsilon_mask`
+    pixels, else None; the box is inclusive, as detector boxes are."""
+    if e is None or e.mask.count <= epsilon_mask:
+        return None
+    x0, y0, x1, y1 = e.pixel_box()
+    return BBox(x0, y0, x1 - 1, y1 - 1)
 
 
 def _track(
@@ -476,15 +448,21 @@ def _track(
     Yields each frame once its new objects are propagated.
 
     A detection that the mask of one of `masklets` covers at its frame is
-    that object, and starts no propagation; in full mode `masklets` holds
-    those a resume restored too, so a resume decides as the uninterrupted
-    run did. A budget caps the propagated (frame x object) entries, those
-    already in `masklets` included.
+    that object, and starts no propagation. In chunk mode `masklets` holds
+    the objects the chunk continues; in full mode it holds those a resume
+    restored too, so a resume decides as the uninterrupted run did. A budget
+    caps the propagated (frame x object) entries, those already in
+    `masklets` included.
     """
     used = sum(len(m.entries) for m in masklets)
     for i, t in enumerate(frames):
         dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg)
-        result = associator.associate(dets, _live_boxes(masklets, t, run.ash_cfg.epsilon_mask), t)
+        live = [
+            (m.object_id, box)
+            for m in masklets
+            if (box := _live_box(m.entries.get(t), run.ash_cfg.epsilon_mask)) is not None
+        ]
+        result = associator.associate(dets, live, t)
         if result.new_objects and budget is not None:
             projected = used + len(result.new_objects) * (len(frames) - i)
             if projected > budget:
@@ -516,7 +494,8 @@ def run_sequence(
     """Process a whole sequence into finalized masklets.
 
     "full" runs association and propagation over the entire span in one pass;
-    "chunk" uses overlapping chunks with identity reconciliation; "auto"
+    "chunk" runs chunk after chunk, each continuing the objects live just
+    before it under their own ids; "auto"
     attempts full processing and falls back to chunk mode on a propagation
     failure or a blown processing budget. The fallback starts chunk mode
     from frame 0 on a new checkpoint log.
@@ -618,9 +597,9 @@ def next_chunk(
     at frame `prev_end` (-1 for the first chunk).
 
     The start is pulled toward object-dense frames near `prev_end + 1`, but
-    stays at or before `prev_end`, so consecutive chunks share at least one
-    frame to stitch identities over. Only the counts within `omega` frames
-    of `prev_end + 1` are read.
+    stays at or before `prev_end`, so the frames [start, prev_end] are a
+    nonempty window to seed the chunk's objects from. Only the counts within
+    `omega` frames of `prev_end + 1` are read.
     """
     num_frames = len(object_counts)
     if num_frames > cfg.chi and cfg.chi - cfg.omega < 2:
@@ -628,7 +607,7 @@ def next_chunk(
     if prev_end < 0:
         return 0, min(num_frames - 1, cfg.chi - 1)
     optimal = find_optimal_frame(object_counts, prev_end + 1, cfg.omega)
-    start = min(max(0, optimal - cfg.omega), prev_end)  # share a frame with the previous chunk
+    start = min(max(0, optimal - cfg.omega), prev_end)  # the seed window holds prev_end
     end = min(num_frames - 1, start + cfg.chi - 1)
     if end <= prev_end:
         # Degenerate adjustment; force forward progress.
@@ -651,35 +630,25 @@ class _DetectionCounts(Sequence):
         return len(self._detections[t])
 
 
-def _stitch(
-    stitched: list[Masklet],
-    chunk_masklets: list[Masklet],
-    overlap_frames: list[int],
-    tau_overlap: float,
-) -> list[Masklet]:
-    mapping = merge_chunk_overlap(stitched, chunk_masklets, overlap_frames, tau_overlap)
-    by_id = {m.object_id: m for m in stitched}
-    overlap_set = set(overlap_frames)
-    for b in chunk_masklets:
-        global_id = mapping[b.object_id]
-        if global_id in by_id:
-            target = by_id[global_id]
-            for f in sorted(b.entries):
-                if f in overlap_set:
-                    continue  # previous chunk's entries win inside the overlap
-                if f not in target.entries:
-                    target.entries[f] = b.entries[f]
-        else:
-            kept = Masklet(global_id, b.class_label, dict(b.entries))
-            by_id[global_id] = kept
-            stitched.append(kept)
-    return stitched
+def _seeds(masklets: list[Masklet], window: range, epsilon_mask: int) -> list[NewObject]:
+    """Each masklet whose mask is live at some frame of `window`, as an
+    object to propagate from its last such frame with that mask's box."""
+    seeds = []
+    for m in masklets:
+        for t in reversed(window):
+            box = _live_box(m.entries.get(t), epsilon_mask)
+            if box is not None:
+                detection = Detection(box, m.class_label, m.entries[t].confidence)
+                seeds.append(NewObject(m.object_id, detection, t))
+                break
+    return seeds
 
 
 def _run_chunked(run: _Run, ckpt: Checkpoint | None) -> list[Masklet]:
-    # Each chunk follows from the previous chunk's end alone, so a resume
-    # continues after its checkpoint's last completed frame and verifies
-    # only the frames it reads.
+    # Each chunk continues the stitched masklets live in [start, prev_end]
+    # and tracks only the frames after prev_end. It follows from those
+    # masklets and prev_end alone, so a resume continues after its
+    # checkpoint's last completed frame and verifies only the frames it reads.
     counts = _DetectionCounts(run.detections)
     num_frames = len(run.detections)
     stitched: list[Masklet] = []
@@ -692,10 +661,13 @@ def _run_chunked(run: _Run, ckpt: Checkpoint | None) -> list[Masklet]:
 
     while prev_end < num_frames - 1:
         start, end = next_chunk(counts, prev_end, run.chunk_cfg)
-        associator = Associator(run.assoc_cfg, next_id=next_id)
-        tracked: list[Masklet] = []
-        for t in _track(run, list(range(start, end + 1)), associator, tracked):
-            if run.on_frame is not None and t > prev_end:
+        seeds = _seeds(stitched, range(start, prev_end + 1), run.ash_cfg.epsilon_mask)
+        frames = list(range(prev_end + 1, end + 1))
+        tracked = propagate_batch(seeds, frames, run.propagator, run.frame_size)
+        tracks = [Track(s.object_id, s.detection.box) for s in seeds]
+        associator = Associator(run.assoc_cfg, tracks=tracks, next_id=next_id)
+        for t in _track(run, frames, associator, tracked):
+            if run.on_frame is not None:
                 run.on_frame(t)
         chunk_masklets = []
         for m in tracked:
@@ -703,11 +675,7 @@ def _run_chunked(run: _Run, ckpt: Checkpoint | None) -> list[Masklet]:
             if kept is not None:
                 chunk_masklets.append(kept)
         next_id = associator.next_id
-        if prev_end < 0:
-            stitched = chunk_masklets
-        else:
-            overlap = list(range(start, prev_end + 1))
-            stitched = _stitch(stitched, chunk_masklets, overlap, run.chunk_cfg.tau_overlap)
+        stitched = merge_chunk_overlap(stitched, chunk_masklets)
         if run.store is not None:
             _save(run, end, stitched, {"next_id": next_id}, "chunk")
         prev_end = end

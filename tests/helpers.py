@@ -437,8 +437,8 @@ def inject_append_fault(monkeypatch, phase: str) -> None:
     monkeypatch.setattr(os, "fsync", fsync)
 
 
-# The three claim loops that association, evaluation and chunk stitching each
-# carried before they shared geometry.greedy_match, kept as reference oracles.
+# The claim loops that association and evaluation each carried before they
+# shared geometry.greedy_match, kept as reference oracles.
 
 
 def loop_associate_frame(tracks, dets, live, frame_index, cfg, next_id=0):
@@ -510,39 +510,3 @@ def loop_match_frame(predictions, ground_truth, iou_threshold=0.5):
     fps = [i for i in range(len(predictions)) if i not in used_p]
     fns = [i for i in range(len(ground_truth)) if i not in used_g]
     return matches, fps, fns
-
-
-def loop_merge_chunk_overlap(prev_masklets, next_masklets, overlap_frames, tau_overlap=0.7):
-    """merge_chunk_overlap with its own sort and claim loop."""
-    scores = []
-    for a in prev_masklets:
-        for b in next_masklets:
-            total = 0.0
-            frames_counted = 0
-            for f in overlap_frames:
-                ea = a.entries.get(f)
-                eb = b.entries.get(f)
-                ma = ea.mask if ea is not None else None
-                mb = eb.mask if eb is not None else None
-                a_empty = ma is None or ma.is_empty()
-                b_empty = mb is None or mb.is_empty()
-                if a_empty and b_empty:
-                    continue
-                frames_counted += 1
-                if not a_empty and not b_empty:
-                    total += geometry.iou_mask(ma, mb)
-            if frames_counted:
-                scores.append((total / frames_counted, a.object_id, b.object_id))
-    scores.sort(key=lambda s: (-s[0], s[1], s[2]))
-    mapping: dict[int, int] = {}
-    claimed: set[int] = set()
-    for avg, a_id, b_id in scores:
-        if avg <= tau_overlap:
-            break
-        if b_id in mapping or a_id in claimed:
-            continue
-        mapping[b_id] = a_id
-        claimed.add(a_id)
-    for b in next_masklets:
-        mapping.setdefault(b.object_id, b.object_id)
-    return mapping

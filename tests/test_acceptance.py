@@ -312,9 +312,10 @@ PARENT_CHUNK_BIRTHS = {(1, 5): 122, (1, 7): 85, (2, 5): 111, (2, 7): 97, (3, 5):
 
 
 class TestChunkFullGapUnderNoise:
-    """Criterion 4 holds on oracle input only. Under W2's noise, chunk mode
-    loses identities at chunk boundaries; this bounds how far its IDF1 falls
-    below full mode's."""
+    """Criterion 4 under W2's noise: each chunk continues the objects live
+    before it under their own ids, so chunk mode keeps identities across its
+    boundaries about as well as full mode does. This bounds how far its IDF1
+    falls below full mode's on every world."""
 
     @staticmethod
     def run(world_seed: int, noise_seed: int, mode: str) -> tuple[float, int, int]:
@@ -343,10 +344,10 @@ class TestChunkFullGapUnderNoise:
             assert tracks == 6
             assert births < parent_births
             gaps.append(full_idf1 - chunk_idf1)
-        # Measured: median 0.125 and largest 0.303, against 0.251 and 0.348
-        # when covered detections were propagated.
-        assert statistics.median(gaps) < 0.15
-        assert max(gaps) < 0.32
+        # Measured: median -0.006 and largest 0.041, against 0.125 and 0.303
+        # when each chunk tracked its overlap again and handed ids over by
+        # mask IoU.
+        assert max(gaps) <= 0.1
         print(
             f"\n[acceptance] full/chunk IDF1 gap under noise: median "
             f"{statistics.median(gaps):.3f}, largest {max(gaps):.3f}"

@@ -87,7 +87,7 @@ class TestChunkSequence:
         for s, e in chunks:
             assert 0 <= e - s < chi
         # Every chunk moves forward and starts at or before the previous end,
-        # so the plan covers each frame and consecutive chunks share a frame;
+        # so the plan covers each frame and each seed window holds a frame;
         # a start pulled back toward dense frames stays within the search
         # window plus the overlap.
         for (s1, e1), (s2, e2) in zip(chunks, chunks[1:]):
@@ -168,56 +168,19 @@ def masklet_with(object_id: int, frames: dict[int, tuple[int, int, int, int] | N
 
 
 class TestMergeChunkOverlap:
-    def test_oracle_continuity_inherits_id(self):
-        a = masklet_with(0, {8: (2, 2, 10, 10), 9: (2, 2, 10, 10)})
-        b = masklet_with(7, {8: (2, 2, 10, 10), 9: (2, 2, 10, 10), 10: (2, 2, 10, 10)})
-        mapping = merge_chunk_overlap([a], [b], [8, 9], tau_overlap=0.7)
-        assert mapping == {7: 0}
-
-    def test_new_object_after_overlap_keeps_fresh_id(self):
-        a = masklet_with(0, {8: (2, 2, 10, 10), 9: (2, 2, 10, 10)})
-        b = masklet_with(7, {10: (14, 14, 20, 20)})
-        mapping = merge_chunk_overlap([a], [b], [8, 9], tau_overlap=0.7)
-        assert mapping == {7: 7}
-
-    def test_greedy_assignment_by_hand(self):
-        # Two next-chunk objects both overlap previous object 0; IoU 0.8 wins,
-        # the 0.75 one gets a fresh id.
-        a = masklet_with(0, {5: (0, 0, 19, 9), 6: (0, 0, 19, 9)}, w=40, h=20)
-        b_hi = masklet_with(10, {5: (0, 0, 15, 9), 6: (0, 0, 15, 9)}, w=40, h=20)
-        b_lo = masklet_with(11, {5: (0, 0, 14, 9), 6: (0, 0, 14, 9)}, w=40, h=20)
-        iou_hi = iou_mask(a.entries[5].mask, b_hi.entries[5].mask)
-        iou_lo = iou_mask(a.entries[5].mask, b_lo.entries[5].mask)
-        assert iou_hi == pytest.approx(0.8) and iou_lo == pytest.approx(0.75)
-        mapping = merge_chunk_overlap([a], [b_hi, b_lo], [5, 6], tau_overlap=0.7)
-        assert mapping == {10: 0, 11: 11}
-
-    def test_both_absent_frames_do_not_dilute(self):
-        # Object present in only the last overlap frame on both sides still
-        # matches at full strength.
-        a = masklet_with(0, {9: (2, 2, 10, 10)})
-        b = masklet_with(5, {9: (2, 2, 10, 10), 10: (2, 2, 10, 10)})
-        mapping = merge_chunk_overlap([a], [b], [5, 6, 7, 8, 9], tau_overlap=0.7)
-        assert mapping == {5: 0}
-
-    def test_injective_on_previous_ids(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            prev = [
-                masklet_with(i, {0: (int(rng.integers(0, 10)), int(rng.integers(0, 10)), 15, 15)})
-                for i in range(3)
-            ]
-            nxt = [
-                masklet_with(10 + i, {0: (int(rng.integers(0, 10)), int(rng.integers(0, 10)), 15, 15)})
-                for i in range(3)
-            ]
-            mapping = merge_chunk_overlap(prev, nxt, [0], tau_overlap=0.3)
-            inherited = [v for k, v in mapping.items() if v != k]
-            assert len(inherited) == len(set(inherited))
-
-    def test_empty_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            merge_chunk_overlap([], [], [], tau_overlap=0.7)
+    def test_appends_extend_existing_ids_in_frame_order_and_add_new_ids(self):
+        a = masklet_with(0, {7: (2, 2, 10, 10), 8: (2, 2, 10, 10)})
+        b = masklet_with(1, {8: (12, 12, 20, 20)})
+        cont = masklet_with(0, {9: (3, 2, 11, 10), 10: (4, 2, 12, 10)})
+        new = masklet_with(5, {10: (14, 2, 20, 8)})
+        stitched = [a, b]
+        out = merge_chunk_overlap(stitched, [cont, new])
+        assert out is stitched
+        assert [m.object_id for m in out] == [0, 1, 5]
+        assert list(a.entries) == [7, 8, 9, 10]
+        assert a.entries[9] is cont.entries[9] and a.entries[10] is cont.entries[10]
+        assert list(b.entries) == [8]
+        assert out[2] is new
 
 
 def small_checkpoint(seq="s", frame=5) -> Checkpoint:
@@ -729,21 +692,36 @@ def postprocess(masklets, num_frames):
 
 
 class RecordedStarts:
-    """A propagator that records each request's start frame, and gives the
-    object whose request starts at `blank_start` with box `blank_box` an
-    empty mask at frame `blank_frame`."""
+    """A propagator that records each request as (start frame, frames), and
+    gives the object whose request starts at `start` with box `box` the
+    masks of `masks`, {frame: mask}, at those frames in place of its own."""
 
-    def __init__(self, inner, blank_start=None, blank_box=None, blank_frame=None):
-        self.inner, self.starts = inner, []
-        self.blank = (blank_start, blank_box, blank_frame)
+    def __init__(self, inner, start=None, box=None, masks=None):
+        self.inner, self.requests = inner, []
+        self.script = (start, box, masks or {})
+
+    @property
+    def starts(self) -> list[int]:
+        return [start for start, _ in self.requests]
 
     def propagate(self, box, start, frames):
-        self.starts.append(start)
+        self.requests.append((start, list(frames)))
         masks = self.inner.propagate(box, start, frames)
-        blank_start, blank_box, blank_frame = self.blank
-        if (start, box) == (blank_start, blank_box):
-            masks[list(frames).index(blank_frame)] = BinaryMask.zeros(masks[0].width, masks[0].height)
+        script_start, script_box, script_masks = self.script
+        if (start, box) == (script_start, script_box):
+            masks = [script_masks.get(f, mask) for f, mask in zip(frames, masks)]
         return masks
+
+
+def ids_holding(masklets, gt, identity, frames):
+    """The ids of the masklets whose mask holds ground-truth object
+    `identity` (mask IoU above 0.5) at some frame of `frames`."""
+    return {
+        m.object_id
+        for m in masklets
+        for f, e in m.entries.items()
+        if f in frames and iou_mask(e.mask, gt[f].objects[identity].mask) > 0.5
+    }
 
 
 class TestCoveredDetections:
@@ -759,12 +737,13 @@ class TestCoveredDetections:
         gt, det, prop, dets = build_sequence(num_frames=40)
         b = gt[10].objects[0].box
         dets[10] = [*dets[10], Detection(BBox(b.x1 + 3, b.y1 + 2, b.x2 + 3, b.y2 + 2), "object", 0.8)]
-        recorded = RecordedStarts(prop, 0, gt[0].objects[0].box, 20)
+        recorded = RecordedStarts(prop, 0, gt[0].objects[0].box, {20: BinaryMask.zeros(320, 240)})
         out = run_sequence(
             dets, recorded, det.frame_size, chunk_cfg=ChunkerConfig(chi=30, omega=5),
             mode=mode, **RUN_KW
         )
-        assert recorded.starts == [0, 0, 0] if mode == "full" else [0, 0, 0, 25, 25, 25]
+        # Chunk (20, 39) continues the three objects from their masks at frame 29.
+        assert recorded.starts == ([0, 0, 0] if mode == "full" else [0, 0, 0, 29, 29, 29])
         assert sorted(m.object_id for m in out) == [0, 1, 2]
 
     def test_a_covered_detection_moves_its_unmatched_track(self, tmp_path):
@@ -792,6 +771,56 @@ class TestCoveredDetections:
         state, _ = load_checkpoint(tmp_path / "s_ckpt.jsonl")
         box = gt[29].objects[0].box
         assert {"id": 0, "box": [box.x1, box.y1, box.x2, box.y2], "age": 0} in state.assoc_state["tracks"]
+
+
+class TestChunksContinueLiveObjects:
+    """Each chunk after the first continues the objects whose masks are live
+    in its seed window, [start, previous chunk's end], under their own ids,
+    and tracks only the frames after the previous chunk's end. Chunks (0,
+    29) and (20, 39)."""
+
+    CFG = ChunkerConfig(chi=30, omega=5)
+
+    def test_an_object_first_detected_inside_the_seed_window_keeps_its_id(self):
+        # Object 2 is first detected at frame 22. Object 0's propagation from
+        # frame 0 strays onto object 2 over frames 22-24 and covers its
+        # detections there, so the first chunk opens object 2 at frame 25.
+        # A chunk that tracked frames 20-29 again would open it at frame 22.
+        gt, det, prop, dets = build_sequence(num_frames=40)
+        dets = [[d for d in ds if t >= 22 or d.box != gt[t].objects[2].box] for t, ds in enumerate(dets)]
+        strayed = {f: gt[f].objects[2].mask for f in (22, 23, 24)}
+        recorded = RecordedStarts(prop, 0, gt[0].objects[0].box, strayed)
+        out = run_sequence(
+            dets, recorded, det.frame_size, chunk_cfg=self.CFG, mode="chunk", **RUN_KW
+        )
+        assert plan_chunks([len(d) for d in dets], self.CFG) == ((0, 29), (20, 39))
+        assert len(ids_holding(out, gt, 2, range(25, 40))) == 1
+        assert 25 in recorded.starts and 22 not in recorded.starts
+
+    def test_an_object_empty_at_the_previous_end_keeps_its_id(self):
+        # Object 0's masks from frame 0 are empty over frames 26-29, so the
+        # first chunk's masklet ends at frame 25; it seeds the second chunk
+        # from there.
+        gt, det, prop, dets = build_sequence(num_frames=40)
+        empty = {f: BinaryMask.zeros(320, 240) for f in range(26, 30)}
+        recorded = RecordedStarts(prop, 0, gt[0].objects[0].box, empty)
+        out = run_sequence(
+            dets, recorded, det.frame_size, chunk_cfg=self.CFG, mode="chunk", **RUN_KW
+        )
+        assert ids_holding(out, gt, 0, range(40)) == {0}
+        assert recorded.starts == [0, 0, 0, 25, 29, 29]
+
+    def test_no_request_holds_a_frame_a_chunk_before_tracked(self):
+        gt, det, prop, dets = noisy_sequence(num_frames=90)
+        recorded = RecordedStarts(prop)
+        run_sequence(dets, recorded, det.frame_size, chunk_cfg=self.CFG, mode="chunk", **RUN_KW)
+        ends = [end for _, end in plan_chunks([len(d) for d in dets], self.CFG)]
+        tracked = [range(prev_end + 1, end + 1) for prev_end, end in zip([-1, *ends], ends)]
+        for _, frames in recorded.requests:
+            chunk = next(r for r in tracked if frames[0] in r)
+            assert frames == list(range(frames[0], chunk.stop))
+        # Seeds propagate from their frame in the window, before the frames.
+        assert any(start < frames[0] for start, frames in recorded.requests)
 
 
 class TestRunSequence:
@@ -899,16 +928,22 @@ class TestRunSequence:
         )
         assert masklets_signature(resumed) == masklets_signature(ref)
 
-    def test_kill_and_resume_chunk_mode(self, tmp_path):
-        gt, det, prop, dets = build_sequence(num_frames=90)
+    @pytest.mark.parametrize("kill", ["after a boundary", "mid-chunk"])
+    @pytest.mark.parametrize("build", [build_sequence, noisy_sequence], ids=["oracle", "noisy"])
+    def test_kill_and_resume_chunk_mode(self, tmp_path, kill, build):
+        """The resume seeds its chunk from the masklets the log restored, as
+        the uninterrupted run seeded it from the masklets it held."""
+        gt, det, prop, dets = build(num_frames=90)
         cfg = ChunkerConfig(chi=30, omega=5)
         ref = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode="chunk", **RUN_KW)
+        (_, first_end), (_, second_end), (_, third_end) = plan_chunks([len(d) for d in dets], cfg)[:3]
+        kill_at = second_end + 1 if kill == "after a boundary" else (second_end + third_end) // 2
 
         class Killed(Exception):
             pass
 
         def bomb(t):
-            if t == 40:
+            if t == kill_at:
                 raise Killed()
 
         ckdir = tmp_path / "c"
@@ -917,6 +952,9 @@ class TestRunSequence:
                 dets, prop, det.frame_size, chunk_cfg=cfg, mode="chunk",
                 checkpoint_dir=ckdir, sequence_id="s", on_frame=bomb, **RUN_KW
             )
+        assert [p["last_completed_frame"] for p in log_payloads(ckdir / "s_ckpt.jsonl")] == [
+            first_end, second_end
+        ]
         resumed = run_sequence(
             dets, prop, det.frame_size, chunk_cfg=cfg, mode="chunk",
             checkpoint_dir=ckdir, sequence_id="s", resume=True, **RUN_KW
@@ -1134,7 +1172,8 @@ class TestRunSequence:
         # Object 2 is first detected at frame 12, and requests of more than
         # a chunk fail from frame 10 on, so full mode writes its frame-9 line
         # and falls back. Chunks (0, 19), (12, 31), (24, 43), (36, 55) and
-        # (48, 59): the kill at frame 50 leaves the lines of 19, 31 and 43.
+        # (48, 59): the kill at frame 50 leaves the lines of 19, 31 and 43,
+        # and the resume tracks chunk (36, 55) from frame 44 on.
         dets, span_limited, frame_size = late_birth_sequence()
         cfg = ChunkerConfig(chi=20, omega=4, checkpoint_interval=10)
         ref = run_sequence(dets, span_limited(), frame_size, chunk_cfg=cfg, mode="auto", **RUN_KW)
@@ -1159,7 +1198,7 @@ class TestRunSequence:
             dets, span_limited(requests), frame_size, resume=True, on_frame=seen.append, **kw
         )
         assert max(len(frames) for frames in requests) <= cfg.chi
-        assert min(frames[0] for frames in requests) == 36
+        assert min(frames[0] for frames in requests) == 44
         assert seen == list(range(44, 60))
         after = log_payloads(log)
         assert after[:3] == before
@@ -1260,36 +1299,6 @@ class TestRunSequence:
         )
         assert head == 15
         assert masklets_signature(resumed) == masklets_signature(ref)
-
-
-@st.composite
-def overlap_scenario(draw):
-    prev = []
-    nxt = []
-    n_prev = draw(st.integers(1, 3))
-    n_next = draw(st.integers(1, 3))
-    for i in range(n_prev):
-        x = draw(st.integers(0, 10))
-        y = draw(st.integers(0, 10))
-        prev.append(masklet_with(i, {0: (x, y, x + 9, y + 9), 1: (x, y, x + 9, y + 9)}))
-    for i in range(n_next):
-        x = draw(st.integers(0, 10))
-        y = draw(st.integers(0, 10))
-        nxt.append(masklet_with(100 + i, {0: (x, y, x + 9, y + 9), 1: (x, y, x + 9, y + 9)}))
-    return prev, nxt
-
-
-class TestMergeProperties:
-    @given(overlap_scenario(), st.floats(0.05, 0.95))
-    @settings(max_examples=1000, deadline=None)
-    def test_mapping_injective_and_total(self, scenario, tau):
-        prev, nxt = scenario
-        mapping = merge_chunk_overlap(prev, nxt, [0, 1], tau_overlap=tau)
-        assert set(mapping.keys()) == {m.object_id for m in nxt}
-        inherited = [v for k, v in mapping.items() if v != k]
-        assert len(inherited) == len(set(inherited))
-        prev_ids = {m.object_id for m in prev}
-        assert all(v in prev_ids for v in inherited)
 
 
 class TestCheckpointFaultProperties:

@@ -149,6 +149,8 @@ class TestCliVerbs:
             # Removed: every chunk start is searched for within omega frames.
             ("chunk", {"chunker": {"chi": 8, "omega": 2, "window": 2}}, "window"),
             ("chunk", {"chunker": {"chi": 8, "omega": 2, "window": None}}, "window"),
+            # Removed: chunks continue their objects, so no IoU hands ids over.
+            ("chunk", {"chunker": {"chi": 8, "omega": 2, "tau_overlap": 0.7}}, "tau_overlap"),
         ],
     )
     def test_annotate_rejects_a_bad_value_at_load(self, tmp_path, capsys, mode, extra, name):

@@ -1,22 +1,19 @@
-"""One greedy matcher serves association, evaluation and chunk stitching.
+"""One greedy matcher serves association and evaluation.
 Each caller is checked against the claim loop it carried before, kept in
 helpers as an oracle, on inputs drawn from a few values so that ties and
 threshold boundaries are common."""
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidannot.ash import Masklet, MaskletEntry
 from vidannot.assoc import AssocConfig, Track, associate_frame
 from vidannot.backends import Detection
-from vidannot.chunker import merge_chunk_overlap
-from vidannot.geometry import BBox, BinaryMask, greedy_match
+from vidannot.geometry import BBox, greedy_match
 from vidannot.metrics import match_frame
 
-from helpers import loop_associate_frame, loop_match_frame, loop_merge_chunk_overlap
+from helpers import loop_associate_frame, loop_match_frame
 
 # Corners and sides from a few values give many equal IoUs, including the
 # exact 1/3, 1/2 and 1 that the thresholds below sit on.
@@ -80,36 +77,3 @@ def test_association_matches_its_claim_loop(
 def test_frame_matching_matches_its_claim_loop(predictions, ground_truth, threshold):
     got = match_frame(predictions, ground_truth, threshold)
     assert got == loop_match_frame(predictions, ground_truth, threshold)
-
-
-def _rect(x: int, y: int, w: int, h: int) -> BinaryMask:
-    grid = np.zeros((12, 12), dtype=bool)
-    grid[y : y + h, x : x + w] = True
-    return BinaryMask(grid)
-
-
-# None is a frame without an entry; an empty mask is an entry with nothing in it.
-masks = st.sampled_from(
-    [None, _rect(0, 0, 0, 0), _rect(0, 0, 4, 4), _rect(0, 0, 4, 8), _rect(4, 0, 4, 4),
-     _rect(2, 2, 6, 4)]
-)
-
-
-@st.composite
-def masklets(draw, frames: int):
-    out = []
-    for i in draw(ids):
-        drawn = draw(st.lists(masks, min_size=frames, max_size=frames))
-        entries = {f: MaskletEntry(m, None, 0.9) for f, m in enumerate(drawn) if m is not None}
-        out.append(Masklet(i, "object", entries))
-    return out
-
-
-@settings(max_examples=1000, deadline=None)
-@given(data=st.data(), frames=st.integers(1, 3), tau=st.sampled_from([0.25, 0.5, 0.7]))
-def test_stitching_matches_its_claim_loop(data, frames, tau):
-    prev = data.draw(masklets(frames))
-    nxt = data.draw(masklets(frames))
-    overlap = list(range(frames))
-    got = merge_chunk_overlap(prev, nxt, overlap, tau)
-    assert got == loop_merge_chunk_overlap(prev, nxt, overlap, tau)

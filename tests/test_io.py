@@ -229,7 +229,6 @@ class TestConfig:
         assert cfg.ash.epsilon_mask == 3
         assert cfg.chunker.chi == 50
         assert cfg.chunker.omega == 10
-        assert cfg.chunker.tau_overlap == 0.7
         assert cfg.assoc.tau_track_det == 0.5
         assert cfg.assoc.lambda_min == 10
         assert cfg.assoc.lambda_max == 1000
@@ -263,6 +262,7 @@ class TestConfig:
             ("assoc", "track_thresh"),
             ("assoc", "match_thresh"),
             ("chunker", "window"),
+            ("chunker", "tau_overlap"),
         ]:
             p.write_text(json.dumps({section: {name: 5}}))
             with pytest.raises(FormatError, match=name):

@@ -624,7 +624,8 @@ class Killed(Exception):
 class TestChunkResume:
     """A chunk-mode run of 90 frames, 3 objects, chi=30 and omega=5 picks the
     chunks (0, 29), (20, 49), (40, 69) and (60, 89). Killed at frame 70, its
-    log ends with the line of frame 69, and the resume tracks only (60, 89)."""
+    log ends with the line of frame 69, and the resume tracks only frames
+    70-89 of chunk (60, 89)."""
 
     outputs = ("s_annotations.jsonl", "s_track.txt")
 
@@ -682,8 +683,8 @@ class TestChunkResume:
 
         monkeypatch.setattr(vidannot.pipeline, "run_smart_od", recorded)
         assert self.resume(tmp_path, cfg) == ref
-        # The search window around frame 70 (65..75) lies inside the chunk.
-        assert sorted(verified) == list(range(60, 90))
+        # The search window around frame 70 (65..75) and the frames tracked.
+        assert sorted(verified) == list(range(65, 90))
 
     def test_segments_with_a_chunk_index_resume(self, tmp_path):
         # Checkpoints once carried their chunk's index; it is ignored now.
@@ -709,7 +710,8 @@ class TestPinnedOutputBytes:
     change to resampling, alignment or blending shows too. The fifth is a
     noisy chunk-mode run with checkpoints, whose missed, spurious and
     jittered detections and dropped masks make many births, so any change to
-    association, propagation or stitching shows there."""
+    association, propagation or how chunks continue their objects shows
+    there."""
 
     DIGESTS = {
         "p_annotations.jsonl": "2fc948d3e27bb16cd6fce19f87e31ca306095f3d9d3104bfd63e9073aba7c45f",
@@ -765,8 +767,8 @@ class TestPinnedOutputBytes:
         assert self.digests(tmp_path) == self.SMOOTHED_DIGESTS
 
     NOISY_DIGESTS = {
-        "p_annotations.jsonl": "3f2d0e5134d8927e6f55e100991e04c04a3782473bfed4d77e1592819c03f045",
-        "p_track.txt": "2eb86f95de926d216410697c0f9280ac83fdd33783741b133196172d8818d230",
+        "p_annotations.jsonl": "0f0cda6d59f99fc86fadc370149766534071aecc88712419e9712b544b1b609f",
+        "p_track.txt": "35c61e73ce4fa432e302987e231f95f72508b461a96ce7e06d7e89df0f6ad143",
     }
 
     def test_noisy_chunk_run(self, tmp_path):

@@ -12,7 +12,7 @@ import typing
 import vidannot
 from vidannot.config import PipelineConfig
 
-MAX_SETTABLE = 68
+MAX_SETTABLE = 67
 
 
 def settable_values() -> list[str]:
