@@ -152,7 +152,10 @@ def propagate_batch(
     propagator: PropagatorBackend,
     frame_size: tuple[int, int],
 ) -> list[Masklet]:
-    """Propagate the new objects of one frame over the remaining frames.
+    """Propagate each object from its own frame over `frames`: the new
+    objects of one frame over the rest of their chunk, or a chunk's seeds,
+    each from its last live frame in the seed window, over the frames the
+    chunk tracks.
 
     Each object becomes one masklet covering the given frames, which must
     strictly increase; each entry's polygon and box are traced from its mask

@@ -2,9 +2,12 @@
 objects live before them, checkpoints as one append-only log per sequence,
 and automatic full-vs-chunk fallback.
 
-Chunks are processed strictly in order; checkpoint writes are single-writer.
-`run_sequence` alone reads a sequence's checkpoint, once, and picks the pass
-and the frame a resume continues from; each pass only loops.
+The mode is a chunk length: full mode tracks the sequence as one chunk,
+chunk mode in chunks of `chi` frames, and one pass runs both. Chunks are
+processed strictly in order; checkpoint writes are single-writer.
+`run_sequence` alone reads a sequence's checkpoint, once, and picks the
+chunk length and the frame a resume continues from, mid-chunk included; the
+pass only loops.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +39,7 @@ from .geometry import iou_mask  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class ProcessingBudgetExceeded(RuntimeError):
@@ -51,7 +54,7 @@ class CheckpointError(RuntimeError):
 class ChunkerConfig:
     chi: int = 50  # chunk size, frames
     omega: int = 10  # frames searched around a chunk boundary; bounds the seed window
-    checkpoint_interval: int = 25  # frames between saves in full mode
+    checkpoint_interval: int = 25  # frames between saves inside a chunk
     full_budget: int | None = None  # max propagated (frame x object) entries
 
     def __post_init__(self) -> None:
@@ -105,31 +108,35 @@ def merge_chunk_overlap(stitched: list[Masklet], chunk_masklets: list[Masklet]) 
 
 @dataclass
 class Checkpoint:
-    """A sequence's tracking state after `last_completed_frame`.
+    """A sequence's tracking state after `last_completed_frame`, a frame of
+    the chunk [start, end] that `chunk` names.
 
-    On disk a checkpoint is a log, one schema-v3 line per save. A line holds
-    the associator state, a header with the sequence's frame size and frame
-    count, and only the entries that no earlier line holds.
-    `save_checkpoint` appends one line; `load_checkpoint` reads a whole log.
+    On disk a checkpoint is a log, one schema-v4 line per save. A line holds
+    its chunk, the associator state, a header with the sequence's frame size
+    and frame count and the mask floor of its trim, and only the entries
+    that no earlier line holds. `save_checkpoint` appends one line;
+    `load_checkpoint` reads a whole log.
     """
 
     sequence_id: str
     last_completed_frame: int
     masklets: list[Masklet]
     assoc_state: dict
-    mode: str  # "full" | "chunk"
+    chunk: tuple[int, int]  # (start, end), inclusive
     frame_size: tuple[int, int]  # (width, height)
     num_frames: int
+    epsilon_mask: int  # the floor below which a chunk's end trims an entry
 
     def to_payload(self) -> dict:
-        """This checkpoint as one schema-v3 line."""
+        """This checkpoint as one schema-v4 line."""
         width, height = self.frame_size
         return {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "sequence_id": self.sequence_id,
             "last_completed_frame": self.last_completed_frame,
-            "mode": self.mode,
-            "header": {"width": width, "height": height, "num_frames": self.num_frames},
+            "chunk": list(self.chunk),
+            "header": {"width": width, "height": height, "num_frames": self.num_frames,
+                       "epsilon_mask": self.epsilon_mask},
             "assoc_state": self.assoc_state,
             "masklets": [_masklet_to_payload(m) for m in self.masklets],
         }
@@ -144,37 +151,31 @@ class Checkpoint:
         # A resume restores the associator state as it is, so a malformed one
         # is corruption too.
         state, last = payload["assoc_state"], payload["last_completed_frame"]
-        if payload["mode"] == "full":
-            Associator().set_state(state)
-            # The resume associates the frame after the last completed one,
-            # which must come after every frame the state has seen.
-            if state["last_frame"] is not None and state["last_frame"] > last:
-                raise ValueError(
-                    f"associator state has seen frame {state['last_frame']}, "
-                    f"after last completed frame {last!r}"
-                )
-        elif payload["mode"] != "chunk":
-            raise ValueError(f"mode {payload['mode']!r} is neither full nor chunk")
-        elif not (isinstance(state, dict) and type(state.get("next_id")) is int):
-            raise ValueError(f"chunk-mode associator state {state!r} has no integer next_id")
-        header = payload["header"]
+        Associator().set_state(state)
+        # A mid-chunk resume associates the frame after the last completed
+        # one, which must come after every frame the state has seen.
+        if state["last_frame"] is not None and state["last_frame"] > last:
+            raise ValueError(
+                f"associator state has seen frame {state['last_frame']}, "
+                f"after last completed frame {last!r}"
+            )
+        header, (start, end) = payload["header"], payload["chunk"]
         width, height, num_frames = header["width"], header["height"], header["num_frames"]
-        if any(type(v) is not int for v in (width, height, num_frames, last)) or not (
-            width >= 1 and height >= 1 and 0 <= last < num_frames
+        epsilon_mask = header["epsilon_mask"]
+        ints = (width, height, num_frames, epsilon_mask, start, last, end)
+        if any(type(v) is not int for v in ints) or not (
+            min(width, height, epsilon_mask) >= 1 and 0 <= start <= last <= end < num_frames
         ):
-            raise ValueError(f"header {header} does not fit last completed frame {last!r}")
-        # A chunk-mode entry after the last completed frame would sit among
-        # the frames that the next chunk appends.
-        frames = range(num_frames if payload["mode"] == "full" else last + 1)
-        return cls(
-            payload["sequence_id"],
-            last,
-            [_masklet_from_payload(p, width, height, frames) for p in payload["masklets"]],
-            payload["assoc_state"],
-            payload["mode"],
-            (width, height),
-            num_frames,
-        )
+            raise ValueError(
+                f"header {header} and chunk {payload['chunk']} do not fit "
+                f"last completed frame {last!r}"
+            )
+        # An entry after the chunk's end would sit among the frames that the
+        # next chunk appends.
+        frames = range(end + 1)
+        masklets = [_masklet_from_payload(p, width, height, frames) for p in payload["masklets"]]
+        return cls(payload["sequence_id"], last, masklets, state, (start, end), (width, height),
+                   num_frames, epsilon_mask)
 
 
 def _masklet_to_payload(m: Masklet) -> dict:
@@ -266,13 +267,14 @@ def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
     lines that hold it; (None, 0) when there is no log or no whole line.
 
     The state is that of the longest prefix of newline-terminated lines that
-    each parse, validate (header, associator state, mask runs, boxes,
+    each parse, validate (header, chunk, associator state, mask runs, boxes,
     polygons, object ids, class labels, confidences and entry frames) and
-    follow the lines before them: the same sequence, mode, frame size and
-    frame count, a later last completed frame, masklets that continue their
-    objects' earlier frames, and a next_id above every object id and, in
-    full mode, every track id, with no track id repeated. A whole first line
-    that does not load raises a CheckpointError naming the file.
+    follow the lines before them: the same sequence, frame size, frame count
+    and mask floor, a later last completed frame, the same chunk unless the
+    line before ended its chunk, masklets that continue their objects'
+    earlier frames, and a next_id above every object and track id, with no
+    track id repeated. A whole first line that does not load raises a
+    CheckpointError naming the file.
     """
     try:
         data = Path(path).read_bytes()
@@ -298,15 +300,19 @@ def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
 
 def _follow(state: Checkpoint | None, line: Checkpoint) -> Checkpoint:
     """`state`, the lines before `line`, extended by `line`; `state` itself
-    is left as it was."""
+    is left as it was. A line at its chunk's end trims the masklets as the
+    run did before it saved the line, so earlier lines' entries that the
+    trim dropped are dropped again."""
     if state is not None and (
-        (line.sequence_id, line.mode, line.frame_size, line.num_frames)
-        != (state.sequence_id, state.mode, state.frame_size, state.num_frames)
+        (line.sequence_id, line.frame_size, line.num_frames, line.epsilon_mask)
+        != (state.sequence_id, state.frame_size, state.num_frames, state.epsilon_mask)
         or line.last_completed_frame <= state.last_completed_frame
+        or (line.chunk != state.chunk and state.last_completed_frame != state.chunk[1])
     ):
         raise CheckpointError(
-            f"{line.mode} mode, frame {line.last_completed_frame} of {line.sequence_id} does not "
-            f"follow {state.mode} mode, frame {state.last_completed_frame} of {state.sequence_id}"
+            f"frame {line.last_completed_frame} of chunk {line.chunk} of {line.sequence_id} does "
+            f"not follow frame {state.last_completed_frame} of chunk {state.chunk} of "
+            f"{state.sequence_id}"
         )
     by_id = {m.object_id: m for m in (state.masklets if state is not None else [])}
     for m in line.masklets:
@@ -321,12 +327,21 @@ def _follow(state: Checkpoint | None, line: Checkpoint) -> Checkpoint:
     # A resume numbers the objects it finds from next_id on, so an id at or
     # above it would be given out twice.
     next_id = line.assoc_state["next_id"]
-    track_ids = [t["id"] for t in line.assoc_state["tracks"]] if line.mode == "full" else []
+    track_ids = [t["id"] for t in line.assoc_state["tracks"]]
     if len(set(track_ids)) < len(track_ids):
         raise CheckpointError(f"track ids {track_ids} repeat")
     if max([*by_id, *track_ids], default=-1) >= next_id:
         raise CheckpointError(f"next_id {next_id} does not exceed every object and track id")
-    return replace(line, masklets=list(by_id.values()))
+    masklets = list(by_id.values())
+    if line.last_completed_frame == line.chunk[1]:
+        masklets = _trim(masklets, line.epsilon_mask)
+    return replace(line, masklets=masklets)
+
+
+def _trim(masklets: list[Masklet], epsilon_mask: int) -> list[Masklet]:
+    """The masklets without their trailing empty entries; those with no
+    entry above `epsilon_mask` pixels are left out."""
+    return [k for m in masklets if (k := remove_trailing_empty(m, epsilon_mask)) is not None]
 
 
 class CheckpointStore:
@@ -352,8 +367,9 @@ class CheckpointStore:
     def save(self, ckpt: Checkpoint) -> Path:
         """Append `ckpt`, a run's whole state, to the log as one line that
         holds only the entries no earlier line holds: for each object, the
-        frames after the last one saved. Both modes grow a masklet only at
-        its tail, so the log then holds all of `ckpt`."""
+        frames after the last one saved. A masklet grows only at its tail,
+        but for the trim of its trailing empty entries at a chunk's end,
+        which loading applies again; so the log then holds all of `ckpt`."""
         saved = self._saved
         if saved is None:
             self.path.unlink(missing_ok=True)
@@ -422,7 +438,6 @@ class _Run:
     frame_size: tuple[int, int]
     assoc_cfg: AssocConfig
     ash_cfg: AshConfig
-    chunk_cfg: ChunkerConfig
     store: CheckpointStore | None
     on_frame: Callable[[int], None] | None
 
@@ -434,48 +449,6 @@ def _live_box(e: MaskletEntry | None, epsilon_mask: int) -> BBox | None:
         return None
     x0, y0, x1, y1 = e.pixel_box()
     return BBox(x0, y0, x1 - 1, y1 - 1)
-
-
-def _track(
-    run: _Run,
-    frames: list[int],
-    associator: Associator,
-    masklets: list[Masklet],
-    budget: int | None = None,
-) -> Iterator[int]:
-    """Associate each frame's verified detections, then propagate every new
-    object through the rest of `frames`; the masklets are appended in place.
-    Yields each frame once its new objects are propagated.
-
-    A detection that the mask of one of `masklets` covers at its frame is
-    that object, and starts no propagation. In chunk mode `masklets` holds
-    the objects the chunk continues; in full mode it holds those a resume
-    restored too, so a resume decides as the uninterrupted run did. A budget
-    caps the propagated (frame x object) entries, those already in
-    `masklets` included.
-    """
-    used = sum(len(m.entries) for m in masklets)
-    for i, t in enumerate(frames):
-        dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg)
-        live = [
-            (m.object_id, box)
-            for m in masklets
-            if (box := _live_box(m.entries.get(t), run.ash_cfg.epsilon_mask)) is not None
-        ]
-        result = associator.associate(dets, live, t)
-        if result.new_objects and budget is not None:
-            projected = used + len(result.new_objects) * (len(frames) - i)
-            if projected > budget:
-                raise ProcessingBudgetExceeded(
-                    f"frame {t}: projected {projected} propagated entries > budget {budget}"
-                )
-        if result.new_objects:
-            produced = propagate_batch(
-                result.new_objects, frames[i:], run.propagator, run.frame_size
-            )
-            masklets.extend(produced)
-            used += sum(len(m.entries) for m in produced)
-        yield t
 
 
 def run_sequence(
@@ -493,21 +466,23 @@ def run_sequence(
 ) -> list[Masklet]:
     """Process a whole sequence into finalized masklets.
 
-    "full" runs association and propagation over the entire span in one pass;
-    "chunk" runs chunk after chunk, each continuing the objects live just
-    before it under their own ids; "auto"
-    attempts full processing and falls back to chunk mode on a propagation
-    failure or a blown processing budget. The fallback starts chunk mode
-    from frame 0 on a new checkpoint log.
+    The mode is a chunk length. "full" tracks the whole sequence as one
+    chunk, within `full_budget`; "chunk" tracks chunks of `chi` frames, each
+    continuing the objects live just before it under their own ids; "auto"
+    tries one chunk and falls back to chunks of `chi` on a propagation
+    failure or a blown processing budget. The fallback starts from frame 0
+    on a new checkpoint log.
 
     A run that does not resume first deletes the sequence's old checkpoints.
-    A resume reads the log once and continues its state in the log's mode:
-    in auto mode a chunk-mode log, which only a fallback writes, resumes
-    chunk mode. A "full" or "chunk" run over a log of the other mode warns
-    and starts over.
+    A resume reads the log once and continues the chunk its last line names,
+    after that line's frame, mid-chunk included. Only a fallback or chunk
+    mode writes a log of chunks shorter than the sequence, so an "auto"
+    resume over one continues in chunks. A "full" or "chunk" run over a log
+    of the other chunk plan warns and starts over.
     """
     if mode not in ("full", "chunk", "auto"):
         raise ValueError(f"mode must be full|chunk|auto, got {mode!r}")
+    num_frames = len(detections_per_frame)
     store = CheckpointStore(checkpoint_dir, sequence_id) if checkpoint_dir is not None else None
     ckpt = None
     if store is not None and resume:
@@ -515,38 +490,32 @@ def run_sequence(
     elif store is not None:
         # A fresh run's checkpoints must not compete with an older run's.
         store.clear()
-    if ckpt is not None and mode == "auto" and ckpt.mode == "chunk":
-        mode = "chunk"
-    elif ckpt is not None and mode != "auto" and ckpt.mode != mode:
-        logger.warning(
-            "checkpoint %s is of %s mode; %s mode starts over", store.path, ckpt.mode, mode
-        )
-        store.restart()
-        ckpt = None
     if ckpt is not None:
-        if (ckpt.num_frames, ckpt.frame_size) != (len(detections_per_frame), frame_size):
+        if (ckpt.num_frames, ckpt.frame_size) != (num_frames, frame_size):
             raise CheckpointError(
                 f"checkpoint of {ckpt.sequence_id} has {ckpt.num_frames} frames of "
                 f"{ckpt.frame_size[0]}x{ckpt.frame_size[1]}, the sequence "
-                f"{len(detections_per_frame)} of {frame_size[0]}x{frame_size[1]}"
+                f"{num_frames} of {frame_size[0]}x{frame_size[1]}"
             )
-        logger.info(
-            "resuming %s (%s mode) after frame %d",
-            ckpt.sequence_id, ckpt.mode, ckpt.last_completed_frame,
-        )
-    run = _Run(
-        detections_per_frame,
-        propagator,
-        frame_size,
-        assoc_cfg,
-        ash_cfg,
-        chunk_cfg,
-        store,
-        on_frame,
-    )
-    if mode in ("full", "auto"):
+        logged = "full" if ckpt.chunk == (0, num_frames - 1) else "chunk"
+        planned = "chunk" if mode == "chunk" and chunk_cfg.chi < num_frames else "full"
+        if mode == "auto" and logged == "chunk":
+            mode = "chunk"
+        elif logged != planned:
+            logger.warning(
+                "checkpoint %s is of %s mode; %s mode starts over", store.path, logged, mode
+            )
+            store.restart()
+            ckpt = None
+    if ckpt is not None:
+        logger.info("resuming %s (chunk %s) after frame %d", ckpt.sequence_id, ckpt.chunk,
+                    ckpt.last_completed_frame)
+    run = _Run(detections_per_frame, propagator, frame_size, assoc_cfg, ash_cfg, store, on_frame)
+    if mode != "chunk":
         try:
-            return _run_full(run, ckpt)
+            # One chunk of the whole sequence; omega, unused, must stay below chi.
+            one_chunk = replace(chunk_cfg, chi=max(num_frames, chunk_cfg.omega + 1))
+            return _track_chunks(run, ckpt, one_chunk)
         except (PropagationError, ProcessingBudgetExceeded) as exc:
             if mode == "full":
                 raise
@@ -555,39 +524,12 @@ def run_sequence(
             store.restart()
         ckpt = None
     try:
-        return _run_chunked(run, ckpt)
+        return _track_chunks(run, ckpt, replace(chunk_cfg, full_budget=None))
     except (PropagationError, ProcessingBudgetExceeded) as exc:
         written = store is not None and store.path.exists()
         ref = f"; last checkpoint: {store.path}" if written else "; no checkpoint written"
         ran = "both processing modes" if mode == "auto" else "chunk mode"
         raise RuntimeError(f"{ran} failed: {exc}{ref}") from exc
-
-
-def _save(run: _Run, t: int, masklets: list[Masklet], assoc_state: dict, mode: str) -> None:
-    """Append the state after frame `t` to the run's checkpoint log."""
-    sequence_id, num_frames = run.store.sequence_id, len(run.detections)
-    run.store.save(
-        Checkpoint(sequence_id, t, masklets, assoc_state, mode, run.frame_size, num_frames)
-    )
-
-
-def _run_full(run: _Run, ckpt: Checkpoint | None) -> list[Masklet]:
-    num_frames = len(run.detections)
-    associator = Associator(run.assoc_cfg)
-    masklets: list[Masklet] = []
-    start = 0
-    if ckpt is not None:
-        associator.set_state(ckpt.assoc_state)
-        masklets = ckpt.masklets
-        start = ckpt.last_completed_frame + 1
-    frames = list(range(start, num_frames))
-    for t in _track(run, frames, associator, masklets, run.chunk_cfg.full_budget):
-        if run.on_frame is not None:
-            run.on_frame(t)
-        last = t == num_frames - 1
-        if run.store is not None and ((t + 1) % run.chunk_cfg.checkpoint_interval == 0 or last):
-            _save(run, t, masklets, associator.get_state(), "full")
-    return postprocess_masklets(masklets, range(num_frames), run.ash_cfg)
 
 
 def next_chunk(
@@ -644,39 +586,81 @@ def _seeds(masklets: list[Masklet], window: range, epsilon_mask: int) -> list[Ne
     return seeds
 
 
-def _run_chunked(run: _Run, ckpt: Checkpoint | None) -> list[Masklet]:
-    # Each chunk continues the stitched masklets live in [start, prev_end]
-    # and tracks only the frames after prev_end. It follows from those
-    # masklets and prev_end alone, so a resume continues after its
-    # checkpoint's last completed frame and verifies only the frames it reads.
-    counts = _DetectionCounts(run.detections)
-    num_frames = len(run.detections)
-    stitched: list[Masklet] = []
-    next_id = 0
-    prev_end = -1
-    if ckpt is not None:
-        stitched = ckpt.masklets
-        next_id = ckpt.assoc_state["next_id"]
-        prev_end = ckpt.last_completed_frame
+def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> list[Masklet]:
+    """Track the sequence in chunks of `cfg.chi` frames, from `ckpt` on when
+    there is one.
 
-    while prev_end < num_frames - 1:
-        start, end = next_chunk(counts, prev_end, run.chunk_cfg)
-        seeds = _seeds(stitched, range(start, prev_end + 1), run.ash_cfg.epsilon_mask)
-        frames = list(range(prev_end + 1, end + 1))
-        tracked = propagate_batch(seeds, frames, run.propagator, run.frame_size)
-        tracks = [Track(s.object_id, s.detection.box) for s in seeds]
-        associator = Associator(run.assoc_cfg, tracks=tracks, next_id=next_id)
-        for t in _track(run, frames, associator, tracked):
+    Each chunk continues the stitched masklets live in its seed window,
+    [start, previous end], under their ids, and tracks only the frames after
+    the previous end: it associates each frame's verified detections and
+    propagates every new object through the rest of the chunk. A detection
+    that a masklet's mask covers at its frame is that object, and starts no
+    propagation. `cfg.full_budget`, when set, caps the propagated (frame x
+    object) entries. A chunk's end drops its masklets' trailing empty entries
+    and appends them to the stitched ones. The state is saved every
+    `checkpoint_interval` frames and at each chunk's end, and follows from
+    the masklets, the associator state and the chunk alone: so a resume
+    continues its checkpoint's chunk after the last completed frame, and
+    verifies only the frames it reads.
+    """
+    counts = _DetectionCounts(run.detections)
+    num_frames, epsilon_mask = len(run.detections), run.ash_cfg.epsilon_mask
+    stitched: list[Masklet] = []
+    tracked: list[Masklet] = []  # the chunk's masklets
+    associator = Associator(run.assoc_cfg)
+    done, (start, end) = -1, (0, -1)
+    if ckpt is not None:
+        done, (start, end) = ckpt.last_completed_frame, ckpt.chunk
+        # Mid-chunk, the whole state stands for the chunk's masklets: the
+        # others hold no frame after `done`, and their trim changes nothing.
+        stitched, tracked = (ckpt.masklets, []) if done == end else ([], ckpt.masklets)
+        associator.set_state(ckpt.assoc_state)
+    while done < num_frames - 1:
+        if done == end:
+            start, end = next_chunk(counts, done, cfg)
+            seeds = _seeds(stitched, range(start, done + 1), epsilon_mask)
+            tracked = propagate_batch(
+                seeds, list(range(done + 1, end + 1)), run.propagator, run.frame_size
+            )
+            tracks = [Track(s.object_id, s.detection.box) for s in seeds]
+            associator = Associator(run.assoc_cfg, tracks=tracks, next_id=associator.next_id)
+        frames = list(range(done + 1, end + 1))
+        used = sum(len(m.entries) for m in tracked)
+        for i, t in enumerate(frames):
+            dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg)
+            live = [
+                (m.object_id, box)
+                for m in tracked
+                if (box := _live_box(m.entries.get(t), epsilon_mask)) is not None
+            ]
+            new_objects = associator.associate(dets, live, t).new_objects
+            if new_objects:
+                projected = used + len(new_objects) * (len(frames) - i)
+                if cfg.full_budget is not None and projected > cfg.full_budget:
+                    raise ProcessingBudgetExceeded(
+                        f"frame {t}: projected {projected} propagated entries > budget "
+                        f"{cfg.full_budget}"
+                    )
+                produced = propagate_batch(new_objects, frames[i:], run.propagator, run.frame_size)
+                tracked.extend(produced)
+                used += sum(len(m.entries) for m in produced)
             if run.on_frame is not None:
                 run.on_frame(t)
-        chunk_masklets = []
-        for m in tracked:
-            kept = remove_trailing_empty(m, run.ash_cfg.epsilon_mask)
-            if kept is not None:
-                chunk_masklets.append(kept)
-        next_id = associator.next_id
-        stitched = merge_chunk_overlap(stitched, chunk_masklets)
-        if run.store is not None:
-            _save(run, end, stitched, {"next_id": next_id}, "chunk")
-        prev_end = end
+            if run.store is not None and t < end and (t + 1) % cfg.checkpoint_interval == 0:
+                # The stitched masklets are copied, as the chunk's end has yet to extend them.
+                copies = [Masklet(m.object_id, m.class_label, dict(m.entries)) for m in stitched]
+                _save(run, t, (start, end), merge_chunk_overlap(copies, tracked), associator)
+        stitched = merge_chunk_overlap(stitched, _trim(tracked, epsilon_mask))
+        _save(run, end, (start, end), stitched, associator)
+        done = end
     return postprocess_masklets(stitched, range(num_frames), run.ash_cfg)
+
+
+def _save(
+    run: _Run, t: int, chunk: tuple[int, int], masklets: list[Masklet], associator: Associator
+) -> None:
+    """Append the state after frame `t` of `chunk` to the run's log, when it has one."""
+    if run.store is not None:
+        run.store.save(Checkpoint(run.store.sequence_id, t, masklets, associator.get_state(),
+                                  chunk, run.frame_size, len(run.detections),
+                                  run.ash_cfg.epsilon_mask))

@@ -182,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if with_pipeline:
             p.add_argument("--checkpoint-dir", default=None)
-            p.add_argument("--mode", choices=("full", "chunk", "auto"), default="auto")
+            p.add_argument("--mode", choices=("full", "chunk", "auto"), default="auto",
+                           help="chunk length: the whole sequence, chunker.chi frames, or the "
+                           "whole sequence with a fallback to chunker.chi")
 
     p = sub.add_parser("simulate", help="emit synthetic ground truth")
     common(p, with_pipeline=False)

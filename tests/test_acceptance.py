@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from vidannot.smart_od import SmartOdConfig, dynamic_threshold, filter_area_rati
 
 from test_metrics import brute_idf1
 from test_smart_od import brute_threshold
-from test_chunker import RecordedStarts, grown_checkpoint, state_signature
+from test_chunker import RUN_KW, RecordedStarts, grown_checkpoint, noisy_sequence, state_signature
 from helpers import inject_append_fault
 
 EIGHT_WAY_VELOCITIES = tuple(
@@ -396,6 +397,38 @@ class TestCriterion5CrashSafety:
             f"\n[acceptance] criterion 5a (kill/resume): PASS "
             f"byte-identical outputs after kills at frames {self.KILL_FRAMES}"
         )
+
+    @staticmethod
+    @functools.cache
+    def noisy_reference(mode: str):
+        """A noisy 60-frame world and an uninterrupted run of it in `mode`."""
+        gt, det, prop, dets = noisy_sequence(num_frames=60)
+        out = run_sequence(dets, prop, det.frame_size, chunk_cfg=ChunkerConfig(chi=20, omega=5),
+                           mode=mode, **RUN_KW)
+        return dets, prop, det.frame_size, out
+
+    @given(st.sampled_from(["full", "chunk"]), st.integers(1, 30), st.integers(0, 59))
+    @settings(max_examples=10, deadline=None)
+    def test_any_interval_and_kill_frame_resume_byte_identical(self, mode, interval, kill_at):
+        # Where the saves fall, and where the kill falls among them, does not
+        # change what the resumed run writes.
+        dets, prop, frame_size, reference = self.noisy_reference(mode)
+        cfg = ChunkerConfig(chi=20, omega=5, checkpoint_interval=interval)
+
+        class Killed(Exception):
+            pass
+
+        def bomb(t):
+            if t == kill_at:
+                raise Killed()
+
+        kw = dict(chunk_cfg=cfg, mode=mode, sequence_id="s", **RUN_KW)
+        with tempfile.TemporaryDirectory() as d:
+            with pytest.raises(Killed):
+                run_sequence(dets, prop, frame_size, checkpoint_dir=d, on_frame=bomb, **kw)
+            resumed = run_sequence(dets, prop, frame_size, checkpoint_dir=d, resume=True, **kw)
+            got = self._write_outputs(resumed, Path(d) / "resumed")
+            assert got == self._write_outputs(reference, Path(d) / "reference")
 
     def test_fault_injection_leaves_loadable_checkpoint(self, tmp_path, monkeypatch):
         # A save's append cut short, or failing at the fsync of the log or of

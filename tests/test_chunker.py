@@ -186,15 +186,16 @@ class TestMergeChunkOverlap:
 def small_checkpoint(seq="s", frame=5) -> Checkpoint:
     m = masklet_with(0, {0: (1, 1, 9, 9), 1: (2, 1, 10, 9)})
     state = {"next_id": 1, "last_frame": frame, "tracks": []}
-    return Checkpoint(seq, frame, [m], state, "full", (24, 24), 200)
+    return Checkpoint(seq, frame, [m], state, (0, 199), (24, 24), 200, 3)
 
 
 _GROWN_ENTRIES = []
 
 
-def grown_checkpoint(frame: int, seq="s", mode="full", size=(24, 24)) -> Checkpoint:
-    """The state after `frame` of a run whose masklets grow only at their
-    tail: object 0 is seen from frame 0 on, object 1 from frame 15 on."""
+def grown_checkpoint(frame: int, seq="s", chunk=(0, 199), size=(24, 24)) -> Checkpoint:
+    """The state after `frame` of `chunk` of a run whose masklets grow only
+    at their tail: object 0 is seen from frame 0 on, object 1 from frame 15
+    on."""
     if not _GROWN_ENTRIES:
         _GROWN_ENTRIES.extend(masklet_with(0, {x: (x, 1, x + 8, 9) for x in range(10)}).entries.values())
     masklets = [
@@ -203,14 +204,14 @@ def grown_checkpoint(frame: int, seq="s", mode="full", size=(24, 24)) -> Checkpo
         if first <= frame
     ]
     state = {"next_id": len(masklets), "last_frame": frame, "tracks": []}
-    return Checkpoint(seq, frame, masklets, state, mode, size, 200)
+    return Checkpoint(seq, frame, masklets, state, chunk, size, 200, 3)
 
 
 def state_signature(ckpt: Checkpoint):
     return (
         ckpt.sequence_id,
         ckpt.last_completed_frame,
-        ckpt.mode,
+        ckpt.chunk,
         ckpt.assoc_state,
         [
             (
@@ -242,7 +243,7 @@ def edit_line(path: Path, n: int, edit) -> None:
 
 
 def malformed_lines() -> list[str]:
-    texts = ["[]", "3", '"text"', '{"schema_version": 3}']
+    texts = ["[]", "3", '"text"', '{"schema_version": 4}']
     for entries in ([5], {"0": []}, {"0": {"box": 3}}, {"x": {}}):
         payload = small_checkpoint().to_payload()
         payload["masklets"][0]["entries"] = entries
@@ -263,7 +264,8 @@ class TestCheckpointProtocol:
         path = tmp_path / "a.jsonl"
         save_checkpoint(small_checkpoint(), path)
         payload = json.loads(path.read_text())
-        assert payload["header"] == {"width": 24, "height": 24, "num_frames": 200}
+        assert payload["header"] == {"width": 24, "height": 24, "num_frames": 200, "epsilon_mask": 3}
+        assert payload["chunk"] == [0, 199]
         entry = payload["masklets"][0]["entries"]["0"]
         # rect (1, 1)-(9, 9): a 9x9 crop at (1, 1), all foreground.
         assert entry["box"] == [1, 1, 9, 9]
@@ -329,14 +331,14 @@ class TestCheckpointProtocol:
         assert f"checkpoint {store.path} line 3 unreadable" in caplog.text
 
     def test_version_mismatch_rejected(self, tmp_path):
-        # Schema v1 held each mask as full-frame runs, and v2 named the file
-        # before it; only v3 loads.
-        for version in (99, 1, 2):
+        # Schema v1 held each mask as full-frame runs, v2 named the file
+        # before it, and v3 held a mode in place of the chunk; only v4 loads.
+        for version in (99, 1, 2, 3):
             path = tmp_path / f"v{version}.jsonl"
             payload = small_checkpoint().to_payload()
             payload["schema_version"] = version
             write_log(path, payload)
-            with pytest.raises(CheckpointError, match=f"version {version} is not 3"):
+            with pytest.raises(CheckpointError, match=f"version {version} is not 4"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -360,7 +362,7 @@ class TestCheckpointProtocol:
             ("confidence", True),
             ("frame", 200),  # of a 200-frame sequence
             ("frame", -1),
-            ("chunk-mode frame", 6),  # after last completed frame 5
+            ("chunk frame", 6),  # after the end of chunk (0, 5)
         ],
     )
     def test_invalid_v2_payload_is_corruption(self, tmp_path, field, value):
@@ -372,7 +374,7 @@ class TestCheckpointProtocol:
         elif field.endswith("frame"):
             masklet["entries"][str(value)] = masklet["entries"]["0"]
             if field.startswith("chunk"):
-                payload.update(mode="chunk", assoc_state={"next_id": 1})
+                payload.update(chunk=[0, 5])
         else:
             masklet["entries"]["0"][field] = value
         write_log(path, payload)
@@ -501,12 +503,12 @@ class TestCheckpointStore:
 
     def test_restart_starts_a_new_log(self, tmp_path):
         store = CheckpointStore(tmp_path, "s")
-        store.save(grown_checkpoint(10, mode="full"))
+        store.save(grown_checkpoint(10))
         store.restart()
-        path = store.save(grown_checkpoint(20, mode="chunk"))
-        assert [p["mode"] for p in log_payloads(path)] == ["chunk"]
+        path = store.save(grown_checkpoint(20, chunk=(0, 29)))
+        assert [p["chunk"] for p in log_payloads(path)] == [[0, 29]]
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-        assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(20, mode="chunk"))
+        assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(20, chunk=(0, 29)))
 
 
 def repeat_first_frame(payload: dict) -> None:
@@ -536,10 +538,12 @@ LINE_DAMAGE = {
     "corrupt": lambda text: "{ not json\n",
     "without its newline": lambda text: text[:-1],
     "of another sequence": lambda p: p.update(sequence_id="t"),
-    "of another mode": lambda p: p.update(mode="chunk"),
-    "of an unknown mode": lambda p: p.update(mode="other"),
+    # Every line of the log is inside chunk (0, 199), so the next must be of it too.
+    "of another chunk": lambda p: p.update(chunk=[0, 99]),
+    "with a chunk past the last frame": lambda p: p.update(chunk=[0, 200]),
     "of another frame size": lambda p: p["header"].update(width=32),
     "of another frame count": lambda p: p["header"].update(num_frames=300),
+    "of another mask floor": lambda p: p["header"].update(epsilon_mask=5),
     "repeating earlier frames": repeat_first_frame,
     "ten frames earlier": ten_frames_earlier,
     "with next_id not above its ids": lambda p: p["assoc_state"].update(next_id=0),
@@ -596,7 +600,7 @@ class TestDamagedLog:
             "corrupt",
             "without its newline",
             "of another sequence",
-            "of an unknown mode",
+            "with a chunk past the last frame",
             "with next_id not above its ids",
             "with a track id repeated",
             "with a string object id",
@@ -932,12 +936,15 @@ class TestRunSequence:
     @pytest.mark.parametrize("build", [build_sequence, noisy_sequence], ids=["oracle", "noisy"])
     def test_kill_and_resume_chunk_mode(self, tmp_path, kill, build):
         """The resume seeds its chunk from the masklets the log restored, as
-        the uninterrupted run seeded it from the masklets it held."""
+        the uninterrupted run seeded it from the masklets it held. Killed
+        mid-chunk, it continues the chunk after its last save there, and
+        propagates fewer frames than a resume from the chunk's start."""
         gt, det, prop, dets = build(num_frames=90)
-        cfg = ChunkerConfig(chi=30, omega=5)
+        cfg = ChunkerConfig(chi=30, omega=5, checkpoint_interval=10)
         ref = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode="chunk", **RUN_KW)
-        (_, first_end), (_, second_end), (_, third_end) = plan_chunks([len(d) for d in dets], cfg)[:3]
-        kill_at = second_end + 1 if kill == "after a boundary" else (second_end + third_end) // 2
+        ends = [end for _, end in plan_chunks([len(d) for d in dets], cfg)]
+        # Mid-chunk, the kill comes after a save inside the third chunk.
+        kill_at = ends[1] + (1 if kill == "after a boundary" else 12)
 
         class Killed(Exception):
             pass
@@ -952,14 +959,28 @@ class TestRunSequence:
                 dets, prop, det.frame_size, chunk_cfg=cfg, mode="chunk",
                 checkpoint_dir=ckdir, sequence_id="s", on_frame=bomb, **RUN_KW
             )
-        assert [p["last_completed_frame"] for p in log_payloads(ckdir / "s_ckpt.jsonl")] == [
-            first_end, second_end
-        ]
-        resumed = run_sequence(
-            dets, prop, det.frame_size, chunk_cfg=cfg, mode="chunk",
-            checkpoint_dir=ckdir, sequence_id="s", resume=True, **RUN_KW
-        )
-        assert masklets_signature(resumed) == masklets_signature(ref)
+        log = ckdir / "s_ckpt.jsonl"
+        saves = [t for t in range(kill_at) if t in ends or (t + 1) % 10 == 0]
+        assert [p["last_completed_frame"] for p in log_payloads(log)] == saves
+        assert (saves[-1] > ends[1]) == (kill == "mid-chunk")
+        # The same log cut back to the second chunk's end.
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        lines = log.read_text().splitlines(keepends=True)
+        (cut / log.name).write_text("".join(lines[: saves.index(ends[1]) + 1]))
+        propagated = []
+        for ckpt_dir in (ckdir, cut):
+            recorded = RecordedStarts(prop)
+            resumed = run_sequence(
+                dets, recorded, det.frame_size, chunk_cfg=cfg, mode="chunk",
+                checkpoint_dir=ckpt_dir, sequence_id="s", resume=True, **RUN_KW
+            )
+            assert masklets_signature(resumed) == masklets_signature(ref)
+            propagated.append(sum(len(frames) for _, frames in recorded.requests))
+        if kill == "mid-chunk":
+            assert propagated[0] < propagated[1]
+        else:
+            assert propagated[0] == propagated[1]
 
     def test_fresh_run_ignores_an_older_runs_checkpoints(self, tmp_path):
         # Run A completes; run B starts fresh in the same directory under the
@@ -1057,11 +1078,14 @@ class TestRunSequence:
         assert seen == list(range(120))
 
     @pytest.mark.parametrize("mode", ["full", "chunk"])
-    def test_every_save_holds_the_whole_state_once(self, tmp_path, mode, monkeypatch):
+    @pytest.mark.parametrize("build", [build_sequence, noisy_sequence], ids=["oracle", "noisy"])
+    def test_every_save_holds_the_whole_state_once(self, tmp_path, mode, build, monkeypatch):
         # The writer appends only each masklet's frames after its last saved
-        # one; that holds the whole state only because both modes grow a
-        # masklet at its tail alone.
-        gt, det, prop, dets = build_sequence(num_frames=90)
+        # one; that holds the whole state only because a masklet grows at its
+        # tail alone, and loading trims a chunk's end as the run did. Under
+        # noise the trims drop entries that earlier lines hold. A save comes
+        # every 10 frames and at each chunk's end.
+        gt, det, prop, dets = build(num_frames=90)
         cfg = ChunkerConfig(chi=30, omega=5, checkpoint_interval=10)
         real_save = CheckpointStore.save
         checked = []
@@ -1078,16 +1102,25 @@ class TestRunSequence:
             dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
             checkpoint_dir=tmp_path, sequence_id="s", **RUN_KW
         )
-        chunks = plan_chunks([len(d) for d in dets], cfg)
-        assert len(checked) == (9 if mode == "full" else len(chunks))
+        chunks = plan_chunks([len(d) for d in dets], cfg) if mode == "chunk" else ((0, 89),)
+        assert len(checked) == len({*range(9, 90, 10), *(end for _, end in chunks)})
         assert [p.name for p in tmp_path.iterdir()] == ["s_ckpt.jsonl"]
         written = log_payloads(tmp_path / "s_ckpt.jsonl")
         assert len(written) == len(checked)
         final = CheckpointStore(tmp_path, "s").load_latest()
-        # Each masklet frame is in exactly one line.
+        # Each masklet frame is in exactly one line; the lines also hold the
+        # entries that a chunk's end trimmed after they were saved, each of
+        # at most epsilon_mask pixels. Only the noisy world has them.
         held = Counter((m["object_id"], f) for p in written for m in p["masklets"] for f in m["entries"])
         assert set(held.values()) == {1}
-        assert sorted(held) == sorted((m.object_id, str(f)) for m in final.masklets for f in m.entries)
+        kept = {(m.object_id, str(f)) for m in final.masklets for f in m.entries}
+        trimmed = [
+            e["runs"] for p in written for m in p["masklets"] for f, e in m["entries"].items()
+            if (m["object_id"], f) not in kept
+        ]
+        assert kept <= set(held)
+        assert all(sum(runs[1::2]) <= RUN_KW["ash_cfg"].epsilon_mask for runs in trimmed)
+        assert bool(trimmed) == (build is noisy_sequence)
         assert masklets_signature(out) == masklets_signature(
             postprocess(final.masklets, 90)
         )
@@ -1126,24 +1159,33 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
     def test_resume_over_a_v1_file_raises_naming_it(self, tmp_path, mode):
-        # Schema v1 stored each mask as full-frame runs; it no longer loads.
-        # A run that does not resume deletes it with the sequence's other files.
+        # Schema v1 stored each mask as full-frame runs, and v3 a mode in
+        # place of the chunk; neither loads any more. A run that does not
+        # resume deletes either with the sequence's other files.
         _, det, prop, dets = build_sequence(num_frames=30)
         v1 = tmp_path / "s_ckpt_frame_0009.json"
-        v1.write_text(json.dumps({
-            "schema_version": 1, "sequence_id": "s", "last_completed_frame": 9,
-            "mode": "chunk" if mode == "chunk" else "full", "chunk_index": 0,
-            "assoc_state": {"next_id": 0, "last_frame": 9, "tracks": []}, "masklets": [],
-        }))
+        v3 = tmp_path / "s_ckpt.jsonl"
+        state = {"next_id": 0, "last_frame": 9, "tracks": []}
+        old_files = {
+            v1: {"schema_version": 1, "mode": "chunk" if mode == "chunk" else "full",
+                 "chunk_index": 0},
+            v3: {"schema_version": 3, "mode": "chunk" if mode == "chunk" else "full",
+                 "header": {"width": 320, "height": 240, "num_frames": 30}},
+        }
         kw = dict(
             chunk_cfg=ChunkerConfig(chi=10, omega=2), mode=mode, checkpoint_dir=tmp_path,
             sequence_id="s",
         )
-        with pytest.raises(CheckpointError, match=re.escape(str(v1))):
-            run_sequence(dets, prop, det.frame_size, resume=True, **kw, **RUN_KW)
-        run_sequence(dets, prop, det.frame_size, **kw, **RUN_KW)
-        assert [p.name for p in tmp_path.iterdir()] == ["s_ckpt.jsonl"]
-        assert {p["schema_version"] for p in log_payloads(tmp_path / "s_ckpt.jsonl")} == {3}
+        for path, fields in old_files.items():
+            path.write_text(json.dumps({
+                "sequence_id": "s", "last_completed_frame": 9, "assoc_state": state,
+                "masklets": [], **fields,
+            }) + "\n")
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                run_sequence(dets, prop, det.frame_size, resume=True, **kw, **RUN_KW)
+            run_sequence(dets, prop, det.frame_size, **kw, **RUN_KW)
+            assert [p.name for p in tmp_path.iterdir()] == ["s_ckpt.jsonl"]
+            assert {p["schema_version"] for p in log_payloads(v3)} == {4}
 
     def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path, caplog):
         # A chunk-mode resume over a finished full-mode log starts over, and
@@ -1166,14 +1208,15 @@ class TestRunSequence:
             assert [r.getMessage() for r in caplog.records] == [
                 f"checkpoint {log} is of {logged} mode; {mode} mode starts over"
             ]
-            assert {p["mode"] for p in log_payloads(log)} == {mode}
+            assert {p["chunk"] == [0, 59] for p in log_payloads(log)} == {mode == "full"}
 
     def test_auto_resume_continues_a_fallback_chunk_log(self, tmp_path):
         # Object 2 is first detected at frame 12, and requests of more than
         # a chunk fail from frame 10 on, so full mode writes its frame-9 line
         # and falls back. Chunks (0, 19), (12, 31), (24, 43), (36, 55) and
-        # (48, 59): the kill at frame 50 leaves the lines of 19, 31 and 43,
-        # and the resume tracks chunk (36, 55) from frame 44 on.
+        # (48, 59), saved every 10 frames and at their ends: the kill at
+        # frame 50 leaves the lines up to frame 49, and the resume tracks
+        # chunk (36, 55) from frame 50 on.
         dets, span_limited, frame_size = late_birth_sequence()
         cfg = ChunkerConfig(chi=20, omega=4, checkpoint_interval=10)
         ref = run_sequence(dets, span_limited(), frame_size, chunk_cfg=cfg, mode="auto", **RUN_KW)
@@ -1190,20 +1233,21 @@ class TestRunSequence:
             run_sequence(dets, span_limited(), frame_size, on_frame=bomb, **kw)
         log = tmp_path / "s_ckpt.jsonl"
         before = log_payloads(log)
-        assert [(p["mode"], p["last_completed_frame"]) for p in before] == [
-            ("chunk", 19), ("chunk", 31), ("chunk", 43)
+        assert [(p["chunk"], p["last_completed_frame"]) for p in before] == [
+            ([0, 19], 9), ([0, 19], 19), ([12, 31], 29), ([12, 31], 31), ([24, 43], 39),
+            ([24, 43], 43), ([36, 55], 49),
         ]
         requests, seen = [], []
         resumed = run_sequence(
             dets, span_limited(requests), frame_size, resume=True, on_frame=seen.append, **kw
         )
         assert max(len(frames) for frames in requests) <= cfg.chi
-        assert min(frames[0] for frames in requests) == 44
-        assert seen == list(range(44, 60))
+        assert min(frames[0] for frames in requests) > 49
+        assert seen == list(range(50, 60))
         after = log_payloads(log)
-        assert after[:3] == before
-        assert [(p["mode"], p["last_completed_frame"]) for p in after[3:]] == [
-            ("chunk", 55), ("chunk", 59)
+        assert after[:7] == before
+        assert [(p["chunk"], p["last_completed_frame"]) for p in after[7:]] == [
+            ([36, 55], 55), ([48, 59], 59)
         ]
         assert masklets_signature(resumed) == masklets_signature(ref)
 
@@ -1225,7 +1269,7 @@ class TestRunSequence:
         with pytest.raises(Killed):
             run_sequence(dets, span_limited(), frame_size, on_frame=bomb, **kw)
         log = tmp_path / "s_ckpt.jsonl"
-        assert [(p["mode"], p["last_completed_frame"]) for p in log_payloads(log)] == [("full", 9)]
+        assert [(p["chunk"], p["last_completed_frame"]) for p in log_payloads(log)] == [([0, 59], 9)]
         loaded = []
         real_load = vidannot.chunker.load_checkpoint
 
@@ -1278,11 +1322,11 @@ class TestRunSequence:
         assert head == 9
         assert masklets_signature(resumed) == masklets_signature(ref)
 
-    @pytest.mark.parametrize("mode", ["full", "auto"])
+    @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
     def test_resume_passes_over_an_assoc_state_ahead_of_its_frame(self, tmp_path, mode):
         # The frame-19 line's state has seen frame 27, so resuming from it
-        # would associate frame 20 after frame 27. A chunk-mode state holds
-        # no frame; auto mode resumes the full-mode log first.
+        # would associate frame 20 after frame 27. Chunks of 50 frames make
+        # the 30-frame sequence one chunk in every mode.
         ref, resumed, head = self.resume_past_bad_assoc_state(
             tmp_path, mode, ChunkerConfig(checkpoint_interval=10), 2,
             lambda state: {**state, "last_frame": 27},

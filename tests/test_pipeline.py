@@ -657,7 +657,8 @@ class TestChunkResume:
         log = tmp_path / "ckpt" / "s_ckpt.jsonl"
         assert [p.name for p in (tmp_path / "ckpt").iterdir()] == [log.name]
         frames = [json.loads(line)["last_completed_frame"] for line in log.read_text().splitlines()]
-        assert frames == [29, 49, 69]
+        # Chunks end at frames 29, 49 and 69; a save also comes every 25 frames.
+        assert frames == [24, 29, 49, 69]
         run_dataset(
             {"s": synthetic_source("s", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "ref",
             mode="chunk",
