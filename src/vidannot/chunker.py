@@ -3,11 +3,14 @@ objects live before them, checkpoints as one append-only log per sequence,
 and automatic full-vs-chunk fallback.
 
 The mode is a chunk length: full mode tracks the sequence as one chunk,
-chunk mode in chunks of `chi` frames, and one pass runs both. Chunks are
-processed strictly in order; checkpoint writes are single-writer.
-`run_sequence` alone reads a sequence's checkpoint, once, and picks the
-chunk length and the frame a resume continues from, mid-chunk included; the
-pass only loops.
+chunk mode in chunks of `chi` frames, and one pass runs both. The pass keeps
+one masklet list for the whole sequence, which only grows: at their tails,
+or by new masklets. Trailing empty entries are pruned once, after the last
+chunk, by `postprocess_masklets`. Chunks are processed strictly in order;
+checkpoint writes are single-writer, and a log's lines, joined, are the
+run's state. `run_sequence` alone reads a sequence's checkpoint, once, and
+picks the chunk length and the frame a resume continues from, mid-chunk
+included; the pass only loops.
 """
 
 from __future__ import annotations
@@ -29,17 +32,18 @@ from .ash import (
     PropagationError,
     postprocess_masklets,
     propagate_batch,
-    remove_trailing_empty,
 )
 from .assoc import AssocConfig, Associator, NewObject, Track, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
 from .geometry import BBox, BinaryMask, Polygon
-# Unused here; the benchmark's tracer rebinds chunker.iou_mask and fails without it.
+# Unused here; the benchmark's tracer rebinds chunker.iou_mask and
+# chunker.remove_trailing_empty and fails without them.
+from .ash import remove_trailing_empty  # noqa: F401
 from .geometry import iou_mask  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA_VERSION = 4
+CHECKPOINT_SCHEMA_VERSION = 5
 
 
 class ProcessingBudgetExceeded(RuntimeError):
@@ -89,21 +93,22 @@ def find_optimal_frame(
     return best
 
 
-def merge_chunk_overlap(stitched: list[Masklet], chunk_masklets: list[Masklet]) -> list[Masklet]:
-    """Append a chunk's masklets to the stitched ones, in place: each extends
-    the stitched masklet of its id, or joins the list when its id is new.
+def merge_chunk_overlap(masklets: list[Masklet], chunk_masklets: list[Masklet]) -> list[Masklet]:
+    """Extend `masklets` in place by `chunk_masklets`: each extends the
+    masklet of its id, or joins the list when its id is new. At a chunk's
+    start, the seeds' propagation extends the masklets it continues.
 
-    Every entry of a chunk masklet lies after the stitched frames, so an
-    extended masklet keeps its entries in frame order.
+    Every entry of a chunk masklet lies after the frames of `masklets`, so
+    an extended masklet keeps its entries in frame order.
     """
-    by_id = {m.object_id: m for m in stitched}
+    by_id = {m.object_id: m for m in masklets}
     for m in chunk_masklets:
         have = by_id.get(m.object_id)
         if have is None:
-            stitched.append(m)
+            masklets.append(m)
         else:
             have.entries.update(m.entries)
-    return stitched
+    return masklets
 
 
 @dataclass
@@ -111,10 +116,10 @@ class Checkpoint:
     """A sequence's tracking state after `last_completed_frame`, a frame of
     the chunk [start, end] that `chunk` names.
 
-    On disk a checkpoint is a log, one schema-v4 line per save. A line holds
+    On disk a checkpoint is a log, one schema-v5 line per save. A line holds
     its chunk, the associator state, a header with the sequence's frame size
-    and frame count and the mask floor of its trim, and only the entries
-    that no earlier line holds. `save_checkpoint` appends one line;
+    and frame count, and only the entries that no earlier line holds; the
+    lines joined are the state. `save_checkpoint` appends one line;
     `load_checkpoint` reads a whole log.
     """
 
@@ -125,18 +130,16 @@ class Checkpoint:
     chunk: tuple[int, int]  # (start, end), inclusive
     frame_size: tuple[int, int]  # (width, height)
     num_frames: int
-    epsilon_mask: int  # the floor below which a chunk's end trims an entry
 
     def to_payload(self) -> dict:
-        """This checkpoint as one schema-v4 line."""
+        """This checkpoint as one schema-v5 line."""
         width, height = self.frame_size
         return {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "sequence_id": self.sequence_id,
             "last_completed_frame": self.last_completed_frame,
             "chunk": list(self.chunk),
-            "header": {"width": width, "height": height, "num_frames": self.num_frames,
-                       "epsilon_mask": self.epsilon_mask},
+            "header": {"width": width, "height": height, "num_frames": self.num_frames},
             "assoc_state": self.assoc_state,
             "masklets": [_masklet_to_payload(m) for m in self.masklets],
         }
@@ -161,10 +164,9 @@ class Checkpoint:
             )
         header, (start, end) = payload["header"], payload["chunk"]
         width, height, num_frames = header["width"], header["height"], header["num_frames"]
-        epsilon_mask = header["epsilon_mask"]
-        ints = (width, height, num_frames, epsilon_mask, start, last, end)
+        ints = (width, height, num_frames, start, last, end)
         if any(type(v) is not int for v in ints) or not (
-            min(width, height, epsilon_mask) >= 1 and 0 <= start <= last <= end < num_frames
+            min(width, height) >= 1 and 0 <= start <= last <= end < num_frames
         ):
             raise ValueError(
                 f"header {header} and chunk {payload['chunk']} do not fit "
@@ -175,7 +177,7 @@ class Checkpoint:
         frames = range(end + 1)
         masklets = [_masklet_from_payload(p, width, height, frames) for p in payload["masklets"]]
         return cls(payload["sequence_id"], last, masklets, state, (start, end), (width, height),
-                   num_frames, epsilon_mask)
+                   num_frames)
 
 
 def _masklet_to_payload(m: Masklet) -> dict:
@@ -269,8 +271,8 @@ def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
     The state is that of the longest prefix of newline-terminated lines that
     each parse, validate (header, chunk, associator state, mask runs, boxes,
     polygons, object ids, class labels, confidences and entry frames) and
-    follow the lines before them: the same sequence, frame size, frame count
-    and mask floor, a later last completed frame, the same chunk unless the
+    follow the lines before them: the same sequence, frame size and frame
+    count, a later last completed frame, the same chunk unless the
     line before ended its chunk, masklets that continue their objects'
     earlier frames, and a next_id above every object and track id, with no
     track id repeated. A whole first line that does not load raises a
@@ -300,12 +302,10 @@ def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
 
 def _follow(state: Checkpoint | None, line: Checkpoint) -> Checkpoint:
     """`state`, the lines before `line`, extended by `line`; `state` itself
-    is left as it was. A line at its chunk's end trims the masklets as the
-    run did before it saved the line, so earlier lines' entries that the
-    trim dropped are dropped again."""
+    is left as it was."""
     if state is not None and (
-        (line.sequence_id, line.frame_size, line.num_frames, line.epsilon_mask)
-        != (state.sequence_id, state.frame_size, state.num_frames, state.epsilon_mask)
+        (line.sequence_id, line.frame_size, line.num_frames)
+        != (state.sequence_id, state.frame_size, state.num_frames)
         or line.last_completed_frame <= state.last_completed_frame
         or (line.chunk != state.chunk and state.last_completed_frame != state.chunk[1])
     ):
@@ -332,16 +332,7 @@ def _follow(state: Checkpoint | None, line: Checkpoint) -> Checkpoint:
         raise CheckpointError(f"track ids {track_ids} repeat")
     if max([*by_id, *track_ids], default=-1) >= next_id:
         raise CheckpointError(f"next_id {next_id} does not exceed every object and track id")
-    masklets = list(by_id.values())
-    if line.last_completed_frame == line.chunk[1]:
-        masklets = _trim(masklets, line.epsilon_mask)
-    return replace(line, masklets=masklets)
-
-
-def _trim(masklets: list[Masklet], epsilon_mask: int) -> list[Masklet]:
-    """The masklets without their trailing empty entries; those with no
-    entry above `epsilon_mask` pixels are left out."""
-    return [k for m in masklets if (k := remove_trailing_empty(m, epsilon_mask)) is not None]
+    return replace(line, masklets=list(by_id.values()))
 
 
 class CheckpointStore:
@@ -368,8 +359,7 @@ class CheckpointStore:
         """Append `ckpt`, a run's whole state, to the log as one line that
         holds only the entries no earlier line holds: for each object, the
         frames after the last one saved. A masklet grows only at its tail,
-        but for the trim of its trailing empty entries at a chunk's end,
-        which loading applies again; so the log then holds all of `ckpt`."""
+        so the log's lines, joined, then hold exactly `ckpt`."""
         saved = self._saved
         if saved is None:
             self.path.unlink(missing_ok=True)
@@ -590,47 +580,53 @@ def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> lis
     """Track the sequence in chunks of `cfg.chi` frames, from `ckpt` on when
     there is one.
 
-    Each chunk continues the stitched masklets live in its seed window,
-    [start, previous end], under their ids, and tracks only the frames after
-    the previous end: it associates each frame's verified detections and
-    propagates every new object through the rest of the chunk. A detection
-    that a masklet's mask covers at its frame is that object, and starts no
-    propagation. `cfg.full_budget`, when set, caps the propagated (frame x
-    object) entries. A chunk's end drops its masklets' trailing empty entries
-    and appends them to the stitched ones. The state is saved every
+    The pass keeps one list of masklets for the whole sequence. Each chunk
+    continues the masklets live in its seed window, [start, previous end],
+    under their ids, extending them in place, and tracks only the frames
+    after the previous end: it associates each frame's verified detections
+    and propagates every new object, appended to the list, through the rest
+    of the chunk. A detection that a masklet's mask covers at its frame is
+    that object, and starts no propagation. `cfg.full_budget`, when set,
+    caps the propagated (frame x object) entries. The state is saved every
     `checkpoint_interval` frames and at each chunk's end, and follows from
     the masklets, the associator state and the chunk alone: so a resume
     continues its checkpoint's chunk after the last completed frame, and
-    verifies only the frames it reads.
+    verifies only the frames it reads. Trailing empty entries are pruned
+    once, after the last chunk.
     """
     counts = _DetectionCounts(run.detections)
     num_frames, epsilon_mask = len(run.detections), run.ash_cfg.epsilon_mask
-    stitched: list[Masklet] = []
-    tracked: list[Masklet] = []  # the chunk's masklets
+    masklets: list[Masklet] = []
+    # The masklets that hold frames of the chunk, each up to the chunk's end.
+    # Only these can be live in the chunk, or in the next chunk's seed window,
+    # which starts after this chunk's start; so the scans read these alone,
+    # and their cost follows the chunk, not the sequence so far.
+    current: list[Masklet] = []
     associator = Associator(run.assoc_cfg)
     done, (start, end) = -1, (0, -1)
     if ckpt is not None:
-        done, (start, end) = ckpt.last_completed_frame, ckpt.chunk
-        # Mid-chunk, the whole state stands for the chunk's masklets: the
-        # others hold no frame after `done`, and their trim changes nothing.
-        stitched, tracked = (ckpt.masklets, []) if done == end else ([], ckpt.masklets)
+        done, (start, end), masklets = ckpt.last_completed_frame, ckpt.chunk, ckpt.masklets
+        current = [m for m in masklets if end in m.entries]
         associator.set_state(ckpt.assoc_state)
     while done < num_frames - 1:
         if done == end:
             start, end = next_chunk(counts, done, cfg)
-            seeds = _seeds(stitched, range(start, done + 1), epsilon_mask)
-            tracked = propagate_batch(
+            seeds = _seeds(current, range(start, done + 1), epsilon_mask)
+            continued = propagate_batch(
                 seeds, list(range(done + 1, end + 1)), run.propagator, run.frame_size
             )
+            merge_chunk_overlap(current, continued)
+            seeded = {s.object_id for s in seeds}
+            current = [m for m in current if m.object_id in seeded]
             tracks = [Track(s.object_id, s.detection.box) for s in seeds]
             associator = Associator(run.assoc_cfg, tracks=tracks, next_id=associator.next_id)
         frames = list(range(done + 1, end + 1))
-        used = sum(len(m.entries) for m in tracked)
+        used = sum(len(m.entries) for m in current)
         for i, t in enumerate(frames):
             dets = _prepare_detections(run.detections[t], run.frame_size, run.assoc_cfg)
             live = [
                 (m.object_id, box)
-                for m in tracked
+                for m in current
                 if (box := _live_box(m.entries.get(t), epsilon_mask)) is not None
             ]
             new_objects = associator.associate(dets, live, t).new_objects
@@ -642,25 +638,13 @@ def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> lis
                         f"{cfg.full_budget}"
                     )
                 produced = propagate_batch(new_objects, frames[i:], run.propagator, run.frame_size)
-                tracked.extend(produced)
+                masklets.extend(produced)
+                current.extend(produced)
                 used += sum(len(m.entries) for m in produced)
             if run.on_frame is not None:
                 run.on_frame(t)
-            if run.store is not None and t < end and (t + 1) % cfg.checkpoint_interval == 0:
-                # The stitched masklets are copied, as the chunk's end has yet to extend them.
-                copies = [Masklet(m.object_id, m.class_label, dict(m.entries)) for m in stitched]
-                _save(run, t, (start, end), merge_chunk_overlap(copies, tracked), associator)
-        stitched = merge_chunk_overlap(stitched, _trim(tracked, epsilon_mask))
-        _save(run, end, (start, end), stitched, associator)
+            if run.store is not None and (t == end or (t + 1) % cfg.checkpoint_interval == 0):
+                run.store.save(Checkpoint(run.store.sequence_id, t, masklets, associator.get_state(),
+                                          (start, end), run.frame_size, num_frames))
         done = end
-    return postprocess_masklets(stitched, range(num_frames), run.ash_cfg)
-
-
-def _save(
-    run: _Run, t: int, chunk: tuple[int, int], masklets: list[Masklet], associator: Associator
-) -> None:
-    """Append the state after frame `t` of `chunk` to the run's log, when it has one."""
-    if run.store is not None:
-        run.store.save(Checkpoint(run.store.sequence_id, t, masklets, associator.get_state(),
-                                  chunk, run.frame_size, len(run.detections),
-                                  run.ash_cfg.epsilon_mask))
+    return postprocess_masklets(masklets, range(num_frames), run.ash_cfg)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -46,6 +47,9 @@ class MotRecord:
     def __post_init__(self) -> None:
         if self.frame < 1:
             raise ValueError(f"frame must be >= 1: {self.frame}")
+        values = (self.x, self.y, self.w, self.h, self.conf)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"x, y, w, h and conf must be finite: {values}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive: {self.w}x{self.h}")
 

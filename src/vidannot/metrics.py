@@ -94,7 +94,10 @@ class EvalReport:
 def _overlaps(
     predictions: Sequence[BBox], ground_truth: Sequence[BBox], iou_threshold: float
 ) -> list[tuple[float, int, int]]:
-    """(iou, pred_idx, gt_idx) for every pair with IoU at or above the threshold."""
+    """(iou, pred_idx, gt_idx) for every pair with IoU at or above the
+    threshold, which must be in (0, 1]: at 0 disjoint boxes would match."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"IoU threshold must be in (0, 1]: {iou_threshold}")
     pairs = []
     for pi, pb in enumerate(predictions):
         for gi, gb in enumerate(ground_truth):

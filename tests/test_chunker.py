@@ -173,9 +173,9 @@ class TestMergeChunkOverlap:
         b = masklet_with(1, {8: (12, 12, 20, 20)})
         cont = masklet_with(0, {9: (3, 2, 11, 10), 10: (4, 2, 12, 10)})
         new = masklet_with(5, {10: (14, 2, 20, 8)})
-        stitched = [a, b]
-        out = merge_chunk_overlap(stitched, [cont, new])
-        assert out is stitched
+        masklets = [a, b]
+        out = merge_chunk_overlap(masklets, [cont, new])
+        assert out is masklets
         assert [m.object_id for m in out] == [0, 1, 5]
         assert list(a.entries) == [7, 8, 9, 10]
         assert a.entries[9] is cont.entries[9] and a.entries[10] is cont.entries[10]
@@ -186,7 +186,7 @@ class TestMergeChunkOverlap:
 def small_checkpoint(seq="s", frame=5) -> Checkpoint:
     m = masklet_with(0, {0: (1, 1, 9, 9), 1: (2, 1, 10, 9)})
     state = {"next_id": 1, "last_frame": frame, "tracks": []}
-    return Checkpoint(seq, frame, [m], state, (0, 199), (24, 24), 200, 3)
+    return Checkpoint(seq, frame, [m], state, (0, 199), (24, 24), 200)
 
 
 _GROWN_ENTRIES = []
@@ -204,7 +204,7 @@ def grown_checkpoint(frame: int, seq="s", chunk=(0, 199), size=(24, 24)) -> Chec
         if first <= frame
     ]
     state = {"next_id": len(masklets), "last_frame": frame, "tracks": []}
-    return Checkpoint(seq, frame, masklets, state, chunk, size, 200, 3)
+    return Checkpoint(seq, frame, masklets, state, chunk, size, 200)
 
 
 def state_signature(ckpt: Checkpoint):
@@ -243,7 +243,7 @@ def edit_line(path: Path, n: int, edit) -> None:
 
 
 def malformed_lines() -> list[str]:
-    texts = ["[]", "3", '"text"', '{"schema_version": 4}']
+    texts = ["[]", "3", '"text"', '{"schema_version": 5}']
     for entries in ([5], {"0": []}, {"0": {"box": 3}}, {"x": {}}):
         payload = small_checkpoint().to_payload()
         payload["masklets"][0]["entries"] = entries
@@ -264,7 +264,7 @@ class TestCheckpointProtocol:
         path = tmp_path / "a.jsonl"
         save_checkpoint(small_checkpoint(), path)
         payload = json.loads(path.read_text())
-        assert payload["header"] == {"width": 24, "height": 24, "num_frames": 200, "epsilon_mask": 3}
+        assert payload["header"] == {"width": 24, "height": 24, "num_frames": 200}
         assert payload["chunk"] == [0, 199]
         entry = payload["masklets"][0]["entries"]["0"]
         # rect (1, 1)-(9, 9): a 9x9 crop at (1, 1), all foreground.
@@ -332,13 +332,14 @@ class TestCheckpointProtocol:
 
     def test_version_mismatch_rejected(self, tmp_path):
         # Schema v1 held each mask as full-frame runs, v2 named the file
-        # before it, and v3 held a mode in place of the chunk; only v4 loads.
-        for version in (99, 1, 2, 3):
+        # before it, v3 held a mode in place of the chunk, and v4 lacked the
+        # entries a chunk's end trimmed; only v5 loads.
+        for version in (99, 1, 2, 3, 4):
             path = tmp_path / f"v{version}.jsonl"
             payload = small_checkpoint().to_payload()
             payload["schema_version"] = version
             write_log(path, payload)
-            with pytest.raises(CheckpointError, match=f"version {version} is not 4"):
+            with pytest.raises(CheckpointError, match=f"version {version} is not 5"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -543,7 +544,6 @@ LINE_DAMAGE = {
     "with a chunk past the last frame": lambda p: p.update(chunk=[0, 200]),
     "of another frame size": lambda p: p["header"].update(width=32),
     "of another frame count": lambda p: p["header"].update(num_frames=300),
-    "of another mask floor": lambda p: p["header"].update(epsilon_mask=5),
     "repeating earlier frames": repeat_first_frame,
     "ten frames earlier": ten_frames_earlier,
     "with next_id not above its ids": lambda p: p["assoc_state"].update(next_id=0),
@@ -814,6 +814,53 @@ class TestChunksContinueLiveObjects:
         assert ids_holding(out, gt, 0, range(40)) == {0}
         assert recorded.starts == [0, 0, 0, 25, 29, 29]
 
+    def test_a_chunk_keeps_a_tail_entry_at_or_below_the_mask_floor(self):
+        # Object 0's masks from frame 0 are a 3-pixel L, at epsilon_mask,
+        # over frames 28-29, the first chunk's last frames; it is live again
+        # in the second chunk, seeded from frame 27. The L is outlined, so
+        # it is written, in chunk mode as in full mode.
+        gt, det, prop, dets = build_sequence(num_frames=40)
+        script = {}
+        for f in (28, 29):
+            x, y = int(gt[f].objects[0].box.x1), int(gt[f].objects[0].box.y1)
+            data = np.zeros((240, 320), dtype=bool)
+            data[y, x] = data[y, x + 1] = data[y + 1, x] = True
+            script[f] = BinaryMask(data)
+        outputs = {}
+        for mode in ("full", "chunk"):
+            recorded = RecordedStarts(prop, 0, gt[0].objects[0].box, script)
+            out = run_sequence(
+                dets, recorded, det.frame_size, chunk_cfg=self.CFG, mode=mode, **RUN_KW
+            )
+            outputs[mode] = next(m for m in out if m.object_id == 0)
+        assert RUN_KW["ash_cfg"].epsilon_mask == 3
+        for m in outputs.values():
+            assert m.frames() == list(range(40))
+            assert all(m.entries[f].mask.count == 3 for f in (28, 29))
+            assert all(m.entries[f].polygon is not None for f in (28, 29))
+
+    def test_the_scans_per_frame_do_not_grow_with_the_sequence(self, monkeypatch):
+        # The one masklet list keeps every object born so far, most of them
+        # short-lived false positives here; the live and seed scans read only
+        # the chunk's masklets, so their reads per frame stay flat. Scanning
+        # the whole list read about 100 masks a frame at 90 frames and 400 at
+        # 360; the chunk's masklets, about 35 at both.
+        reads = []
+        real_live_box = vidannot.chunker._live_box
+
+        def counted(e, epsilon_mask):
+            reads.append(e)
+            return real_live_box(e, epsilon_mask)
+
+        monkeypatch.setattr(vidannot.chunker, "_live_box", counted)
+        per_frame = []
+        for num_frames in (90, 360):
+            reads.clear()
+            gt, det, prop, dets = noisy_sequence(num_frames=num_frames)
+            run_sequence(dets, prop, det.frame_size, chunk_cfg=self.CFG, mode="chunk", **RUN_KW)
+            per_frame.append(len(reads) / num_frames)
+        assert per_frame[1] < 1.5 * per_frame[0]
+
     def test_no_request_holds_a_frame_a_chunk_before_tracked(self):
         gt, det, prop, dets = noisy_sequence(num_frames=90)
         recorded = RecordedStarts(prop)
@@ -1082,9 +1129,8 @@ class TestRunSequence:
     def test_every_save_holds_the_whole_state_once(self, tmp_path, mode, build, monkeypatch):
         # The writer appends only each masklet's frames after its last saved
         # one; that holds the whole state only because a masklet grows at its
-        # tail alone, and loading trims a chunk's end as the run did. Under
-        # noise the trims drop entries that earlier lines hold. A save comes
-        # every 10 frames and at each chunk's end.
+        # tail alone, under noise too. A save comes every 10 frames and at
+        # each chunk's end.
         gt, det, prop, dets = build(num_frames=90)
         cfg = ChunkerConfig(chi=30, omega=5, checkpoint_interval=10)
         real_save = CheckpointStore.save
@@ -1108,19 +1154,12 @@ class TestRunSequence:
         written = log_payloads(tmp_path / "s_ckpt.jsonl")
         assert len(written) == len(checked)
         final = CheckpointStore(tmp_path, "s").load_latest()
-        # Each masklet frame is in exactly one line; the lines also hold the
-        # entries that a chunk's end trimmed after they were saved, each of
-        # at most epsilon_mask pixels. Only the noisy world has them.
+        # Each masklet frame is in exactly one line, and the lines hold no
+        # entry that the final state lacks.
         held = Counter((m["object_id"], f) for p in written for m in p["masklets"] for f in m["entries"])
         assert set(held.values()) == {1}
         kept = {(m.object_id, str(f)) for m in final.masklets for f in m.entries}
-        trimmed = [
-            e["runs"] for p in written for m in p["masklets"] for f, e in m["entries"].items()
-            if (m["object_id"], f) not in kept
-        ]
-        assert kept <= set(held)
-        assert all(sum(runs[1::2]) <= RUN_KW["ash_cfg"].epsilon_mask for runs in trimmed)
-        assert bool(trimmed) == (build is noisy_sequence)
+        assert kept == set(held)
         assert masklets_signature(out) == masklets_signature(
             postprocess(final.masklets, 90)
         )
@@ -1159,24 +1198,27 @@ class TestRunSequence:
 
     @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
     def test_resume_over_a_v1_file_raises_naming_it(self, tmp_path, mode):
-        # Schema v1 stored each mask as full-frame runs, and v3 a mode in
-        # place of the chunk; neither loads any more. A run that does not
-        # resume deletes either with the sequence's other files.
+        # Schema v1 stored each mask as full-frame runs, v3 a mode in place
+        # of the chunk, and v4 lacked the entries a chunk's end trimmed; none
+        # loads any more. A run that does not resume deletes each with the
+        # sequence's other files.
         _, det, prop, dets = build_sequence(num_frames=30)
         v1 = tmp_path / "s_ckpt_frame_0009.json"
-        v3 = tmp_path / "s_ckpt.jsonl"
+        log = tmp_path / "s_ckpt.jsonl"
         state = {"next_id": 0, "last_frame": 9, "tracks": []}
-        old_files = {
-            v1: {"schema_version": 1, "mode": "chunk" if mode == "chunk" else "full",
-                 "chunk_index": 0},
-            v3: {"schema_version": 3, "mode": "chunk" if mode == "chunk" else "full",
-                 "header": {"width": 320, "height": 240, "num_frames": 30}},
-        }
+        logged = "chunk" if mode == "chunk" else "full"
+        old_files = [
+            (v1, {"schema_version": 1, "mode": logged, "chunk_index": 0}),
+            (log, {"schema_version": 3, "mode": logged,
+                   "header": {"width": 320, "height": 240, "num_frames": 30}}),
+            (log, {"schema_version": 4, "chunk": [0, 9] if mode == "chunk" else [0, 29],
+                   "header": {"width": 320, "height": 240, "num_frames": 30, "epsilon_mask": 3}}),
+        ]
         kw = dict(
             chunk_cfg=ChunkerConfig(chi=10, omega=2), mode=mode, checkpoint_dir=tmp_path,
             sequence_id="s",
         )
-        for path, fields in old_files.items():
+        for path, fields in old_files:
             path.write_text(json.dumps({
                 "sequence_id": "s", "last_completed_frame": 9, "assoc_state": state,
                 "masklets": [], **fields,
@@ -1185,7 +1227,7 @@ class TestRunSequence:
                 run_sequence(dets, prop, det.frame_size, resume=True, **kw, **RUN_KW)
             run_sequence(dets, prop, det.frame_size, **kw, **RUN_KW)
             assert [p.name for p in tmp_path.iterdir()] == ["s_ckpt.jsonl"]
-            assert {p["schema_version"] for p in log_payloads(v3)} == {4}
+            assert {p["schema_version"] for p in log_payloads(log)} == {5}
 
     def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path, caplog):
         # A chunk-mode resume over a finished full-mode log starts over, and

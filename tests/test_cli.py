@@ -177,6 +177,16 @@ class TestCliVerbs:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(missing) in err
 
+    @pytest.mark.parametrize("iou", ["0", "-1"])
+    def test_evaluate_rejects_an_iou_threshold_outside_zero_one(self, tmp_path, capsys, iou):
+        # Once two disjoint boxes scored TP 1, MOTA 1.0 and IDF1 1.0.
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        pred.write_text("1,1,0,0,10,10,1.0,1,1.0\n")
+        gt.write_text("1,1,50,50,10,10,1.0,1,1.0\n")
+        rc = main(["evaluate", "--pred", str(pred), "--gt", str(gt), "--iou", iou])
+        assert rc == EXIT_CONFIG
+        assert f"IoU threshold must be in (0, 1]: {float(iou)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "verb,workers", [("annotate", "0"), ("annotate", "2"), ("resume", "2"), ("deploy", "0")]
     )

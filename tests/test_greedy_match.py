@@ -72,7 +72,7 @@ def test_association_matches_its_claim_loop(
 @given(
     predictions=st.lists(boxes, max_size=5),
     ground_truth=st.lists(boxes, max_size=5),
-    threshold=st.sampled_from([0.0, 1 / 3, 0.5, 1.0]),
+    threshold=st.sampled_from([1e-9, 1 / 3, 0.5, 1.0]),
 )
 def test_frame_matching_matches_its_claim_loop(predictions, ground_truth, threshold):
     got = match_frame(predictions, ground_truth, threshold)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -42,10 +43,16 @@ class TestMot:
         p.write_text("")
         assert read_mot(p) == {}
 
-    def test_malformed_line_reports_location(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x", "oops"), ("x", "nan"), ("y", "-inf"), ("w", "inf"), ("h", "nan"), ("conf", "nan")],
+    )
+    def test_malformed_line_reports_location(self, tmp_path, field, value):
         p = tmp_path / "bad.txt"
-        p.write_text("1,-1,100,200,50,80,0.9,1,1.0\n2,-1,oops,200,50,80,0.9,1,1.0\n")
-        with pytest.raises(FormatError, match=":2"):
+        fields = "2,-1,100,200,50,80,0.9,1,1.0".split(",")
+        fields[2 + ["x", "y", "w", "h", "conf"].index(field)] = value
+        p.write_text("1,-1,100,200,50,80,0.9,1,1.0\n" + ",".join(fields) + "\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(p))}:2"):
             read_mot(p)
 
     def test_wrong_column_count(self, tmp_path):

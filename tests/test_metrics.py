@@ -79,6 +79,12 @@ class TestMatchFrame:
         assert matches == [(0, 0, pytest.approx(0.9))]
         assert fps == [1] and fns == []
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, float("nan")])
+    def test_threshold_outside_zero_one_raises(self, threshold):
+        # At 0 two disjoint boxes would match, a perfect score for nothing.
+        with pytest.raises(ValueError, match="IoU threshold"):
+            match_frame([box(0)], [box(50)], threshold)
+
 
 class TestEvaluate:
     def test_perfect(self):
