@@ -15,6 +15,7 @@ included; the pass only loops.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
@@ -43,7 +44,7 @@ from .geometry import iou_mask  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA_VERSION = 5
+CHECKPOINT_SCHEMA_VERSION = 6
 
 
 class ProcessingBudgetExceeded(RuntimeError):
@@ -116,11 +117,13 @@ class Checkpoint:
     """A sequence's tracking state after `last_completed_frame`, a frame of
     the chunk [start, end] that `chunk` names.
 
-    On disk a checkpoint is a log, one schema-v5 line per save. A line holds
+    On disk a checkpoint is a log, one schema-v6 line per save. A line holds
     its chunk, the associator state, a header with the sequence's frame size
     and frame count, and only the entries that no earlier line holds; the
-    lines joined are the state. `save_checkpoint` appends one line;
-    `load_checkpoint` reads a whole log.
+    lines joined are the state. An entry holds its mask as the crop box and
+    the crop's packed bits, and its outline as packed integer vertices, each
+    as a base64 string. `save_checkpoint` appends one line; `load_checkpoint`
+    reads a whole log.
     """
 
     sequence_id: str
@@ -132,8 +135,13 @@ class Checkpoint:
     num_frames: int
 
     def to_payload(self) -> dict:
-        """This checkpoint as one schema-v5 line."""
+        """This checkpoint as one schema-v6 line."""
         width, height = self.frame_size
+        vertex_dtype = _vertex_dtype(width, height)
+        # A vertex outside the type's range casts to another value, which
+        # `_whole_pixels` rejects; the cast's warning would only repeat that.
+        with np.errstate(invalid="ignore"):
+            masklets = [_masklet_to_payload(m, vertex_dtype) for m in self.masklets]
         return {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "sequence_id": self.sequence_id,
@@ -141,7 +149,7 @@ class Checkpoint:
             "chunk": list(self.chunk),
             "header": {"width": width, "height": height, "num_frames": self.num_frames},
             "assoc_state": self.assoc_state,
-            "masklets": [_masklet_to_payload(m) for m in self.masklets],
+            "masklets": masklets,
         }
 
     @classmethod
@@ -180,10 +188,17 @@ class Checkpoint:
                    num_frames)
 
 
-def _masklet_to_payload(m: Masklet) -> dict:
+def _vertex_dtype(width: int, height: int) -> np.dtype:
+    """The type of a checkpointed outline's coordinates on a width x height
+    frame: each is a pixel centre inside the frame, so two bytes hold it on
+    frames up to 65536 pixels a side, and four bytes on larger ones."""
+    return np.dtype("<u2" if max(width, height) <= 1 << 16 else "<u4")
+
+
+def _masklet_to_payload(m: Masklet, vertex_dtype: np.dtype) -> dict:
     frames = m.frames()
     # Outlines are traced before the payload is built, which runs faster than
-    # tracing each between run-length encodings.
+    # tracing each between mask encodings.
     polygons = [m.entries[f].polygon for f in frames]
     entries = {}
     for f, polygon in zip(frames, polygons):
@@ -191,31 +206,46 @@ def _masklet_to_payload(m: Masklet) -> dict:
         h, w = e.mask.crop.shape
         entries[str(f)] = {
             "box": [e.mask.x0, e.mask.y0, w, h],
-            "runs": e.mask.crop_runs(),
-            "polygon": _whole_pixels(polygon) if polygon is not None else None,
+            "bits": _base64(e.mask.crop_bits()),
+            "polygon": None if polygon is None else _base64(_whole_pixels(polygon, vertex_dtype)),
             "confidence": e.confidence,
         }
     return {"object_id": m.object_id, "class_label": m.class_label, "entries": entries}
 
 
-def _whole_pixels(polygon: Polygon) -> list[int]:
-    """The vertices as a flat list of integers. Checkpointed outlines are
-    traced from masks, before any smoothing, so every vertex is a pixel
-    centre; any other vertex raises rather than being rounded."""
-    ints = polygon.vertices.astype(np.int64)
-    if not np.array_equal(ints, polygon.vertices):
-        raise ValueError(f"outline {polygon.vertices.tolist()} has a vertex off the pixel centres")
-    return ints.ravel().tolist()
+def _base64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _whole_pixels(polygon: Polygon, dtype: np.dtype) -> bytes:
+    """The vertices as integers of `dtype`, x and y in turn. Checkpointed
+    outlines are traced from masks, before any smoothing, so every vertex is
+    a pixel centre; any other vertex, or one that `dtype` cannot hold, raises
+    rather than being rounded or wrapped."""
+    ints = polygon.vertices.astype(dtype)
+    # Equal bytes are equal values, and run faster than an elementwise
+    # compare; a traced vertex is never -0.0.
+    if ints.astype(np.float64).tobytes() != polygon.vertices.tobytes():
+        raise ValueError(
+            f"outline {polygon.vertices.tolist()} has a vertex off the pixel centres or "
+            f"outside 0..{np.iinfo(dtype).max}"
+        )
+    return ints.tobytes()
 
 
 def _masklet_from_payload(payload: dict, width: int, height: int, frames: range) -> Masklet:
-    """The masklet a line holds; every entry must be of one of `frames`."""
+    """The masklet a line holds; every entry must be of one of `frames`, and
+    keyed by its frame number as `str` writes it."""
     object_id, label = payload["object_id"], payload["class_label"]
     if type(object_id) is not int or object_id < 0 or type(label) is not str:
         raise ValueError(f"object id {object_id!r} or class label {label!r} is malformed")
+    vertex_dtype = _vertex_dtype(width, height)
     entries = {}
     for key in sorted(payload["entries"], key=int):
         e, frame = payload["entries"][key], int(key)
+        # Keys such as "00" or "+1" would name a frame that another key names too.
+        if key != str(frame):
+            raise ValueError(f"object {object_id} has an entry keyed {key!r}, not a frame number")
         if frame not in frames:
             raise ValueError(
                 f"object {object_id} has an entry at frame {frame}, "
@@ -224,20 +254,24 @@ def _masklet_from_payload(payload: dict, width: int, height: int, frames: range)
         confidence = e["confidence"]
         if type(confidence) not in (int, float) or not 0.0 <= confidence <= 1.0:
             raise ValueError(f"object {object_id} frame {frame}: confidence {confidence!r}")
+        bits = base64.b64decode(e["bits"], validate=True)
         entries[frame] = MaskletEntry(
-            BinaryMask.from_crop_runs(*e["box"], e["runs"], width, height),
-            _polygon_from_ints(e["polygon"]),
+            BinaryMask.from_crop_bits(*e["box"], bits, width, height),
+            _polygon_from_bytes(e["polygon"], vertex_dtype),
             confidence,
         )
     return Masklet(object_id, label, entries)
 
 
-def _polygon_from_ints(flat: list | None) -> Polygon | None:
-    if flat is None:
+def _polygon_from_bytes(text: str | None, dtype: np.dtype) -> Polygon | None:
+    """The outline that `_whole_pixels` wrote, base64-encoded, or None."""
+    if text is None:
         return None
-    if len(flat) % 2 or not set(map(type, flat)) <= {int}:
-        raise ValueError(f"outline {flat} is not a flat list of integer vertices")
-    return Polygon(np.array(flat, dtype=np.float64).reshape(-1, 2))
+    raw = base64.b64decode(text, validate=True)
+    vertex = 2 * dtype.itemsize
+    if len(raw) % vertex or len(raw) < 3 * vertex:
+        raise ValueError(f"outline of {len(raw)} bytes is not 3 or more vertices of {vertex} bytes")
+    return Polygon(np.frombuffer(raw, dtype=dtype).reshape(-1, 2))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -269,8 +303,8 @@ def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
     lines that hold it; (None, 0) when there is no log or no whole line.
 
     The state is that of the longest prefix of newline-terminated lines that
-    each parse, validate (header, chunk, associator state, mask runs, boxes,
-    polygons, object ids, class labels, confidences and entry frames) and
+    each parse, validate (header, chunk, associator state, mask bits, boxes,
+    outlines, object ids, class labels, confidences and entry frames) and
     follow the lines before them: the same sequence, frame size and frame
     count, a later last completed frame, the same chunk unless the
     line before ended its chunk, masklets that continue their objects'

@@ -65,7 +65,9 @@ class BinaryMask:
 
     The crop is a read-only local grid whose top-left pixel sits at frame
     position (x0, y0); an empty mask has a 0x0 crop at (0, 0). Every operation
-    on masks costs O(crop area), not O(frame area).
+    on masks costs O(crop area), not O(frame area). A checkpoint stores a mask
+    as its crop's position and shape and `crop_bits`, the crop packed eight
+    pixels to a byte, and `from_crop_bits` reads it back.
     """
 
     __slots__ = ("_crop", "_x0", "_y0", "_width", "_height", "_count")
@@ -188,36 +190,35 @@ class BinaryMask:
     def __repr__(self) -> str:
         return f"BinaryMask({self.width}x{self.height}, count={self.count})"
 
-    def crop_runs(self) -> list[int]:
-        """Run-length encode the flattened crop, starting with a run of zeros;
-        empty for an empty mask. With the crop's position and shape it stores
-        the mask in O(crop area)."""
-        if not self._count:
-            return []
-        flat = np.concatenate(([False], self._crop.ravel(), [False]))
-        bounds = np.flatnonzero(flat[1:] != flat[:-1])
-        if bounds[-1] != self._crop.size:
-            bounds = np.append(bounds, self._crop.size)
-        return np.diff(bounds, prepend=0).tolist()
+    def crop_bits(self) -> bytes:
+        """The flattened crop packed eight pixels to a byte: row-major, the
+        first pixel in the high bit (NumPy's `packbits` order), the last byte
+        padded with zero bits; empty for an empty mask. With the crop's
+        position and shape it stores the mask in O(crop area)."""
+        return np.packbits(self._crop).tobytes()
 
     @classmethod
-    def from_crop_runs(
-        cls, x0: int, y0: int, crop_width: int, crop_height: int, runs: list[int],
+    def from_crop_bits(
+        cls, x0: int, y0: int, crop_width: int, crop_height: int, bits: bytes,
         width: int, height: int,
     ) -> BinaryMask:
-        """Mask of a width x height frame from `crop_runs` of its crop, a
-        crop_width x crop_height grid with its top-left pixel at (x0, y0)."""
-        if not set(map(type, (x0, y0, crop_width, crop_height, *runs))) <= {int}:
-            raise TypeError("crop position, shape and run lengths must be integers")
+        """Mask of a width x height frame from `crop_bits` of its crop, a
+        crop_width x crop_height grid with its top-left pixel at (x0, y0).
+        The bytes must be exactly those `crop_bits` writes: as many as the
+        crop's pixels need, with zero padding bits."""
+        if not set(map(type, (x0, y0, crop_width, crop_height))) <= {int}:
+            raise TypeError("crop position and shape must be integers")
         if not (0 <= x0 <= x0 + crop_width <= width and 0 <= y0 <= y0 + crop_height <= height):
             raise ValueError(
                 f"crop {crop_width}x{crop_height} at ({x0}, {y0}) leaves the {width}x{height} frame"
             )
-        lengths = np.asarray(runs, dtype=np.int64)
-        if (lengths < 0).any() or int(lengths.sum()) != crop_width * crop_height:
-            raise ValueError(f"run lengths {runs} do not fill a {crop_width}x{crop_height} crop")
-        values = np.arange(lengths.size) % 2 == 1
-        crop = np.repeat(values, lengths).reshape(crop_height, crop_width)
+        size = crop_width * crop_height
+        if len(bits) != -(-size // 8):
+            raise ValueError(f"{len(bits)} bytes do not pack a {crop_width}x{crop_height} crop")
+        packed = np.frombuffer(bits, dtype=np.uint8)
+        if size % 8 and packed[-1] & (0xFF >> (size % 8)):
+            raise ValueError(f"the padding bits after a {crop_width}x{crop_height} crop are set")
+        crop = np.unpackbits(packed, count=size).view(bool).reshape(crop_height, crop_width)
         return cls.from_crop(crop, x0, y0, width, height)
 
 

@@ -91,13 +91,17 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    """The threshold must be in (0, 1]: at 0 disjoint boxes would match."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"IoU threshold must be in (0, 1]: {iou_threshold}")
+
+
 def _overlaps(
     predictions: Sequence[BBox], ground_truth: Sequence[BBox], iou_threshold: float
 ) -> list[tuple[float, int, int]]:
     """(iou, pred_idx, gt_idx) for every pair with IoU at or above the
-    threshold, which must be in (0, 1]: at 0 disjoint boxes would match."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"IoU threshold must be in (0, 1]: {iou_threshold}")
+    threshold."""
     pairs = []
     for pi, pb in enumerate(predictions):
         for gi, gb in enumerate(ground_truth):
@@ -117,6 +121,7 @@ def match_frame(
     Returns (matches as (pred_idx, gt_idx, iou), unmatched pred indices,
     unmatched gt indices).
     """
+    _check_iou_threshold(iou_threshold)
     claimed = greedy_match(_overlaps(predictions, ground_truth, iou_threshold))
     matches = [(pi, gi, v) for v, pi, gi in claimed]
     used_p = {pi for pi, _, _ in matches}
@@ -188,7 +193,10 @@ def evaluate(
     MOTA counts frame-level matching errors; IDSW increments when a ground
     truth identity's matched prediction id changes between its consecutive
     matched frames; IDF1 uses an exact optimal global identity assignment.
+    The threshold is checked before any frame, so it is checked on a
+    sequence of no frames too.
     """
+    _check_iou_threshold(iou_threshold)
     frames = _frame_union(predictions, ground_truth)
     scores = SequenceScores()
     last_match: dict[int, int] = {}  # gt id -> last matched pred id

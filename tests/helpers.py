@@ -78,14 +78,14 @@ def dense_iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union
 
 
-def dense_runs(grid: np.ndarray) -> list[int]:
-    flat = grid.ravel()
-    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], change, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs.insert(0, 0)
-    return [int(r) for r in runs]
+def dense_bits(grid: np.ndarray) -> bytes:
+    """The grid's pixels, row-major, eight to a byte with the first in the
+    high bit, and the last byte padded with zero bits; one pixel at a time."""
+    packed = bytearray((grid.size + 7) // 8)
+    for i, pixel in enumerate(grid.ravel()):
+        if pixel:
+            packed[i // 8] |= 0x80 >> (i % 8)
+    return bytes(packed)
 
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import logging
@@ -227,6 +228,10 @@ def state_signature(ckpt: Checkpoint):
     )
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
 def log_payloads(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -260,18 +265,41 @@ class TestCheckpointProtocol:
         assert back.to_payload() == ck.to_payload()
         assert valid == path.stat().st_size
 
-    def test_v2_stores_crop_local_masks_and_integer_outlines(self, tmp_path):
+    def test_stores_packed_crop_bits_and_packed_outline_vertices(self, tmp_path):
         path = tmp_path / "a.jsonl"
         save_checkpoint(small_checkpoint(), path)
         payload = json.loads(path.read_text())
+        assert payload["schema_version"] == 6
         assert payload["header"] == {"width": 24, "height": 24, "num_frames": 200}
         assert payload["chunk"] == [0, 199]
         entry = payload["masklets"][0]["entries"]["0"]
-        # rect (1, 1)-(9, 9): a 9x9 crop at (1, 1), all foreground.
+        assert set(entry) == {"box", "bits", "polygon", "confidence"}
+        # rect (1, 1)-(9, 9): a 9x9 crop at (1, 1), all foreground. Its 81
+        # pixels fill 10 bytes and the high bit of an 11th.
         assert entry["box"] == [1, 1, 9, 9]
-        assert entry["runs"] == [0, 81]
-        assert entry["polygon"] == [1, 1, 9, 1, 9, 9, 1, 9]
-        assert "bbox" not in entry
+        bits = base64.b64decode(entry["bits"], validate=True)
+        assert bits == b"\xff" * 10 + b"\x80"
+        crop = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=81).reshape(9, 9)
+        assert np.array_equal(crop, rect_mask(1, 1, 9, 9, 24, 24).crop)
+        # Its outline's x, y pairs, two little-endian bytes each on a 24x24 frame.
+        outline = base64.b64decode(entry["polygon"], validate=True)
+        assert outline == np.array([1, 1, 9, 1, 9, 9, 1, 9], dtype="<u2").tobytes()
+        assert np.frombuffer(outline, dtype="<u2").tolist() == [1, 1, 9, 1, 9, 9, 1, 9]
+
+    @pytest.mark.parametrize("width, coordinate_bytes", [(65536, 2), (70_000, 4)])
+    def test_a_frame_wider_than_two_bytes_round_trips(self, tmp_path, width, coordinate_bytes):
+        # The outline's last vertex has x = width - 1: 65535 fits two bytes,
+        # 69999 takes four.
+        m = masklet_with(0, {0: (width - 9, 0, width - 1, 3)}, w=width, h=4)
+        state = {"next_id": 1, "last_frame": 0, "tracks": []}
+        ck = Checkpoint("s", 0, [m], state, (0, 9), (width, 4), 10)
+        path = tmp_path / "w.jsonl"
+        save_checkpoint(ck, path)
+        outline = log_payloads(path)[0]["masklets"][0]["entries"]["0"]["polygon"]
+        assert len(base64.b64decode(outline)) == 4 * 2 * coordinate_bytes
+        back, _ = load_checkpoint(path)
+        assert state_signature(back) == state_signature(ck)
+        assert back.masklets[0].entries[0].polygon.vertices.max() == width - 1
 
     def test_non_integer_outline_raises_on_save(self, tmp_path):
         ck = small_checkpoint()
@@ -279,6 +307,17 @@ class TestCheckpointProtocol:
         polygon = Polygon(((1.0, 1.0), (9.5, 1.0), (9.0, 9.0)))
         ck.masklets[0].entries[0] = MaskletEntry(e.mask, polygon, e.confidence)
         with pytest.raises(ValueError, match="9.5"):
+            save_checkpoint(ck, tmp_path / "a.jsonl")
+
+    @pytest.mark.parametrize("x", [-1.0, 65536.0, 1e20])
+    def test_outline_outside_its_vertex_type_raises_on_save(self, tmp_path, x):
+        # Two-byte vertices of a 24x24 frame hold 0..65535; a cast would
+        # wrap any other value.
+        ck = small_checkpoint()
+        e = ck.masklets[0].entries[0]
+        polygon = Polygon(((1.0, 1.0), (x, 1.0), (9.0, 9.0)))
+        ck.masklets[0].entries[0] = MaskletEntry(e.mask, polygon, e.confidence)
+        with pytest.raises(ValueError, match="outside 0..65535"):
             save_checkpoint(ck, tmp_path / "a.jsonl")
 
     def test_directory_synced_when_the_log_is_created(self, tmp_path, monkeypatch):
@@ -332,21 +371,22 @@ class TestCheckpointProtocol:
 
     def test_version_mismatch_rejected(self, tmp_path):
         # Schema v1 held each mask as full-frame runs, v2 named the file
-        # before it, v3 held a mode in place of the chunk, and v4 lacked the
-        # entries a chunk's end trimmed; only v5 loads.
-        for version in (99, 1, 2, 3, 4):
+        # before it, v3 held a mode in place of the chunk, v4 lacked the
+        # entries a chunk's end trimmed, and v5 held masks as run lengths and
+        # outlines as integer lists; only v6 loads.
+        for version in (99, 1, 2, 3, 4, 5):
             path = tmp_path / f"v{version}.jsonl"
             payload = small_checkpoint().to_payload()
             payload["schema_version"] = version
             write_log(path, payload)
-            with pytest.raises(CheckpointError, match=f"version {version} is not 5"):
+            with pytest.raises(CheckpointError, match=f"version {version} is not 6"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("runs", [1, 2]),
-            ("runs", [0, 80.0, 1]),
+            ("bits", "not base64"),
+            ("bits", [0, 81]),  # the run lengths of schema v5
             ("box", [1, 2, 3]),
             ("box", [20, 20, 9, 9]),  # the crop leaves the 24x24 frame
             ("polygon", [0, 0, 1, 1]),
@@ -364,6 +404,24 @@ class TestCheckpointProtocol:
             ("frame", 200),  # of a 200-frame sequence
             ("frame", -1),
             ("chunk frame", 6),  # after the end of chunk (0, 5)
+            # Each once loaded: "00" in place of frame 0's entry, "+1" in
+            # place of frame 1's, and " 1" and "1_0" as frames 1 and 10.
+            ("key", "00"),
+            ("key", "+1"),
+            ("key", " 1"),
+            ("key", "1_0"),
+            # The 9x9 crop's 81 pixels take 11 bytes, all but the high bit of
+            # the last one padding.
+            pytest.param("bits", "/w==", id="bits-one byte"),
+            pytest.param("bits", _b64(b"\xff" * 10), id="bits-a byte short"),
+            pytest.param("bits", _b64(b"\xff" * 10 + b"\x81"), id="bits-a padding bit set"),
+            ("bits", None),
+            pytest.param("polygon", _b64(np.array([1, 1, 9, 1], dtype="<u2").tobytes()),
+                         id="polygon-2 vertices"),
+            pytest.param("polygon", _b64(np.array([1, 1, 9, 1, 9, 9, 1], dtype="<u2").tobytes()),
+                         id="polygon-a half vertex"),
+            pytest.param("polygon", "AQABAAkAAQAJAAkA!", id="polygon-not base64"),
+            pytest.param("polygon", "AQABAAkAAQAJAAk", id="polygon-cut short of its padding"),
         ],
     )
     def test_invalid_v2_payload_is_corruption(self, tmp_path, field, value):
@@ -372,6 +430,8 @@ class TestCheckpointProtocol:
         masklet = payload["masklets"][0]
         if field in ("object_id", "class_label"):
             masklet[field] = value
+        elif field == "key":
+            masklet["entries"][value] = masklet["entries"]["0"]
         elif field.endswith("frame"):
             masklet["entries"][str(value)] = masklet["entries"]["0"]
             if field.startswith("chunk"):
@@ -458,11 +518,16 @@ class TestCheckpointStore:
     def test_empty_dir_sentinel(self, tmp_path):
         assert CheckpointStore(tmp_path, "s").load_latest() is None
 
-    def test_bad_v2_mask_runs_fall_back_to_older(self, tmp_path):
+    def test_bad_mask_bits_fall_back_to_older(self, tmp_path):
         store = CheckpointStore(tmp_path, "s")
         store.save(grown_checkpoint(10))
         store.save(grown_checkpoint(20))
-        edit_line(store.path, 2, lambda p: p["masklets"][0]["entries"]["11"].update(runs=[1, 2]))
+
+        def drop_a_byte(payload):
+            entry = payload["masklets"][0]["entries"]["11"]
+            entry["bits"] = _b64(base64.b64decode(entry["bits"])[:-1])
+
+        edit_line(store.path, 2, drop_a_byte)
         assert state_signature(store.load_latest()) == state_signature(grown_checkpoint(10))
 
     def test_save_appends_only_entries_no_earlier_line_holds(self, tmp_path):
@@ -1199,9 +1264,9 @@ class TestRunSequence:
     @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
     def test_resume_over_a_v1_file_raises_naming_it(self, tmp_path, mode):
         # Schema v1 stored each mask as full-frame runs, v3 a mode in place
-        # of the chunk, and v4 lacked the entries a chunk's end trimmed; none
-        # loads any more. A run that does not resume deletes each with the
-        # sequence's other files.
+        # of the chunk, v4 lacked the entries a chunk's end trimmed, and v5
+        # stored run lengths and integer lists; none loads any more. A run
+        # that does not resume deletes each with the sequence's other files.
         _, det, prop, dets = build_sequence(num_frames=30)
         v1 = tmp_path / "s_ckpt_frame_0009.json"
         log = tmp_path / "s_ckpt.jsonl"
@@ -1213,6 +1278,8 @@ class TestRunSequence:
                    "header": {"width": 320, "height": 240, "num_frames": 30}}),
             (log, {"schema_version": 4, "chunk": [0, 9] if mode == "chunk" else [0, 29],
                    "header": {"width": 320, "height": 240, "num_frames": 30, "epsilon_mask": 3}}),
+            (log, {"schema_version": 5, "chunk": [0, 9] if mode == "chunk" else [0, 29],
+                   "header": {"width": 320, "height": 240, "num_frames": 30}}),
         ]
         kw = dict(
             chunk_cfg=ChunkerConfig(chi=10, omega=2), mode=mode, checkpoint_dir=tmp_path,
@@ -1227,7 +1294,7 @@ class TestRunSequence:
                 run_sequence(dets, prop, det.frame_size, resume=True, **kw, **RUN_KW)
             run_sequence(dets, prop, det.frame_size, **kw, **RUN_KW)
             assert [p.name for p in tmp_path.iterdir()] == ["s_ckpt.jsonl"]
-            assert {p["schema_version"] for p in log_payloads(log)} == {5}
+            assert {p["schema_version"] for p in log_payloads(log)} == {6}
 
     def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path, caplog):
         # A chunk-mode resume over a finished full-mode log starts over, and

@@ -187,6 +187,16 @@ class TestCliVerbs:
         assert rc == EXIT_CONFIG
         assert f"IoU threshold must be in (0, 1]: {float(iou)}" in capsys.readouterr().err
 
+    def test_evaluate_rejects_a_bad_iou_threshold_on_empty_files(self, tmp_path, capsys):
+        # Once printed MOTA 1.000 and IDF1 1.000 and exited 0: with no frame,
+        # the threshold was never read.
+        empty = tmp_path / "e.txt"
+        empty.write_text("")
+        rc = main(["evaluate", "--pred", str(empty), "--gt", str(empty), "--iou", "0"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_CONFIG and out == ""
+        assert "IoU threshold must be in (0, 1]: 0.0" in err
+
     @pytest.mark.parametrize(
         "verb,workers", [("annotate", "0"), ("annotate", "2"), ("resume", "2"), ("deploy", "0")]
     )

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vidannot.ash import AshConfig, Masklet, MaskletEntry, _align_rotation, merge_redundant_frame
@@ -38,11 +38,11 @@ from vidannot.geometry import (
 from vidannot.pipeline import SequenceSource, run_dataset
 
 from helpers import (
+    dense_bits,
     dense_iou,
     dense_largest_component,
     dense_polygon,
     dense_rasterize,
-    dense_runs,
     loop_align_rotation,
     loop_resample_polygon,
 )
@@ -140,31 +140,37 @@ class TestMaskStorage:
             assert crop[0].any() and crop[-1].any() and crop[:, 0].any() and crop[:, -1].any()
 
     @given(grids())
+    @example(np.zeros((3, 5), dtype=bool))  # empty: no bytes
+    @example(np.eye(1, dtype=bool))  # a 1x1 crop: one byte, seven padding bits
+    @example(np.ones((8, 8), dtype=bool))  # 64 pixels: whole bytes, no padding
+    @example(np.ones((3, 5), dtype=bool))  # 15 pixels: one padding bit
     @settings(max_examples=1000, deadline=None)
-    def test_crop_runs_match_dense_encoding_of_the_crop(self, g):
+    def test_crop_bits_match_dense_packing_of_the_crop(self, g):
         m = BinaryMask(g)
-        runs = m.crop_runs()
-        assert runs == (dense_runs(m.crop) if not m.is_empty() else [])
-        assert all(type(r) is int for r in runs)
+        bits = m.crop_bits()
+        assert bits == dense_bits(m.crop)
         h, w = m.crop.shape
-        back = BinaryMask.from_crop_runs(m.x0, m.y0, w, h, runs, m.width, m.height)
+        assert len(bits) == (w * h + 7) // 8
+        back = BinaryMask.from_crop_bits(m.x0, m.y0, w, h, bits, m.width, m.height)
         assert back == m and np.array_equal(back.data, g)
 
     @pytest.mark.parametrize(
-        "box, runs, error",
+        "box, bits, error",
         [
-            ((0, 0, 2, 2), [1, 2], ValueError),  # 3 pixels for a 2x2 crop
-            ((0, 0, 2, 2), [5, -1], ValueError),
-            ((0, 0, 2, 2), [0, 4.0], TypeError),
-            ((0.0, 0, 2, 2), [0, 4], TypeError),
-            ((3, 0, 2, 2), [0, 4], ValueError),  # leaves the 4x4 frame
-            ((0, 0, -2, -2), [0, 4], ValueError),
-            ((0, 0, 10**6, 10**6), [10**12], ValueError),
+            ((0, 0, 3, 1), b"", ValueError),  # 3 pixels need a byte
+            ((0, 0, 3, 1), b"\xe0\x00", ValueError),  # a byte too many
+            ((0, 0, 3, 1), b"\xf0", ValueError),  # a padding bit set
+            ((0, 0, 3, 1), b"\xe1", ValueError),  # the last padding bit set
+            ((0.0, 0, 2, 2), b"\xf0", TypeError),
+            ((0, 0, 2, 2.0), b"\xf0", TypeError),
+            ((3, 0, 2, 2), b"\xf0", ValueError),  # leaves the 4x4 frame
+            ((0, 0, -2, -2), b"", ValueError),
+            ((0, 0, 10**6, 10**6), b"\xff", ValueError),
         ],
     )
-    def test_from_crop_runs_rejects_bad_input(self, box, runs, error):
+    def test_from_crop_bits_rejects_bad_input(self, box, bits, error):
         with pytest.raises(error):
-            BinaryMask.from_crop_runs(*box, runs, 4, 4)
+            BinaryMask.from_crop_bits(*box, bits, 4, 4)
 
     @given(grids(), st.integers(-16, 16), st.integers(-16, 16))
     @settings(max_examples=1000, deadline=None)

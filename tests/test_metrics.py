@@ -260,3 +260,10 @@ class TestDataset:
         s = evaluate({0: []}, {0: []})
         assert s.mota == 1.0 and s.idf1 == 1.0
         assert s.precision == 0.0 and s.recall == 0.0
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.5])
+    def test_threshold_checked_before_any_frame(self, threshold):
+        # A sequence of no frames once scored MOTA and IDF1 1.0 at any
+        # threshold: only a frame's matching read it.
+        with pytest.raises(ValueError, match="IoU threshold"):
+            evaluate({}, {}, threshold)
