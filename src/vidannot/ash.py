@@ -60,8 +60,8 @@ class MaskletEntry:
 
     An entry holds a mask, an outline or both, and derives whichever is
     missing the first time it is read, then keeps it. One built from a mask
-    alone (`from_mask`) traces its outline, so entries that merging,
-    stitching or pruning discard never pay for a contour. One built from an
+    alone (`from_mask`) traces its outline, so entries that merging or
+    pruning discard never pay for a contour. One built from an
     outline alone (`from_outline`) rasterizes it at the entry's frame size,
     so smoothed entries whose mask nothing reads never pay for a raster. One
     built with both keeps them, a None outline included. The outline's box

@@ -1,13 +1,14 @@
 """Online object association: box validation, confidence rescaling, and
 greedy IoU matching of detections to live tracks.
 
-Association state is sequence-local and single-writer: one frame must finish
-before the next begins.
+`associate_frame` keeps no state: its caller, the chunk pass, holds a
+sequence's tracks and next object id from one frame to the next, and
+checkpoints the tracks with its masklets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backends import Detection
 from .geometry import BBox, greedy_match, iou_box
@@ -155,57 +156,3 @@ def associate_frame(
             updated.append(Track(track.id, track.last_box, track.age + 1))
     updated.extend(Track(n.object_id, n.detection.box) for n in new_objects)
     return AssociationResult(new_objects, updated, next_id)
-
-
-@dataclass
-class Associator:
-    """Stateful per-sequence wrapper around associate_frame."""
-
-    cfg: AssocConfig = field(default_factory=AssocConfig)
-    tracks: list[Track] = field(default_factory=list)
-    next_id: int = 0
-    last_frame: int | None = None
-
-    def associate(
-        self, dets: list[Detection], live: list[tuple[int, BBox]], frame_index: int
-    ) -> AssociationResult:
-        if self.last_frame is not None and frame_index <= self.last_frame:
-            raise ValueError(
-                f"frames must be strictly increasing: {frame_index} after {self.last_frame}"
-            )
-        # Positional: the benchmark's tracer hooks take positional arguments only.
-        result = associate_frame(self.tracks, dets, live, frame_index, self.cfg, self.next_id)
-        self.tracks = result.tracks
-        self.next_id = result.next_id
-        self.last_frame = frame_index
-        return result
-
-    def get_state(self) -> dict:
-        return {
-            "next_id": self.next_id,
-            "last_frame": self.last_frame,
-            "tracks": [
-                {
-                    "id": t.id,
-                    "box": [t.last_box.x1, t.last_box.y1, t.last_box.x2, t.last_box.y2],
-                    "age": t.age,
-                }
-                for t in self.tracks
-            ],
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore a `get_state` dict. A malformed one raises KeyError,
-        TypeError or ValueError and leaves the associator as it was. Other
-        keys on a track, such as the `last_seen_frame` and `class_label` of
-        older versions, are ignored."""
-        tracks = [Track(t["id"], BBox(*t["box"]), t["age"]) for t in state["tracks"]]
-        next_id, last_frame = state["next_id"], state["last_frame"]
-        ints = [next_id, *(v for t in tracks for v in (t.id, t.age))]
-        if not (
-            isinstance(state["tracks"], list)
-            and all(type(v) is int for v in ints)
-            and (last_frame is None or type(last_frame) is int)
-        ):
-            raise ValueError(f"malformed associator state: {state!r}")
-        self.next_id, self.last_frame, self.tracks = next_id, last_frame, tracks

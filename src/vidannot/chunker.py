@@ -34,7 +34,8 @@ from .ash import (
     postprocess_masklets,
     propagate_batch,
 )
-from .assoc import AssocConfig, Associator, NewObject, Track, rescale_confidence, validate_box
+from . import assoc
+from .assoc import AssocConfig, NewObject, Track, rescale_confidence, validate_box
 from .backends import Detection, PropagatorBackend
 from .geometry import BBox, BinaryMask, Polygon
 # Unused here; the benchmark's tracer rebinds chunker.iou_mask and
@@ -44,7 +45,7 @@ from .geometry import iou_mask  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA_VERSION = 6
+CHECKPOINT_SCHEMA_VERSION = 7
 
 
 class ProcessingBudgetExceeded(RuntimeError):
@@ -117,25 +118,25 @@ class Checkpoint:
     """A sequence's tracking state after `last_completed_frame`, a frame of
     the chunk [start, end] that `chunk` names.
 
-    On disk a checkpoint is a log, one schema-v6 line per save. A line holds
-    its chunk, the associator state, a header with the sequence's frame size
-    and frame count, and only the entries that no earlier line holds; the
-    lines joined are the state. An entry holds its mask as the crop box and
-    the crop's packed bits, and its outline as packed integer vertices, each
-    as a base64 string. `save_checkpoint` appends one line; `load_checkpoint`
-    reads a whole log.
+    On disk a checkpoint is a log, one schema-v7 line per save. A line holds
+    its chunk, its tracks, a header with the sequence's frame size and frame
+    count, and only the entries that no earlier line holds; the lines joined
+    are the state, and nothing derivable is stored. An entry holds its mask
+    as the crop box and the crop's packed bits, and its outline as packed
+    integer vertices, each as a base64 string. `save_checkpoint` appends one
+    line; `load_checkpoint` reads a whole log.
     """
 
     sequence_id: str
     last_completed_frame: int
     masklets: list[Masklet]
-    assoc_state: dict
+    tracks: list[Track]
     chunk: tuple[int, int]  # (start, end), inclusive
     frame_size: tuple[int, int]  # (width, height)
     num_frames: int
 
     def to_payload(self) -> dict:
-        """This checkpoint as one schema-v6 line."""
+        """This checkpoint as one schema-v7 line."""
         width, height = self.frame_size
         vertex_dtype = _vertex_dtype(width, height)
         # A vertex outside the type's range casts to another value, which
@@ -148,7 +149,11 @@ class Checkpoint:
             "last_completed_frame": self.last_completed_frame,
             "chunk": list(self.chunk),
             "header": {"width": width, "height": height, "num_frames": self.num_frames},
-            "assoc_state": self.assoc_state,
+            "tracks": [
+                {"id": t.id, "box": [t.last_box.x1, t.last_box.y1, t.last_box.x2, t.last_box.y2],
+                 "age": t.age}
+                for t in self.tracks
+            ],
             "masklets": masklets,
         }
 
@@ -159,17 +164,7 @@ class Checkpoint:
             raise CheckpointError(
                 f"checkpoint schema version {version!r} is not {CHECKPOINT_SCHEMA_VERSION}"
             )
-        # A resume restores the associator state as it is, so a malformed one
-        # is corruption too.
-        state, last = payload["assoc_state"], payload["last_completed_frame"]
-        Associator().set_state(state)
-        # A mid-chunk resume associates the frame after the last completed
-        # one, which must come after every frame the state has seen.
-        if state["last_frame"] is not None and state["last_frame"] > last:
-            raise ValueError(
-                f"associator state has seen frame {state['last_frame']}, "
-                f"after last completed frame {last!r}"
-            )
+        last = payload["last_completed_frame"]
         header, (start, end) = payload["header"], payload["chunk"]
         width, height, num_frames = header["width"], header["height"], header["num_frames"]
         ints = (width, height, num_frames, start, last, end)
@@ -184,7 +179,13 @@ class Checkpoint:
         # next chunk appends.
         frames = range(end + 1)
         masklets = [_masklet_from_payload(p, width, height, frames) for p in payload["masklets"]]
-        return cls(payload["sequence_id"], last, masklets, state, (start, end), (width, height),
+        # A resume continues the tracks as they are, so a malformed one is
+        # corruption too; BBox rejects a non-finite or inverted box.
+        raw = payload["tracks"]
+        tracks = [Track(t["id"], BBox(*t["box"]), t["age"]) for t in raw]
+        if type(raw) is not list or any(type(v) is not int for t in tracks for v in (t.id, t.age)):
+            raise ValueError(f"tracks {raw!r} are malformed")
+        return cls(payload["sequence_id"], last, masklets, tracks, (start, end), (width, height),
                    num_frames)
 
 
@@ -303,14 +304,13 @@ def load_checkpoint(path: str | Path) -> tuple[Checkpoint | None, int]:
     lines that hold it; (None, 0) when there is no log or no whole line.
 
     The state is that of the longest prefix of newline-terminated lines that
-    each parse, validate (header, chunk, associator state, mask bits, boxes,
-    outlines, object ids, class labels, confidences and entry frames) and
-    follow the lines before them: the same sequence, frame size and frame
-    count, a later last completed frame, the same chunk unless the
-    line before ended its chunk, masklets that continue their objects'
-    earlier frames, and a next_id above every object and track id, with no
-    track id repeated. A whole first line that does not load raises a
-    CheckpointError naming the file.
+    each parse, validate (header, chunk, tracks, mask bits, boxes, outlines,
+    object ids, class labels, confidences and entry frames) and follow the
+    lines before them: the same sequence, frame size and frame count, a later
+    last completed frame, the same chunk unless the line before ended its
+    chunk, masklets that continue their objects' earlier frames, and tracks
+    of distinct ids, each the id of an object of the lines joined. A whole
+    first line that does not load raises a CheckpointError naming the file.
     """
     try:
         data = Path(path).read_bytes()
@@ -358,14 +358,13 @@ def _follow(state: Checkpoint | None, line: Checkpoint) -> Checkpoint:
         ):
             raise CheckpointError(f"object {m.object_id} does not continue its earlier frames")
         by_id[m.object_id] = Masklet(m.object_id, m.class_label, {**have.entries, **m.entries})
-    # A resume numbers the objects it finds from next_id on, so an id at or
-    # above it would be given out twice.
-    next_id = line.assoc_state["next_id"]
-    track_ids = [t["id"] for t in line.assoc_state["tracks"]]
+    track_ids = [t.id for t in line.tracks]
     if len(set(track_ids)) < len(track_ids):
         raise CheckpointError(f"track ids {track_ids} repeat")
-    if max([*by_id, *track_ids], default=-1) >= next_id:
-        raise CheckpointError(f"next_id {next_id} does not exceed every object and track id")
+    # A resume numbers new objects from one above the highest object id, so
+    # a track of no object could give its id out twice.
+    if not by_id.keys() >= set(track_ids):
+        raise CheckpointError(f"track ids {sorted(set(track_ids) - by_id.keys())} name no object")
     return replace(line, masklets=list(by_id.values()))
 
 
@@ -623,7 +622,7 @@ def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> lis
     that object, and starts no propagation. `cfg.full_budget`, when set,
     caps the propagated (frame x object) entries. The state is saved every
     `checkpoint_interval` frames and at each chunk's end, and follows from
-    the masklets, the associator state and the chunk alone: so a resume
+    the masklets, the tracks and the chunk alone: so a resume
     continues its checkpoint's chunk after the last completed frame, and
     verifies only the frames it reads. Trailing empty entries are pruned
     once, after the last chunk.
@@ -636,12 +635,14 @@ def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> lis
     # which starts after this chunk's start; so the scans read these alone,
     # and their cost follows the chunk, not the sequence so far.
     current: list[Masklet] = []
-    associator = Associator(run.assoc_cfg)
+    tracks: list[Track] = []
     done, (start, end) = -1, (0, -1)
     if ckpt is not None:
         done, (start, end), masklets = ckpt.last_completed_frame, ckpt.chunk, ckpt.masklets
         current = [m for m in masklets if end in m.entries]
-        associator.set_state(ckpt.assoc_state)
+        tracks = ckpt.tracks
+    # Every object opened gets a masklet, so ids continue past the highest.
+    next_id = 1 + max((m.object_id for m in masklets), default=-1)
     while done < num_frames - 1:
         if done == end:
             start, end = next_chunk(counts, done, cfg)
@@ -653,7 +654,6 @@ def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> lis
             seeded = {s.object_id for s in seeds}
             current = [m for m in current if m.object_id in seeded]
             tracks = [Track(s.object_id, s.detection.box) for s in seeds]
-            associator = Associator(run.assoc_cfg, tracks=tracks, next_id=associator.next_id)
         frames = list(range(done + 1, end + 1))
         used = sum(len(m.entries) for m in current)
         for i, t in enumerate(frames):
@@ -663,7 +663,10 @@ def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> lis
                 for m in current
                 if (box := _live_box(m.entries.get(t), epsilon_mask)) is not None
             ]
-            new_objects = associator.associate(dets, live, t).new_objects
+            # Through the module, positionally: the benchmark's tracer rebinds
+            # assoc.associate_frame, and its hooks take positional arguments only.
+            result = assoc.associate_frame(tracks, dets, live, t, run.assoc_cfg, next_id)
+            tracks, next_id, new_objects = result.tracks, result.next_id, result.new_objects
             if new_objects:
                 projected = used + len(new_objects) * (len(frames) - i)
                 if cfg.full_budget is not None and projected > cfg.full_budget:
@@ -678,7 +681,7 @@ def _track_chunks(run: _Run, ckpt: Checkpoint | None, cfg: ChunkerConfig) -> lis
             if run.on_frame is not None:
                 run.on_frame(t)
             if run.store is not None and (t == end or (t + 1) % cfg.checkpoint_interval == 0):
-                run.store.save(Checkpoint(run.store.sequence_id, t, masklets, associator.get_state(),
-                                          (start, end), run.frame_size, num_frames))
+                run.store.save(Checkpoint(run.store.sequence_id, t, masklets, tracks, (start, end),
+                                          run.frame_size, num_frames))
         done = end
     return postprocess_masklets(masklets, range(num_frames), run.ash_cfg)

@@ -40,10 +40,7 @@ def _read_input(read, path: str):
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = _read_input(read_config, args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    return _read_input(read_config, args.config) if args.config else PipelineConfig()
 
 
 def _world(cfg: PipelineConfig, seed_offset: int = 0) -> SyntheticWorldConfig:
@@ -146,6 +143,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_deploy(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     sources = {}
     for i in range(args.sequences):
         seq_id = f"{args.seq}{i:02d}"
@@ -179,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline configuration JSON")
         p.add_argument("--seq", default="seq", help="sequence id")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         if with_pipeline:
             p.add_argument("--checkpoint-dir", default=None)
             p.add_argument("--mode", choices=("full", "chunk", "auto"), default="auto",
@@ -214,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--sequences", type=int, default=3, help="synthetic sequence count")
     p.add_argument("--workers", type=int, default=1, help="sequences run at once")
+    p.add_argument("--seed", type=int, default=None, help="seed that picks the validation sequence")
     p.set_defaults(func=cmd_deploy)
 
     return parser

@@ -111,6 +111,9 @@ class BinaryMask:
             crop = arr[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1].copy()
             x0 += int(cols[0])
             y0 += int(rows[0])
+        self._store(crop, x0, y0, width, height)
+
+    def _store(self, crop: np.ndarray, x0: int, y0: int, width: int, height: int) -> None:
         crop.flags.writeable = False
         self._crop = crop
         self._x0 = int(x0)
@@ -205,7 +208,8 @@ class BinaryMask:
         """Mask of a width x height frame from `crop_bits` of its crop, a
         crop_width x crop_height grid with its top-left pixel at (x0, y0).
         The bytes must be exactly those `crop_bits` writes: as many as the
-        crop's pixels need, with zero padding bits."""
+        crop's pixels need, zero padding bits, and a tight crop, or 0x0 at
+        (0, 0) when empty, which is kept as it is, not trimmed again."""
         if not set(map(type, (x0, y0, crop_width, crop_height))) <= {int}:
             raise TypeError("crop position and shape must be integers")
         if not (0 <= x0 <= x0 + crop_width <= width and 0 <= y0 <= y0 + crop_height <= height):
@@ -219,7 +223,14 @@ class BinaryMask:
         if size % 8 and packed[-1] & (0xFF >> (size % 8)):
             raise ValueError(f"the padding bits after a {crop_width}x{crop_height} crop are set")
         crop = np.unpackbits(packed, count=size).view(bool).reshape(crop_height, crop_width)
-        return cls.from_crop(crop, x0, y0, width, height)
+        if not (
+            crop[0].any() and crop[-1].any() and crop[:, 0].any() and crop[:, -1].any()
+            if size else x0 == y0 == crop_width == crop_height == 0
+        ):
+            raise ValueError(f"crop {crop_width}x{crop_height} at ({x0}, {y0}) is not tight")
+        m = cls.__new__(cls)
+        m._store(crop, x0, y0, width, height)
+        return m
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vidannot.assoc import (
     AssocConfig,
-    Associator,
     Track,
     associate_frame,
     rescale_confidence,
@@ -22,6 +21,18 @@ CFG = AssocConfig()
 
 def det(x1, y1, x2, y2, conf=0.9):
     return Detection(BBox(x1, y1, x2, y2), "object", conf)
+
+
+def chained(frames):
+    """Each frame's result of `associate_frame` over `frames` of detections
+    in turn, with no live masks, each frame given the tracks and next id of
+    the one before, as the chunk pass gives them."""
+    tracks, next_id, results = [], 0, []
+    for f, dets in enumerate(frames):
+        r = associate_frame(tracks, dets, [], f, CFG, next_id)
+        tracks, next_id = r.tracks, r.next_id
+        results.append(r)
+    return results
 
 
 def matched(result, tracks):
@@ -210,63 +221,30 @@ class TestInvariants:
     @given(st.lists(frame_scenario(), min_size=1, max_size=5))
     @settings(max_examples=1000, deadline=None)
     def test_ids_never_repeat(self, scenarios):
-        assoc = Associator(CFG)
         seen: set[int] = set()
-        for f, (_, dets, _) in enumerate(scenarios):
-            r = assoc.associate(dets, [], f)
+        for r in chained([dets for _, dets, _ in scenarios]):
             for n in r.new_objects:
                 assert n.object_id not in seen
                 seen.add(n.object_id)
 
     def test_static_scene_zero_new_after_first(self):
         dets = [det(10, 10, 40, 40), det(100, 100, 130, 130)]
-        assoc = Associator(CFG)
-        first = assoc.associate(dets, [], 0)
+        first, *rest = results = chained([dets] * 10)
         assert len(first.new_objects) == 2
-        for f in range(1, 10):
-            before = assoc.tracks
-            r = assoc.associate(dets, [], f)
+        for before, r in zip(results, rest):
             assert r.new_objects == []
-            assert set(matched(r, before)) == {0, 1}
+            assert set(matched(r, before.tracks)) == {0, 1}
 
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=6, unique=True), st.integers(2, 6))
     @settings(max_examples=1000, deadline=None)
     def test_random_static_scene_zero_new_after_first(self, cells, frames):
         dets = [det(40 * x, 40 * y, 40 * x + 25, 40 * y + 25) for x, y in cells]
-        assoc = Associator(CFG)
-        assert len(assoc.associate(dets, [], 0).new_objects) == len(dets)
-        for f in range(1, frames):
-            assert assoc.associate(dets, [], f).new_objects == []
+        first, *rest = chained([dets] * frames)
+        assert len(first.new_objects) == len(dets)
+        assert all(r.new_objects == [] for r in rest)
 
 
-class TestAssociatorState:
-    def test_state_roundtrip(self):
-        assoc = Associator(CFG)
-        assoc.associate([det(10, 10, 40, 40)], [], 0)
-        assoc.associate([det(12, 10, 42, 40), det(200, 200, 240, 240)], [], 1)
-        state = assoc.get_state()
-        clone = Associator(CFG)
-        clone.set_state(state)
-        assert clone.get_state() == state
-        a = assoc.associate([det(14, 10, 44, 40)], [], 2)
-        b = clone.associate([det(14, 10, 44, 40)], [], 2)
-        assert a == b
-
-    def test_older_track_keys_ignored(self):
-        # Logs written while tracks kept a last-seen frame and a class label
-        # still resume.
-        track = {"id": 1, "box": [1, 1, 5, 5], "last_seen_frame": 3, "class_label": "o", "age": 1}
-        assoc = Associator(CFG)
-        assoc.set_state({"next_id": 2, "last_frame": 4, "tracks": [track]})
-        assert assoc.tracks == [Track(1, BBox(1, 1, 5, 5), 1)]
-        assert assoc.get_state()["tracks"] == [{"id": 1, "box": [1, 1, 5, 5], "age": 1}]
-
-    def test_frames_strictly_increasing(self):
-        assoc = Associator(CFG)
-        assoc.associate([], [], 3)
-        with pytest.raises(ValueError):
-            assoc.associate([], [], 3)
-
+class TestAssocConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AssocConfig(tau_track_det=0.0)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import vidannot.ash
 import vidannot.chunker
 from vidannot.ash import AshConfig, Masklet, MaskletEntry
-from vidannot.assoc import AssocConfig
+from vidannot.assoc import AssocConfig, Track
 from vidannot.backends import (
     Detection,
     DetectionNoise,
@@ -185,9 +185,10 @@ class TestMergeChunkOverlap:
 
 
 def small_checkpoint(seq="s", frame=5) -> Checkpoint:
+    """Object 0, seen at frames 0 and 1, and its track."""
     m = masklet_with(0, {0: (1, 1, 9, 9), 1: (2, 1, 10, 9)})
-    state = {"next_id": 1, "last_frame": frame, "tracks": []}
-    return Checkpoint(seq, frame, [m], state, (0, 199), (24, 24), 200)
+    tracks = [Track(0, BBox(2, 1, 10.5, 9), 4)]
+    return Checkpoint(seq, frame, [m], tracks, (0, 199), (24, 24), 200)
 
 
 _GROWN_ENTRIES = []
@@ -204,8 +205,7 @@ def grown_checkpoint(frame: int, seq="s", chunk=(0, 199), size=(24, 24)) -> Chec
         for oid, first in ((0, 0), (1, 15))
         if first <= frame
     ]
-    state = {"next_id": len(masklets), "last_frame": frame, "tracks": []}
-    return Checkpoint(seq, frame, masklets, state, chunk, size, 200)
+    return Checkpoint(seq, frame, masklets, [], chunk, size, 200)
 
 
 def state_signature(ckpt: Checkpoint):
@@ -213,7 +213,7 @@ def state_signature(ckpt: Checkpoint):
         ckpt.sequence_id,
         ckpt.last_completed_frame,
         ckpt.chunk,
-        ckpt.assoc_state,
+        ckpt.tracks,
         [
             (
                 m.object_id,
@@ -230,6 +230,12 @@ def state_signature(ckpt: Checkpoint):
 
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
+
+
+def padded_bits(pad) -> str:
+    """The base64 bits of a 9x9 foreground crop padded by empty rows and
+    columns as `np.pad` takes them."""
+    return _b64(np.packbits(np.pad(np.ones((9, 9), dtype=bool), pad)).tobytes())
 
 
 def log_payloads(path: Path) -> list[dict]:
@@ -269,7 +275,14 @@ class TestCheckpointProtocol:
         path = tmp_path / "a.jsonl"
         save_checkpoint(small_checkpoint(), path)
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 6
+        # Nothing derivable: the next object id follows from the object ids,
+        # and the last frame associated is the last completed one.
+        assert set(payload) == {
+            "schema_version", "sequence_id", "last_completed_frame", "chunk", "header", "tracks",
+            "masklets",
+        }
+        assert payload["schema_version"] == 7
+        assert payload["tracks"] == [{"id": 0, "box": [2, 1, 10.5, 9], "age": 4}]
         assert payload["header"] == {"width": 24, "height": 24, "num_frames": 200}
         assert payload["chunk"] == [0, 199]
         entry = payload["masklets"][0]["entries"]["0"]
@@ -291,8 +304,7 @@ class TestCheckpointProtocol:
         # The outline's last vertex has x = width - 1: 65535 fits two bytes,
         # 69999 takes four.
         m = masklet_with(0, {0: (width - 9, 0, width - 1, 3)}, w=width, h=4)
-        state = {"next_id": 1, "last_frame": 0, "tracks": []}
-        ck = Checkpoint("s", 0, [m], state, (0, 9), (width, 4), 10)
+        ck = Checkpoint("s", 0, [m], [], (0, 9), (width, 4), 10)
         path = tmp_path / "w.jsonl"
         save_checkpoint(ck, path)
         outline = log_payloads(path)[0]["masklets"][0]["entries"]["0"]["polygon"]
@@ -372,15 +384,39 @@ class TestCheckpointProtocol:
     def test_version_mismatch_rejected(self, tmp_path):
         # Schema v1 held each mask as full-frame runs, v2 named the file
         # before it, v3 held a mode in place of the chunk, v4 lacked the
-        # entries a chunk's end trimmed, and v5 held masks as run lengths and
-        # outlines as integer lists; only v6 loads.
-        for version in (99, 1, 2, 3, 4, 5):
+        # entries a chunk's end trimmed, v5 held masks as run lengths and
+        # outlines as integer lists, and v6 stored the next object id and the
+        # last frame associated; only v7 loads.
+        for version in (99, 1, 2, 3, 4, 5, 6):
             path = tmp_path / f"v{version}.jsonl"
             payload = small_checkpoint().to_payload()
             payload["schema_version"] = version
             write_log(path, payload)
-            with pytest.raises(CheckpointError, match=f"version {version} is not 6"):
+            with pytest.raises(CheckpointError, match=f"version {version} is not 7"):
                 load_checkpoint(path)
+
+    def test_tracks_round_trip(self, tmp_path):
+        # Tracks of fractional boxes and ages above 0, in the order the pass
+        # holds them, load as they were saved.
+        masklets = [masklet_with(i, {0: (4 * i, 0, 4 * i + 2, 2)}) for i in range(3)]
+        tracks = [Track(2, BBox(8.25, 0, 10, 2.5), 0), Track(0, BBox(0, 0, 2, 2), 7)]
+        ck = Checkpoint("s", 3, masklets, tracks, (0, 9), (24, 24), 10)
+        path = tmp_path / "t.jsonl"
+        save_checkpoint(ck, path)
+        back, _ = load_checkpoint(path)
+        assert back.tracks == tracks
+        assert back.to_payload() == ck.to_payload()
+
+    def test_older_track_keys_ignored(self, tmp_path):
+        # Tracks once also held a last-seen frame and a class label; a line
+        # whose tracks hold them loads the tracks without them.
+        payload = small_checkpoint().to_payload()
+        payload["tracks"][0].update(last_seen_frame=1, class_label="object")
+        path = tmp_path / "o.jsonl"
+        write_log(path, payload)
+        back, _ = load_checkpoint(path)
+        assert back.tracks == small_checkpoint().tracks
+        assert back.to_payload() == small_checkpoint().to_payload()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -422,6 +458,14 @@ class TestCheckpointProtocol:
                          id="polygon-a half vertex"),
             pytest.param("polygon", "AQABAAkAAQAJAAkA!", id="polygon-not base64"),
             pytest.param("polygon", "AQABAAkAAQAJAAk", id="polygon-cut short of its padding"),
+            # Crops that are not tight, each once loaded trimmed and so moved:
+            # the 9x9 crop at (1, 1) with an empty column before it or an
+            # empty row after it, and an empty crop off (0, 0).
+            pytest.param("crop", ([0, 1, 10, 9], padded_bits(((0, 0), (1, 0)))),
+                         id="crop-an empty first column"),
+            pytest.param("crop", ([1, 1, 9, 10], padded_bits(((0, 1), (0, 0)))),
+                         id="crop-an empty last row"),
+            pytest.param("crop", ([3, 3, 0, 0], ""), id="crop-empty off the origin"),
         ],
     )
     def test_invalid_v2_payload_is_corruption(self, tmp_path, field, value):
@@ -432,6 +476,8 @@ class TestCheckpointProtocol:
             masklet[field] = value
         elif field == "key":
             masklet["entries"][value] = masklet["entries"]["0"]
+        elif field == "crop":
+            masklet["entries"]["0"].update(box=value[0], bits=value[1])
         elif field.endswith("frame"):
             masklet["entries"][str(value)] = masklet["entries"]["0"]
             if field.startswith("chunk"):
@@ -460,28 +506,37 @@ class TestCheckpointProtocol:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "state",
+        "fields",
         [
-            {"next_id": 3, "last_frame": 19},
-            {"next_id": "3", "last_frame": 19, "tracks": []},
-            {"next_id": 3, "last_frame": 19.0, "tracks": []},
-            {"next_id": 3, "last_frame": 19, "tracks": {}},
-            {"next_id": 3, "last_frame": 19, "tracks": [{"id": 0}]},
-            {"next_id": 3, "last_frame": 19, "tracks": [{"id": 0, "box": [1, 1, 5], "age": 0}]},
-            [],
-            {"next_id": 1, "last_frame": 6, "tracks": []},  # after last completed frame 5
-            # Each once loaded. The masklet holds object 0, so next_id must be
-            # at least 1, and above every track id too.
-            {"next_id": 0, "last_frame": 5, "tracks": []},
-            {"next_id": 1, "last_frame": 5, "tracks": [{"id": 1, "box": [1, 1, 5, 5], "age": 0}]},
-            {"next_id": 2, "last_frame": 5, "tracks": [{"id": 0, "box": [1, 1, 5, 5], "age": 0},
-                                                       {"id": 0, "box": [9, 1, 13, 5], "age": 1}]},
+            {},
+            {"tracks": {}},
+            {"tracks": None},
+            {"tracks": [3]},
+            {"tracks": [{"id": 0}]},
+            {"tracks": [{"id": 0, "box": [1, 1, 5], "age": 0}]},
+            {"tracks": [{"id": "0", "box": [1, 1, 5, 5], "age": 0}]},
+            {"tracks": [{"id": True, "box": [1, 1, 5, 5], "age": 0}]},
+            {"tracks": [{"id": 0, "box": [1, 1, 5, 5], "age": 0.0}]},
+            {"tracks": [{"id": 0, "box": [1, 1, "5", 5], "age": 0}]},
+            {"tracks": [{"id": 0, "box": [5, 1, 1, 5], "age": 0}]},  # inverted
+            {"tracks": [{"id": 0, "box": [1, 1, float("inf"), 5], "age": 0}]},
+            {"tracks": [{"id": 0, "box": [1, 1, float("nan"), 5], "age": 0}]},
+            # The masklet holds object 0 alone: a track of object 1 would let
+            # a resume give id 1 to a new object too.
+            {"tracks": [{"id": 1, "box": [1, 1, 5, 5], "age": 0}]},
+            {"tracks": [{"id": 0, "box": [1, 1, 5, 5], "age": 0},
+                        {"id": 0, "box": [9, 1, 13, 5], "age": 1}]},
         ],
+        ids=["no tracks", "a dict", "null", "a number", "no box or age", "a 3-number box",
+             "a string id", "a boolean id", "a float age", "a string coordinate",
+             "an inverted box", "an infinite coordinate", "a NaN coordinate",
+             "a track of no object", "a track id repeated"],
     )
-    def test_malformed_full_mode_assoc_state_is_corruption(self, tmp_path, state):
+    def test_malformed_full_mode_tracks_are_corruption(self, tmp_path, fields):
         path = tmp_path / "a.jsonl"
         payload = small_checkpoint().to_payload()
-        payload["assoc_state"] = state
+        del payload["tracks"]
+        payload.update(fields)
         write_log(path, payload)
         with pytest.raises(CheckpointError, match="unreadable"):
             load_checkpoint(path)
@@ -583,14 +638,9 @@ def repeat_first_frame(payload: dict) -> None:
     entries[str(first - 1)] = entries[str(first)]
 
 
-def ten_frames_earlier(payload: dict) -> None:
-    payload["last_completed_frame"] -= 10
-    payload["assoc_state"]["last_frame"] -= 10
-
-
 def repeat_a_track(payload: dict) -> None:
     track = {"id": 0, "box": [1, 1, 5, 5], "age": 0}
-    payload["assoc_state"]["tracks"] = [track, track]
+    payload["tracks"] = [track, track]
 
 
 def entry_past_the_last_frame(payload: dict) -> None:
@@ -610,8 +660,9 @@ LINE_DAMAGE = {
     "of another frame size": lambda p: p["header"].update(width=32),
     "of another frame count": lambda p: p["header"].update(num_frames=300),
     "repeating earlier frames": repeat_first_frame,
-    "ten frames earlier": ten_frames_earlier,
-    "with next_id not above its ids": lambda p: p["assoc_state"].update(next_id=0),
+    "ten frames earlier": lambda p: p.update(last_completed_frame=p["last_completed_frame"] - 10),
+    # Objects 0 and 1 are the only ones of lines 1 to 3.
+    "with a track of no object": lambda p: p.update(tracks=[{"id": 7, "box": [1, 1, 5, 5], "age": 0}]),
     "with a track id repeated": repeat_a_track,
     "with a string object id": lambda p: p["masklets"][0].update(object_id="0"),
     "with a confidence above 1": lambda p: next(iter(p["masklets"][0]["entries"].values())).update(
@@ -666,7 +717,7 @@ class TestDamagedLog:
             "without its newline",
             "of another sequence",
             "with a chunk past the last frame",
-            "with next_id not above its ids",
+            "with a track of no object",
             "with a track id repeated",
             "with a string object id",
             "with a confidence above 1",
@@ -839,7 +890,7 @@ class TestCoveredDetections:
         assert recorded.starts == [0, 0, 0]
         state, _ = load_checkpoint(tmp_path / "s_ckpt.jsonl")
         box = gt[29].objects[0].box
-        assert {"id": 0, "box": [box.x1, box.y1, box.x2, box.y2], "age": 0} in state.assoc_state["tracks"]
+        assert Track(0, box, 0) in state.tracks
 
 
 class TestChunksContinueLiveObjects:
@@ -1264,9 +1315,10 @@ class TestRunSequence:
     @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
     def test_resume_over_a_v1_file_raises_naming_it(self, tmp_path, mode):
         # Schema v1 stored each mask as full-frame runs, v3 a mode in place
-        # of the chunk, v4 lacked the entries a chunk's end trimmed, and v5
-        # stored run lengths and integer lists; none loads any more. A run
-        # that does not resume deletes each with the sequence's other files.
+        # of the chunk, v4 lacked the entries a chunk's end trimmed, v5
+        # stored run lengths and integer lists, and v6 the associator's
+        # next_id and last frame; none loads any more. A run that does not
+        # resume deletes each with the sequence's other files.
         _, det, prop, dets = build_sequence(num_frames=30)
         v1 = tmp_path / "s_ckpt_frame_0009.json"
         log = tmp_path / "s_ckpt.jsonl"
@@ -1279,6 +1331,8 @@ class TestRunSequence:
             (log, {"schema_version": 4, "chunk": [0, 9] if mode == "chunk" else [0, 29],
                    "header": {"width": 320, "height": 240, "num_frames": 30, "epsilon_mask": 3}}),
             (log, {"schema_version": 5, "chunk": [0, 9] if mode == "chunk" else [0, 29],
+                   "header": {"width": 320, "height": 240, "num_frames": 30}}),
+            (log, {"schema_version": 6, "chunk": [0, 9] if mode == "chunk" else [0, 29],
                    "header": {"width": 320, "height": 240, "num_frames": 30}}),
         ]
         kw = dict(
@@ -1294,7 +1348,7 @@ class TestRunSequence:
                 run_sequence(dets, prop, det.frame_size, resume=True, **kw, **RUN_KW)
             run_sequence(dets, prop, det.frame_size, **kw, **RUN_KW)
             assert [p.name for p in tmp_path.iterdir()] == ["s_ckpt.jsonl"]
-            assert {p["schema_version"] for p in log_payloads(log)} == {6}
+            assert {p["schema_version"] for p in log_payloads(log)} == {7}
 
     def test_full_checkpoint_invalid_for_chunk_mode(self, tmp_path, caplog):
         # A chunk-mode resume over a finished full-mode log starts over, and
@@ -1391,11 +1445,11 @@ class TestRunSequence:
         assert loaded == [log]
         assert masklets_signature(resumed) == masklets_signature(ref)
 
-    def resume_past_bad_assoc_state(self, tmp_path, mode, cfg, bad_line, state):
-        """Kill a 30-frame run at frame 25, replace the associator state of
-        line `bad_line` of its log by `state` (or by `state` of it, for a
-        function) and resume. Returns the uninterrupted run's masklets, the
-        resumed run's, and the frame of the state the resume starts from."""
+    def resume_past_bad_tracks(self, tmp_path, mode, cfg, bad_line, tracks):
+        """Kill a 30-frame run at frame 25, replace the tracks of line
+        `bad_line` of its log by `tracks` and resume. Returns the
+        uninterrupted run's masklets, the resumed run's, and the frame of the
+        state the resume starts from."""
         gt, det, prop, dets = build_sequence(num_frames=30)
         ref = run_sequence(dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode, **RUN_KW)
 
@@ -1412,10 +1466,7 @@ class TestRunSequence:
                 dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
                 checkpoint_dir=ckdir, sequence_id="s", on_frame=bomb, **RUN_KW
             )
-        edit_line(
-            ckdir / "s_ckpt.jsonl", bad_line,
-            lambda p: p.update(assoc_state=state(p["assoc_state"]) if callable(state) else state),
-        )
+        edit_line(ckdir / "s_ckpt.jsonl", bad_line, lambda p: p.update(tracks=tracks))
         head = CheckpointStore(ckdir, "s").load_latest().last_completed_frame
         resumed = run_sequence(
             dets, prop, det.frame_size, chunk_cfg=cfg, mode=mode,
@@ -1423,32 +1474,20 @@ class TestRunSequence:
         )
         return ref, resumed, head
 
-    def test_full_resume_passes_over_a_malformed_assoc_state(self, tmp_path):
+    def test_full_resume_passes_over_malformed_tracks(self, tmp_path):
         # Lines of frames 9 and 19.
-        ref, resumed, head = self.resume_past_bad_assoc_state(
-            tmp_path, "full", ChunkerConfig(checkpoint_interval=10), 2, {"next_id": 3},
+        ref, resumed, head = self.resume_past_bad_tracks(
+            tmp_path, "full", ChunkerConfig(checkpoint_interval=10), 2, [{"id": 0}],
         )
         assert head == 9
         assert masklets_signature(resumed) == masklets_signature(ref)
 
-    @pytest.mark.parametrize("mode", ["full", "chunk", "auto"])
-    def test_resume_passes_over_an_assoc_state_ahead_of_its_frame(self, tmp_path, mode):
-        # The frame-19 line's state has seen frame 27, so resuming from it
-        # would associate frame 20 after frame 27. Chunks of 50 frames make
-        # the 30-frame sequence one chunk in every mode.
-        ref, resumed, head = self.resume_past_bad_assoc_state(
-            tmp_path, mode, ChunkerConfig(checkpoint_interval=10), 2,
-            lambda state: {**state, "last_frame": 27},
-        )
-        assert head == 9
-        assert masklets_signature(resumed) == masklets_signature(ref)
-
-    @pytest.mark.parametrize("state", [{}, [3]])
-    def test_chunk_resume_passes_over_a_malformed_assoc_state(self, tmp_path, state):
+    @pytest.mark.parametrize("tracks", [{}, [3]])
+    def test_chunk_resume_passes_over_malformed_tracks(self, tmp_path, tracks):
         # Chunks (0, 9), (6, 15), (12, 21), (18, 27), ...: the kill at frame
         # 25 leaves the lines of frames 9, 15 and 21.
-        ref, resumed, head = self.resume_past_bad_assoc_state(
-            tmp_path, "chunk", ChunkerConfig(chi=10, omega=2), 3, state,
+        ref, resumed, head = self.resume_past_bad_tracks(
+            tmp_path, "chunk", ChunkerConfig(chi=10, omega=2), 3, tracks,
         )
         assert head == 15
         assert masklets_signature(resumed) == masklets_signature(ref)

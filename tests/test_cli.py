@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vidannot.cli import EXIT_CONFIG, EXIT_OK, main
+from vidannot.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
 from vidannot.config import PipelineConfig
 from vidannot.pipeline import run_dataset
 
@@ -213,6 +213,18 @@ class TestCliVerbs:
             assert exit_.value.code == EXIT_CONFIG
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "detect", "annotate", "resume"])
+    def test_seed_is_a_usage_error_where_nothing_reads_it(self, tmp_path, capsys, verb):
+        """Only deploy reads the seed, to pick its validation sequence; the
+        other verbs once took --seed and wrote the same bytes at any value."""
+        cfg = write_tiny_config(tmp_path / "c.json")
+        with pytest.raises(SystemExit) as exit_:
+            main([verb, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "1"])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert build_parser().parse_args(["deploy", "--seed", "4"]).seed == 4
 
     def test_run_dataset_rejects_fewer_than_one_worker(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):

@@ -166,6 +166,14 @@ class TestMaskStorage:
             ((3, 0, 2, 2), b"\xf0", ValueError),  # leaves the 4x4 frame
             ((0, 0, -2, -2), b"", ValueError),
             ((0, 0, 10**6, 10**6), b"\xff", ValueError),
+            # Crops that are not tight: each once loaded, trimmed and moved.
+            ((0, 0, 3, 1), b"\x60", ValueError),  # an empty first column
+            ((0, 0, 3, 1), b"\xc0", ValueError),  # an empty last column
+            ((0, 0, 2, 2), b"\x30", ValueError),  # an empty first row
+            ((0, 0, 2, 2), b"\xc0", ValueError),  # an empty last row
+            ((1, 1, 2, 2), b"\x00", ValueError),  # no foreground at all
+            ((1, 2, 0, 0), b"", ValueError),  # empty, but not at (0, 0)
+            ((0, 0, 3, 0), b"", ValueError),  # empty, but not 0x0
         ],
     )
     def test_from_crop_bits_rejects_bad_input(self, box, bits, error):

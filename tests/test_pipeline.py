@@ -687,6 +687,48 @@ class TestChunkResume:
         # The search window around frame 70 (65..75) and the frames tracked.
         assert sorted(verified) == list(range(65, 90))
 
+    def test_noisy_resume_numbers_later_births_as_the_uninterrupted_run(self, tmp_path):
+        # A log stores no next object id: the resume derives it from the
+        # objects the log holds. Spurious and missed detections open objects
+        # after the kill, and each must get the id the uninterrupted run
+        # gave it. Most of them are merged away before the output is
+        # written, so the resumed log must equal the uninterrupted one too.
+        base = PipelineConfig()
+        cfg = dataclasses.replace(
+            base,
+            world=SyntheticWorldConfig(num_objects=5, num_frames=90, rng_seed=2),
+            noise=DetectionNoise(
+                miss_rate=0.3, fp_rate=2.0, jitter_sigma=1.0, fp_confidence_range=(0.3, 0.9),
+                rng_seed=5,
+            ),
+            ash=dataclasses.replace(base.ash, alpha=1.0),
+            chunker=dataclasses.replace(base.chunker, chi=20, omega=5, checkpoint_interval=7),
+        )
+        source = synthetic_source("s", cfg, cfg.world)
+        dets = [vidannot.smart_od.run_smart_od(t, source.detector, cfg.smart_od) for t in range(90)]
+
+        def bomb(t):
+            if t == 50:
+                raise Killed()
+
+        with pytest.raises(Killed):
+            vidannot.chunker.run_sequence(
+                dets, source.propagator, source.frame_size, cfg.assoc, cfg.ash, cfg.chunker,
+                mode="chunk", checkpoint_dir=tmp_path / "ckpt", sequence_id="s", on_frame=bomb,
+            )
+        head, _ = vidannot.chunker.load_checkpoint(tmp_path / "ckpt" / "s_ckpt.jsonl")
+        run_dataset(
+            {"s": synthetic_source("s", cfg, cfg.world)}, cfg.smart_od, cfg, tmp_path / "ref",
+            checkpoint_dir=tmp_path / "ref_ckpt", mode="chunk",
+        )
+        whole, _ = vidannot.chunker.load_checkpoint(tmp_path / "ref_ckpt" / "s_ckpt.jsonl")
+        births = sorted(min(m.entries) for m in whole.masklets)
+        assert sum(f > head.last_completed_frame for f in births) >= 3
+        ref = {name: (tmp_path / "ref" / name).read_bytes() for name in self.outputs}
+        assert self.resume(tmp_path, cfg) == ref
+        log = (tmp_path / "ckpt" / "s_ckpt.jsonl").read_bytes()
+        assert log == (tmp_path / "ref_ckpt" / "s_ckpt.jsonl").read_bytes()
+
     def test_segments_with_a_chunk_index_resume(self, tmp_path):
         # Checkpoints once carried their chunk's index; it is ignored now.
         cfg, ref = self.killed_and_reference(tmp_path)
@@ -821,17 +863,17 @@ class TestPinnedOutputBytes:
         assert self.digests(tmp_path / "out") == self.DIGESTS
 
     def test_resume_from_a_log_whose_tracks_hold_older_keys(self, tmp_path):
-        # Logs of older versions also held each track's last-seen frame and
-        # class label; such a log still resumes to the uninterrupted bytes.
+        # Tracks once also held their last-seen frame and class label; a log
+        # whose tracks hold them still resumes to the uninterrupted bytes.
         cfg = self.config()
         self.kill_after_frame_27(tmp_path, cfg)
         log = tmp_path / "ckpt" / "p_ckpt.jsonl"
         lines = []
         for line in log.read_text().splitlines():
             payload = json.loads(line)
-            state = payload["assoc_state"]
-            for track in state["tracks"]:
-                track["last_seen_frame"] = state["last_frame"] - track["age"]
+            assert payload["tracks"]
+            for track in payload["tracks"]:
+                track["last_seen_frame"] = payload["last_completed_frame"] - track["age"]
                 track["class_label"] = "object"
             lines.append(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
         log.write_text("".join(lines))

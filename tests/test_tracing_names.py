@@ -78,6 +78,29 @@ def test_rebound_contour_name_traces_the_output_outlines(monkeypatch):
     assert tracer.counts["ash.contour_calls"] == len(traced)
 
 
+def test_every_birth_is_counted_through_the_rebound_association_name(tmp_path):
+    # perfbench's assoc.births counts the new objects of calls of the rebound
+    # vidannot.assoc.associate_frame; a pass that called a name bound at
+    # import would leave it reading 0. Every birth gets a masklet that the
+    # log holds, numbered from 0 up.
+    gt = generate_synthetic_sequence(SyntheticWorldConfig(num_objects=4, num_frames=60, rng_seed=2))
+    noise = DetectionNoise(miss_rate=0.3, fp_rate=2.0, jitter_sigma=1.0,
+                           fp_confidence_range=(0.3, 0.9), rng_seed=5)
+    det = SyntheticDetector(gt, noise)
+    dets = [det.detect(t) for t in range(60)]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.Instrumented(tracer):
+        vidannot.chunker.run_sequence(
+            dets, SyntheticPropagator(gt), det.frame_size, AssocConfig(), AshConfig(alpha=1.0),
+            ChunkerConfig(chi=20, omega=5), mode="chunk", checkpoint_dir=tmp_path, sequence_id="s",
+        )
+    state, _ = vidannot.chunker.load_checkpoint(tmp_path / "s_ckpt.jsonl")
+    births = sorted(m.object_id for m in state.masklets)
+    assert births == list(range(len(births))) and len(births) > 4
+    assert tracer.counts["assoc.births"] == len(births)
+
+
 class Killed(Exception):
     pass
 
